@@ -68,7 +68,7 @@ def _model(args) -> ModelParams:
 
 
 def _ctl(args) -> SeriesControl:
-    return SeriesControl(tolerance=args.tolerance, max_terms=args.max_terms)
+    return SeriesControl(tolerance=args.tolerance)
 
 
 def _write_table(rows: list[dict], meta: dict, args) -> None:
@@ -249,7 +249,6 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
     p.add_argument("--eta", type=float, help="mean of normal jumps")
     p.add_argument("--sigma", type=float, help="std of normal jumps")
     p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--max-terms", type=int, default=100_000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output file (default stdout; relative "
                    "paths resolve under $POISSONSUB_OUTDIR)")

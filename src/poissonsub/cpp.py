@@ -1,8 +1,9 @@
 """Law of the subordinated compound Poisson process Z(t) = Y[N(t)].
 
-The CDF/density are Poisson-weighted mixtures of closed-form n-fold
-convolutions of the jump law; the mixture weights are exactly the iterated
-Poisson pmf, so truncation follows the same tail-mass rule everywhere.
+The CDF/density are mixtures of closed-form n-fold convolutions of the jump
+law; the mixture weights are the iterated Poisson pmf from
+``IteratedLaw.pmf_vector``, so truncation follows the same tail-mass rule
+everywhere.
 Exponential-jump and normal-jump specializations are exposed both through
 the generic mixture and through their direct series forms.
 """
@@ -29,16 +30,14 @@ def atom_mass_Z(t: float, params: ModelParams) -> float:
     return math.exp(-params.lam * t * (1.0 - math.exp(-params.mu)))
 
 
-def _poisson_weights(a: float, tol: float, max_terms: int) -> np.ndarray:
+def _poisson_weights(a: float, tol: float) -> np.ndarray:
     """pmf vector of Poisson(a) through the point where tail mass < tol."""
     if a == 0.0:
         return np.array([1.0])
     n_hi = int(a + 12.0 * math.sqrt(a) + 30.0)
-    while True:
-        w = np.exp(log_poisson_pmf(np.arange(n_hi + 1), a))
-        if 1.0 - w.sum() < tol or n_hi >= max_terms:
-            return w
+    while sc.pdtrc(n_hi, a) >= tol:  # P{Poisson(a) > n_hi}
         n_hi *= 2
+    return np.exp(log_poisson_pmf(np.arange(n_hi + 1), a))
 
 
 def cpp_cdf_Y(y: float, t: float, params: ModelParams, jumps: JumpSpec,
@@ -48,7 +47,7 @@ def cpp_cdf_Y(y: float, t: float, params: ModelParams, jumps: JumpSpec,
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:
         return 1.0 if y >= 0 else 0.0
-    w = _poisson_weights(params.mu * t, ctl.tolerance, ctl.max_terms)
+    w = _poisson_weights(params.mu * t, ctl.tolerance)
     total = w[0] if y >= 0 else 0.0
     total += math.fsum(w[m] * jumps.conv_cdf(m, y) for m in range(1, len(w)))
     return min(1.0, total)
@@ -56,8 +55,9 @@ def cpp_cdf_Y(y: float, t: float, params: ModelParams, jumps: JumpSpec,
 
 def cpp_cdf_Z(z: float, t: float, params: ModelParams, jumps: JumpSpec,
               ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """CDF of Z(t) = Y[N(t)] as the Bell-polynomial mixture over n-fold
-    jump convolutions.  Right-continuous; includes the atom at 0."""
+    """CDF of Z(t) = Y[N(t)] as the mixture of n-fold jump convolutions
+    over the iterated Poisson weights.  Right-continuous; includes the atom
+    at 0."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:
@@ -118,7 +118,7 @@ def exp_jump_cdf_alt(z: float, t: float, params: ModelParams, zeta: float,
     law = IteratedLaw(params, ctl)
     cum = np.cumsum(law.pmf_vector(t))
     a = zeta * z
-    pz = _poisson_weights(a, ctl.tolerance, ctl.max_terms)
+    pz = _poisson_weights(a, ctl.tolerance)
     m = min(len(pz), len(cum))
     # beyond the computed weight vector the inner cumulative sum is ~1
     total = float(pz[:m] @ cum[:m]) + float(pz[m:].sum())

@@ -4,6 +4,11 @@ Covers nonincreasing boundaries (survival in closed form), the constant
 boundary (crossing density and mean), the first-hitting time of a state
 (density, CDF, hitting probability) and the linearly increasing boundary
 (iterative avoiding-probability table and piecewise survival).
+
+Every quantity is a sum of nonnegative terms: over the law weights p_j(t)
+of ``IteratedLaw`` for densities and survival, over the embedded jump chain
+for hitting probabilities and times.  The paper's Stirling and Bell forms
+are reference forms in ``verify``.
 """
 
 from __future__ import annotations
@@ -13,14 +18,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy import special as sc
 
 from .iterated import IteratedLaw
-from .special import (
-    bell_poly,
-    bell_poly_derivative,
-    lower_incomplete_gamma,
-    stirling2,
-)
+from .special import log_poisson_pmf
 
 _NONINCREASING = ("constant", "linear_decreasing", "general_nonincreasing")
 
@@ -96,103 +97,60 @@ def survival_nonincreasing(boundary: Boundary, t: float, law: IteratedLaw) -> fl
 
 
 def crossing_density_constant(k: int, t: float, law: IteratedLaw) -> float:
-    """First-crossing density through the constant boundary k:
-    psi(t) = -d/dt P_{k-1}(t), differentiated term by term."""
+    """First-crossing density through the constant boundary k.  A path
+    crosses only by a jump out of some state j < k, so
+    psi_k(t) = lam sum_{j<k} p_j(t) P{Poisson(mu) >= k - j}."""
     if k < 1:
         raise ValueError(f"boundary level must be >= 1, got {k}")
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    lam, mu = law.params.lam, law.params.mu
-    a = law.rate
-    c = lam * math.exp(-mu)
-    ct = c * t
-    e = math.exp(-a * t)
-    total = 0.0
-    for j in range(k):
-        coef = mu**j / math.factorial(j)
-        total += a * e * coef * bell_poly(j, ct).value
-        total -= e * coef * c * bell_poly_derivative(j, ct)
-    return max(0.0, total)
+    w = np.exp(law._log_weights(t, k - 1))
+    up = sc.pdtrc(np.arange(k - 1, -1, -1), law.params.mu)  # P{Poisson(mu) > k-1-j}
+    return law.params.lam * float(w @ up)
 
 
-def crossing_density_constant_stirling(k: int, t: float, law: IteratedLaw) -> float:
-    """Stirling-expanded form of the constant-boundary crossing density,
-    kept as a cross-check.  The bracketed power sum starts at i = 1 (the
-    printed i = 0 start double counts the constant term)."""
-    if k < 1:
-        raise ValueError(f"boundary level must be >= 1, got {k}")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    lam, mu = law.params.lam, law.params.mu
-    a = law.rate
-    c = lam * math.exp(-mu)
-    ct = c * t
-    p0 = math.exp(-a * t)
-
-    def C(i: int) -> float:
-        return math.fsum(
-            stirling2(j, i) * mu**j / math.factorial(j) for j in range(i, k)
-        )
-
-    s1 = 1.0 + math.fsum(ct**i * C(i) for i in range(1, k))
-    s2 = math.fsum(i * ct ** (i - 1) * C(i) for i in range(1, k))
-    return p0 * a * s1 - p0 * c * s2
+def _chain_visits(k: int, mu: float) -> np.ndarray:
+    """h[m, j] = P{the embedded jump chain is at j after m nonzero jumps},
+    0 <= m, j <= k; the steps are zero-truncated Poisson(mu)."""
+    r = np.exp(log_poisson_pmf(np.arange(k + 1), mu)) / -math.expm1(-mu)
+    r[0] = 0.0
+    h = np.zeros((k + 1, k + 1))
+    h[0, 0] = 1.0
+    for m in range(1, k + 1):
+        h[m, m:] = np.convolve(h[m - 1, m - 1:], r[1:k + 2 - m])[: k + 1 - m]
+    return h
 
 
 def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
-    """E(T) for the constant boundary k, in closed form: the integral of
-    the survival P_{k-1}(t) over [0, inf)."""
+    """E(T) for the constant boundary k: each state j < k the chain visits
+    is held for an exponential(rate) time, so E(T) = sum_{j<k} pi_j / rate."""
     if k < 1:
         raise ValueError(f"boundary level must be >= 1, got {k}")
-    mu = law.params.mu
-    em1 = math.expm1(mu)  # e^mu - 1
-    inner = 0.0
-    for i in range(1, k):
-        ci = math.fsum(
-            stirling2(j, i) * mu**j / math.factorial(j) for j in range(i, k)
-        )
-        inner += math.factorial(i) / em1**i * ci
-    return (1.0 + inner) / law.rate
+    return float(_chain_visits(k, law.params.mu)[:, :k].sum()) / law.rate
 
 
 def hitting_density(k: int, t: float, law: IteratedLaw) -> float:
     """Density of the first-hitting time of state k (defective: integrates
-    to pi_k < 1)."""
+    to pi_k < 1): h_k(t) = lam sum_{j<k} p_j(t) P{Poisson(mu) = k - j}."""
     if k < 1:
         raise ValueError(f"state must be >= 1, got {k}")
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    lam, mu = law.params.lam, law.params.mu
-    ct = lam * math.exp(-mu) * t
-    return (
-        math.exp(-mu)
-        * mu**k
-        / math.factorial(k)
-        * lam
-        * math.exp(-law.rate * t)
-        * bell_poly_derivative(k, ct)
-    )
+    w = np.exp(law._log_weights(t, k - 1))
+    q = np.exp(log_poisson_pmf(np.arange(k, 0, -1), law.params.mu))
+    return law.params.lam * float(w @ q)
 
 
 def hitting_cdf(k: int, t: float, law: IteratedLaw) -> float:
     """CDF of the first-hitting time of state k; tends to pi_k as t -> inf.
-
-    The Stirling sum formally includes j = 0, which vanishes because
-    S2(k, 0) = 0 for k >= 1 (this is what makes F_H(0) = 0)."""
+    The chain reaches k at its m-th jump with probability h[m, k], and m
+    jumps take a Gamma(m, rate) time."""
     if k < 1:
         raise ValueError(f"state must be >= 1, got {k}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    lam, mu = law.params.lam, law.params.mu
-    a = law.rate
-    ct = lam * math.exp(-mu) * t
-    em1 = math.expm1(mu)
-    gam = math.fsum(
-        stirling2(k, j) * lower_incomplete_gamma(j + 1, a * t) / em1**j
-        for j in range(0, k + 1)
-    )
-    val = mu**k / math.factorial(k) * (math.exp(-a * t) * bell_poly(k, ct).value + gam)
-    return min(1.0, max(0.0, val))
+    h = _chain_visits(k, law.params.mu)[1:, k]
+    return min(1.0, float(h @ sc.gammainc(np.arange(1, k + 1), law.rate * t)))
 
 
 def hitting_probability(k: int, mu: float) -> float:
@@ -201,11 +159,7 @@ def hitting_probability(k: int, mu: float) -> float:
         raise ValueError(f"state must be >= 1, got {k}")
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    em1 = math.expm1(mu)
-    s = math.fsum(
-        stirling2(k, j) * math.factorial(j) / em1**j for j in range(1, k + 1)
-    )
-    return mu**k / math.factorial(k) * s
+    return min(1.0, float(_chain_visits(k, mu)[:, k].sum()))
 
 
 @dataclass(frozen=True)
@@ -234,7 +188,7 @@ def avoiding_table(k: int, horizon: int, law: IteratedLaw) -> AvoidingTable:
     rows = [np.array([1.0])]
     if horizon >= 1:
         # unit-time pmf vector, long enough for every convolution below
-        pvec = np.array([law.pmf(j, 1.0) for j in range(k + horizon)])
+        pvec = np.exp(law._log_weights(1.0, k + horizon - 1))
         for n in range(1, horizon + 1):
             rows.append(np.convolve(rows[-1], pvec)[: k + n])
     return AvoidingTable(k=k, horizon=horizon, rows=rows)
@@ -255,6 +209,5 @@ def survival_linear_increasing(k: int, t: float, law: IteratedLaw,
     if elapsed == 0.0:
         return table.survival_at_integer(n)
     g = table.rows[n]  # entries j = 0..k+n-1; g(k+n; n) == 0 by construction
-    return float(math.fsum(
-        g[m] * law.cdf(k + n - m, elapsed) for m in range(len(g))
-    ))
+    cdf = np.minimum(np.cumsum(np.exp(law._log_weights(elapsed, k + n))), 1.0)
+    return math.fsum(g * cdf[k + n - np.arange(g.size)])

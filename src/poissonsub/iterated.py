@@ -1,20 +1,28 @@
 """Law of the iterated Poisson process Z(t) = M[N(t)].
 
-Z is a compound Poisson process whose jumps are Poisson(mu) counts; its pmf
-is a Bell-polynomial series.  The direct log-space evaluation is the
-production path; the recurrence and the Stirling-expanded CDF are retained
-as independent cross-checks.
+Z is a compound Poisson process with rate lam and Poisson(mu) batches, so
+its weights p_n(t) follow the compound-Poisson (Panjer) recursion; one
+private engine runs it and every quantity of the law is read off its
+output.  The paper's Bell-polynomial and Stirling forms are kept as
+reference forms in ``special`` and ``verify``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .params import ModelParams
-from .special import SeriesControl, log_bell_series, stirling2
+from .special import SeriesControl, log_poisson_pmf
+
+# scaled weights are renormalised once they leave [_TINY, _HUGE]
+_TINY, _HUGE = 1e-200, 1e200
+# tilts s > 0 at which the Chernoff bound on the upper tail is evaluated
+_CHERNOFF_S = np.geomspace(1e-4, 30.0, 512)
 
 
 @dataclass(frozen=True)
@@ -28,10 +36,55 @@ class IteratedLaw:
     def rate(self) -> float:
         """Total jump rate lam*(1 - e^{-mu}): exits from any state are
         exponential with this parameter."""
-        return self.params.lam * (1.0 - math.exp(-self.params.mu))
+        return self.params.lam * -math.expm1(-self.params.mu)
 
-    def _bell_arg(self, t: float) -> float:
-        return self.params.lam * t * math.exp(-self.params.mu)
+    @cached_property
+    def _severity(self) -> np.ndarray:
+        """j q_j for j = J..1 (reversed for the recursion's dot product),
+        q_j = P{Poisson(mu) = j}, cut at J = mu + 12 sqrt(mu) + 30 where the
+        batch-size tail is negligible."""
+        mu = self.params.mu
+        j = np.arange(1, int(mu + 12.0 * math.sqrt(mu) + 30.0) + 1)
+        return (j * np.exp(log_poisson_pmf(j, mu)))[::-1].copy()
+
+    # -- the weight engine ---------------------------------------------------
+
+    def _log_weights(self, t: float, n: int) -> np.ndarray:
+        """log p_0(t) .. log p_n(t) from the compound-Poisson recursion
+        p_i = (lam t / i) sum_j j q_j p_{i-j}, p_0 = exp(-lam t (1 - e^{-mu})).
+
+        The recursion runs on rescaled values and carries the log of the
+        scale, so it works where p_0 or the tail underflows."""
+        if t == 0.0:
+            return np.where(np.arange(n + 1) == 0, 0.0, -math.inf)
+        jq = self._severity
+        nj = jq.size
+        lt = self.params.lam * t
+        p = np.zeros(n + 1)
+        p[0] = 1.0
+        out = np.empty(n + 1)
+        shift = -self.rate * t  # true weight = scaled weight * e^shift
+        done = 0  # p[:done] are already logged into out
+        with np.errstate(divide="ignore"):
+            for i in range(1, n + 1):
+                m = min(i, nj)
+                p[i] = v = lt / i * float(np.dot(jq[nj - m:], p[i - m:i]))
+                if _TINY < v < _HUGE:
+                    continue
+                # only the last nj values feed later states; rescale them
+                # once their maximum leaves the safe range
+                lo = max(0, i - nj + 1)
+                top = float(p[lo:i + 1].max())
+                if _TINY <= top <= _HUGE:
+                    continue
+                out[done:i + 1] = np.log(p[done:i + 1]) + shift
+                done = i + 1
+                if top == 0.0:
+                    break  # every later weight is zero too
+                p[lo:i + 1] /= top
+                shift += math.log(top)
+            out[done:] = np.log(p[done:]) + shift
+        return out
 
     # -- pmf / cdf -----------------------------------------------------------
 
@@ -40,109 +93,56 @@ class IteratedLaw:
             raise ValueError(f"state must be nonnegative, got {n}")
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        if t == 0.0:
-            return 0.0 if n == 0 else -math.inf
-        mu = self.params.mu
-        return (
-            -self.rate * t
-            + n * math.log(mu)
-            - math.lgamma(n + 1)
-            + log_bell_series(n, self._bell_arg(t), self.ctl)
-        )
+        return float(self._log_weights(t, n)[n])
 
     def pmf(self, n: int, t: float) -> float:
-        """p_n(t) = e^{-lam t (1-e^{-mu})} mu^n/n! B_n(lam t e^{-mu})."""
+        """p_n(t) = P{Z(t) = n}."""
         return math.exp(self.log_pmf(n, t))
 
-    def pmf_recursive(self, n: int, t: float) -> float:
-        """p_n(t) via the binomial-recurrence of the Bell polynomials;
-        cross-check for pmf()."""
-        if n < 0:
-            raise ValueError(f"state must be nonnegative, got {n}")
-        if t <= 0:
-            raise ValueError(f"time must be positive, got {t}")
-        lam, mu = self.params.lam, self.params.mu
-        c = lam * math.exp(-mu) * t
-        p = [self.pmf(0, t)]
-        for m in range(1, n + 1):
-            acc = math.fsum(
-                mu ** (m - k + 1) / math.factorial(m - k) * p[k - 1]
-                for k in range(1, m + 1)
-            )
-            p.append(c * acc / m)
-        return p[n]
-
     def pmf_vector(self, t: float, tail: float | None = None) -> np.ndarray:
-        """p_0(t)..p_N(t) with N chosen so the remaining mass is below
-        ``tail`` (defaults to ctl.tolerance)."""
+        """p_0(t)..p_N(t) with N the smallest state whose remaining mass is
+        below ``tail`` (defaults to ctl.tolerance)."""
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
         if t == 0.0:
             return np.array([1.0])
         tol = self.ctl.tolerance if tail is None else tail
-        out = []
-        cum = 0.0
-        n = 0
-        while n < self.ctl.max_terms:
-            p = self.pmf(n, t)
-            out.append(p)
-            cum += p
-            if 1.0 - cum < tol:
-                break
-            n += 1
-        return np.array(out)
+        # Chernoff: P{Z(t) >= n} <= exp(K(s) - s n) for every s > 0, with the
+        # cumulant generating function K(s) = lam t (exp(mu (e^s - 1)) - 1);
+        # the mass past the upper index is held to a thousandth of tol
+        with np.errstate(over="ignore"):
+            cgf = self.params.lam * t * np.expm1(self.params.mu * np.expm1(_CHERNOFF_S))
+        top = math.ceil(np.min((cgf - math.log(1e-3 * tol)) / _CHERNOFF_S))
+        w = np.exp(self._log_weights(t, top))
+        # tails[i] = sum_{j >= i} w_j, summed from the top so no rounding of a
+        # running total near 1 decides where to stop; 0.999 tol here plus the
+        # thousandth past the upper index keeps the dropped mass below tol
+        tails = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+        return w[: int(np.argmax(tails < 0.999 * tol))]
 
     def cdf(self, n: int, t: float) -> float:
-        """P_n(t), partial sum of the pmf.  Production path."""
+        """P_n(t), partial sum of the pmf."""
         if n < 0:
             raise ValueError(f"state must be nonnegative, got {n}")
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
         if t == 0.0:
             return 1.0
-        return min(1.0, math.fsum(self.pmf(j, t) for j in range(n + 1)))
-
-    def cdf_closed_form(self, n: int, t: float) -> float:
-        """Stirling-expanded form of P_n(t), kept for cross-validation.
-
-        The inner power sum starts at k = 1: starting it at k = 0 double
-        counts the constant term and gives P_n(0) = 2 for n >= 1.
-        """
-        if n < 0:
-            raise ValueError(f"state must be nonnegative, got {n}")
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        lam, mu = self.params.lam, self.params.mu
-        ct = self._bell_arg(t)
-        inner = 0.0
-        if n >= 1:
-            inner = math.fsum(
-                ct**k
-                * math.fsum(stirling2(j, k) * mu**j / math.factorial(j) for j in range(k, n + 1))
-                for k in range(1, n + 1)
-            )
-        return math.exp(-self.rate * t) * (1.0 + inner)
+        return min(1.0, math.fsum(np.exp(self._log_weights(t, n))))
 
     # -- conditional law, moments, sojourn -----------------------------------
 
     def conditional_pmf(self, k: int, s: float, t: float, n: int) -> float:
-        """P{Z(s) = k | Z(t) = n} for 0 < s < t; binomial-like in the Bell
-        polynomial ratio, evaluated in log space."""
+        """P{Z(s) = k | Z(t) = n} = p_k(s) p_{n-k}(t-s) / p_n(t) for
+        0 < s < t, evaluated in log space."""
         if not 0 < s < t:
             raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
         if n == 0:
             return 1.0
-        log_choose = (
-            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        )
-        return math.exp(
-            log_choose
-            + log_bell_series(k, self._bell_arg(s), self.ctl)
-            + log_bell_series(n - k, self._bell_arg(t - s), self.ctl)
-            - log_bell_series(n, self._bell_arg(t), self.ctl)
-        )
+        lw = self._log_weights
+        return math.exp(lw(s, k)[k] + lw(t - s, n - k)[n - k] - lw(t, n)[n])
 
     def mean_sojourn(self, n: int) -> float:
         """E{S_n} = (1/lam) mu^n/n! sum_{k>=0} k^n e^{-mu k}, with 0^0 = 1
@@ -155,14 +155,12 @@ class IteratedLaw:
             return 1.0 / (lam * (1.0 - math.exp(-mu)))
         log_tol = math.log(self.ctl.tolerance)
         total = -math.inf
-        k = 1
-        while k < self.ctl.max_terms:
+        for k in itertools.count(1):
             lt = n * math.log(k) - mu * k
             total = np.logaddexp(total, lt)
             # past the mode k ~ n/mu the terms decay at least geometrically
             if k > n / mu and lt < total + log_tol:
                 break
-            k += 1
         return math.exp(n * math.log(mu) - math.lgamma(n + 1) + float(total)) / lam
 
 

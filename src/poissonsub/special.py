@@ -1,14 +1,17 @@
-"""Numerically stable special functions: Poisson kernels, Stirling numbers of
-the second kind, Bell polynomials and the lower incomplete gamma function.
+"""Numerically stable special functions: Poisson kernels, the lower
+incomplete gamma function, and the reference forms of the paper: Stirling
+numbers of the second kind and Bell polynomials.
 
 Everything here is a pure function.  Bell polynomials up to degree ``N_MAX``
-are evaluated exactly from a cached triangle of Stirling numbers; beyond that
-degree the log-space Poisson-weighted series (``log_bell_series``) is the
-production path used by the process laws.
+are evaluated exactly from a cached triangle of Stirling numbers, at any
+degree by the log-space Poisson-weighted series (``log_bell_series``).  The
+process laws do not use them; they are the references that ``verify`` and
+the tests check the weight engine against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,20 +29,14 @@ class UnsupportedDegreeError(ValueError):
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for all infinite-series evaluations.
-
-    ``tolerance`` bounds the absolute mass left in the truncated tail,
-    ``max_terms`` is a hard cap on the number of summed terms.
-    """
+    """Truncation policy for all infinite-series evaluations:
+    ``tolerance`` bounds the absolute mass left in the truncated tail."""
 
     tolerance: float = 1e-12
-    max_terms: int = 100_000
 
     def __post_init__(self):
         if not (0.0 < self.tolerance < 1.0):
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,12 @@ def bell_poly_derivative(n: int, x: float) -> float:
 def log_bell_series(n: int, x: float, ctl: SeriesControl = SeriesControl()) -> float:
     """log B_n(x) via the Poisson-weighted power series sum_k k^n x^k e^{-x}/k!.
 
-    Valid for any degree n >= 0 (no Stirling cap); this is the production
-    path for large-degree evaluations inside the process laws.
+    Valid for any degree n >= 0 (no Stirling cap) and finite x >= 0.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"argument must be finite and nonnegative, got {x}")
     if n == 0:
         return 0.0
     if x == 0.0:
@@ -158,8 +154,7 @@ def log_bell_series(n: int, x: float, ctl: SeriesControl = SeriesControl()) -> f
     total = -math.inf
     peak = -math.inf
     chunk = 512
-    k0 = 1
-    while k0 <= ctl.max_terms:
+    for k0 in itertools.count(1, chunk):
         ks = np.arange(k0, k0 + chunk, dtype=float)
         lt = n * np.log(ks) + ks * log_x - x - sc.gammaln(ks + 1.0)
         total = np.logaddexp(total, sc.logsumexp(lt))
@@ -171,7 +166,6 @@ def log_bell_series(n: int, x: float, ctl: SeriesControl = SeriesControl()) -> f
         past_mode = last < peak and (k_last + 1) > 2.0 * x * math.exp(n / k_last)
         if past_mode and last < total + log_tol:
             break
-        k0 += chunk
     return float(total)
 
 

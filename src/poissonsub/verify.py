@@ -3,6 +3,9 @@ analytic-vs-Monte-Carlo comparisons.
 
 Each check returns a CheckResult with the measured discrepancy and its
 tolerance; the CLI prints one line per check and exits nonzero on failure.
+The paper's Stirling and Bell closed forms live here as reference forms for
+the weight engine and the first-passage sums; they are exact-coefficient
+forms, limited to degree ``special.N_MAX``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ from scipy import stats
 from . import cpp, crossing, mc
 from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams
-from .special import SeriesControl, bell_poly, bell_poly_derivative, bell_series
+from .special import (
+    SeriesControl,
+    bell_poly,
+    bell_poly_derivative,
+    bell_series,
+    lower_incomplete_gamma,
+    stirling2,
+)
 
 SUITES = ("formula-cross-checks", "figure-reproduction", "analytic-vs-mc")
 
@@ -92,6 +102,83 @@ def chi_square_pvalue(counts: np.ndarray, expected: np.ndarray,
     return float(stats.chi2.sf(stat, df=len(obs) - 1))
 
 
+# -- the paper's closed forms ------------------------------------------------
+
+
+def _stirling_coef(i: int, k: int, mu: float) -> float:
+    """C_i = sum_{j=i}^{k-1} S2(j, i) mu^j / j!."""
+    return math.fsum(stirling2(j, i) * mu**j / math.factorial(j) for j in range(i, k))
+
+
+def cdf_closed_form(law: IteratedLaw, n: int, t: float) -> float:
+    """Stirling-expanded form of P_n(t).
+
+    The inner power sum starts at k = 1: starting it at k = 0 double
+    counts the constant term and gives P_n(0) = 2 for n >= 1.
+    """
+    if n < 0:
+        raise ValueError(f"state must be nonnegative, got {n}")
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    mu = law.params.mu
+    ct = law.params.lam * t * math.exp(-mu)
+    inner = math.fsum(ct**k * _stirling_coef(k, n + 1, mu) for k in range(1, n + 1))
+    return math.exp(-law.rate * t) * (1.0 + inner)
+
+
+def crossing_density_constant_stirling(k: int, t: float, law: IteratedLaw) -> float:
+    """Stirling-expanded form of the constant-boundary crossing density.
+    The bracketed power sum starts at i = 1 (the printed i = 0 start double
+    counts the constant term)."""
+    if k < 1:
+        raise ValueError(f"boundary level must be >= 1, got {k}")
+    if t <= 0:
+        raise ValueError(f"time must be positive, got {t}")
+    lam, mu = law.params.lam, law.params.mu
+    a = law.rate
+    c = lam * math.exp(-mu)
+    ct = c * t
+    p0 = math.exp(-a * t)
+    coef = [_stirling_coef(i, k, mu) for i in range(k)]
+    s1 = 1.0 + math.fsum(ct**i * coef[i] for i in range(1, k))
+    s2 = math.fsum(i * ct ** (i - 1) * coef[i] for i in range(1, k))
+    return p0 * a * s1 - p0 * c * s2
+
+
+def _mean_crossing_time_stirling(k: int, law: IteratedLaw) -> float:
+    """E(T) for the constant boundary k: the integral of P_{k-1}(t)."""
+    mu = law.params.mu
+    em1 = math.expm1(mu)
+    inner = math.fsum(math.factorial(i) / em1**i * _stirling_coef(i, k, mu)
+                      for i in range(1, k))
+    return (1.0 + inner) / law.rate
+
+
+def _hitting_density_bell(k: int, t: float, law: IteratedLaw) -> float:
+    lam, mu = law.params.lam, law.params.mu
+    ct = lam * math.exp(-mu) * t
+    return (math.exp(-mu) * mu**k / math.factorial(k) * lam
+            * math.exp(-law.rate * t) * bell_poly_derivative(k, ct))
+
+
+def _hitting_cdf_stirling(k: int, t: float, law: IteratedLaw) -> float:
+    """The Stirling sum formally includes j = 0, which vanishes because
+    S2(k, 0) = 0 for k >= 1 (this is what makes F_H(0) = 0)."""
+    lam, mu = law.params.lam, law.params.mu
+    a = law.rate
+    ct = lam * math.exp(-mu) * t
+    em1 = math.expm1(mu)
+    gam = math.fsum(stirling2(k, j) * lower_incomplete_gamma(j + 1, a * t) / em1**j
+                    for j in range(0, k + 1))
+    return mu**k / math.factorial(k) * (math.exp(-a * t) * bell_poly(k, ct).value + gam)
+
+
+def _hitting_probability_stirling(k: int, mu: float) -> float:
+    em1 = math.expm1(mu)
+    s = math.fsum(stirling2(k, j) * math.factorial(j) / em1**j for j in range(1, k + 1))
+    return mu**k / math.factorial(k) * s
+
+
 # -- suites ------------------------------------------------------------------
 
 
@@ -111,11 +198,16 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
                            worst < 1e-9, worst, 1e-9))
 
     law = IteratedLaw(ModelParams(2.0, 1.0), ctl)
-    worst = max(_rel(law.pmf_recursive(n, 1.5), law.pmf(n, 1.5)) for n in range(21))
-    out.append(CheckResult("iterated pmf: recurrence vs closed form",
+    t = 1.5
+    bell_x = law.params.lam * t * math.exp(-law.params.mu)
+    worst = max(
+        _rel(law.pmf(n, t), math.exp(n * math.log(law.params.mu) - math.lgamma(n + 1)
+                                     - law.rate * t) * bell_series(n, bell_x, ctl))
+        for n in range(21))
+    out.append(CheckResult("iterated pmf: weights vs Bell series",
                            worst < 1e-10, worst, 1e-10))
 
-    worst = max(abs(law.cdf_closed_form(n, t) - law.cdf(n, t))
+    worst = max(abs(cdf_closed_form(law, n, t) - law.cdf(n, t))
                 for n in range(11) for t in (0.0, 0.5, 1.0, 2.0))
     out.append(CheckResult("iterated cdf: Stirling expansion vs partial sum",
                            worst < 1e-12, worst, 1e-12))
@@ -166,11 +258,32 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
 
     worst = max(
         abs(crossing.crossing_density_constant(k, t, law)
-            - crossing.crossing_density_constant_stirling(k, t, law))
+            - crossing_density_constant_stirling(k, t, law))
         for k in (1, 2, 3, 4) for t in (0.25, 1.0, 2.5)
     )
     out.append(CheckResult("constant-boundary density: direct vs Stirling form",
                            worst < 1e-10, worst, 1e-10))
+
+    # the flux and chain sums against the paper's forms, at times from the
+    # mean crossing time on, where the Stirling forms do not cancel
+    worst = 0.0
+    mu = law.params.mu
+    for k in range(1, 21):
+        worst = max(worst,
+                    _rel(crossing.hitting_probability(k, mu),
+                         _hitting_probability_stirling(k, mu)),
+                    _rel(crossing.mean_crossing_time_constant(k, law),
+                         _mean_crossing_time_stirling(k, law)))
+        for t in np.array([1.0, 2.0, 4.0]) * _mean_crossing_time_stirling(k, law):
+            worst = max(worst,
+                        _rel(crossing.crossing_density_constant(k, t, law),
+                             crossing_density_constant_stirling(k, t, law)),
+                        _rel(crossing.hitting_density(k, t, law),
+                             _hitting_density_bell(k, t, law)),
+                        _rel(crossing.hitting_cdf(k, t, law),
+                             _hitting_cdf_stirling(k, t, law)))
+    out.append(CheckResult("first passage: flux and chain sums vs Stirling forms, k <= 20",
+                           worst < 1e-12, worst, 1e-12))
     return out
 
 

@@ -96,7 +96,10 @@ def test_iterated_law_identities(capsys):
                     pv = law.pmf_vector(t, tail=1e-13)
                     assert abs(pv.sum() - 1.0) < 1e-10
                     for n in (1, 3, 7):
-                        assert abs(law.pmf_recursive(n, t) - law.pmf(n, t)) < 1e-10
+                        # Bell-series closed form mu^n/n! e^{-rate t} B_n(lam t e^{-mu})
+                        bell = (mu**n / math.factorial(n) * math.exp(-law.rate * t)
+                                * bell_series(n, lam * t * math.exp(-mu)))
+                        assert abs(bell - law.pmf(n, t)) < 1e-10
                     s = 0.4 * t
                     for n in (0, 2, 5):
                         conv = math.fsum(law.pmf(j, s) * law.pmf(n - j, t - s)

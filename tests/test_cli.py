@@ -5,8 +5,11 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +102,13 @@ class TestExitCodes:
         assert code == 3
         assert "i/o error" in err
 
+    def test_max_terms_flag_is_gone(self, capsys):
+        # the option used to truncate the law silently and exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["cdf", "--t", "50", "--jumps", "exp", "--zeta", "1",
+                  "--z", "1000", "--max-terms", "10"])
+        assert exc.value.code == 1
+
     def test_verify_success(self, capsys):
         code, out, _ = run_cli(["verify", "formula-cross-checks"], capsys)
         assert code == 0
@@ -131,7 +141,34 @@ class TestOutputFiles:
         assert target.exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[str]:
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("poissonsub ")]
+
+
+class TestReadmeExamples:
+    def test_every_example_exits_zero(self, capsys):
+        examples = readme_examples()
+        assert len(examples) >= 12
+        for line in examples:
+            code, _, err = run_cli(shlex.split(line, comments=True)[1:], capsys)
+            assert code == 0, f"{line!r} exited {code}: {err}"
+
+
 class TestOtherCommands:
+    def test_cdf_far_right_is_one(self, capsys):
+        code, out, _ = run_cli(
+            ["cdf", "--t", "50", "--jumps", "exp", "--zeta", "1", "--z", "1000"],
+            capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 1
+        assert abs(float(rows[0]["cdf"]) - 1.0) < 1e-9
+
     def test_cdf_unit_jumps(self, capsys):
         code, out, _ = run_cli(
             ["cdf", "--t", "1", "--n", "0..5"], capsys)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,9 @@ from poissonsub import (
     survival_linear_increasing,
     survival_nonincreasing,
 )
-from poissonsub.crossing import _strict_floor, crossing_density_constant_stirling
+from poissonsub import mc
+from poissonsub.crossing import _strict_floor
+from poissonsub.verify import crossing_density_constant_stirling
 
 LAW = IteratedLaw(ModelParams(2.0, 1.0))
 
@@ -270,3 +273,120 @@ class TestSurvivalLinearIncreasing:
         a = survival_linear_increasing(2, 7.3, LAW, tab)
         b = survival_linear_increasing(2, 7.3, LAW)
         assert a == pytest.approx(b, abs=1e-14)
+
+
+# -- large levels, against 50-digit mpmath ------------------------------------
+
+DPS = 50
+
+
+def mp_weights(lam, mu, t, n):
+    """p_0(t)..p_n(t) from the definition: given N(t) = m, Z(t) is
+    Poisson(m mu), so p_j = sum_m P{Poisson(lam t) = m} P{Poisson(m mu) = j}."""
+    rate, mu = mpmath.mpf(lam) * t, mpmath.mpf(mu)
+    m_hi = int(lam * t + 20 * math.sqrt(lam * t) + 40)
+    out = [mpmath.mpf(0)] * (n + 1)
+    for m in range(m_hi + 1):
+        outer = mpmath.exp(-rate) * rate**m / mpmath.factorial(m)
+        inner = mpmath.exp(-m * mu)  # P{Poisson(m mu) = j}, j = 0, 1, ...
+        for j in range(n + 1):
+            out[j] += outer * inner
+            inner *= m * mu / (j + 1)
+    return out
+
+
+def mp_stirling_row(n):
+    """Exact S2(n, j), j = 0..n, from the additive recurrence."""
+    row = [1]
+    for i in range(1, n + 1):
+        row = [0] + [j * (row[j] if j < i else 0) + row[j - 1] for j in range(1, i + 1)]
+    return row
+
+
+def mp_flux(w, k, lam, mu, hit):
+    """lam sum_{j<k} w_j P{Poisson(mu) = k - j}  (hit) or >= k - j."""
+    mu = mpmath.mpf(mu)
+    if hit:
+        kern = [mpmath.exp(-mu) * mu**i / mpmath.factorial(i) for i in range(k + 1)]
+    else:
+        kern = [mpmath.gammainc(i, 0, mu, regularized=True) if i else 1
+                for i in range(k + 1)]
+    return lam * mpmath.fsum(w[j] * kern[k - j] for j in range(k))
+
+
+def mp_hitting_probability(k, mu):
+    """The paper's form mu^k/k! sum_j S2(k, j) j! / (e^mu - 1)^j, exactly."""
+    mu = mpmath.mpf(mu)
+    em1 = mpmath.expm1(mu)
+    s2 = mp_stirling_row(k)
+    return mu**k / mpmath.factorial(k) * mpmath.fsum(
+        s2[j] * mpmath.factorial(j) / em1**j for j in range(1, k + 1))
+
+
+def mp_mean_crossing_time(k, lam, mu):
+    """The paper's form (1 + sum_i i!/(e^mu - 1)^i C_i) / rate with
+    C_i = sum_{j=i}^{k-1} S2(j, i) mu^j / j!."""
+    mu = mpmath.mpf(mu)
+    em1 = mpmath.expm1(mu)
+    rows = [mp_stirling_row(j) for j in range(k)]
+    inner = mpmath.fsum(
+        mpmath.factorial(i) / em1**i
+        * mpmath.fsum(rows[j][i] * mu**j / mpmath.factorial(j) for j in range(i, k))
+        for i in range(1, k))
+    return (1 + inner) / (lam * -mpmath.expm1(-mu))
+
+
+def mp_hitting_cdf(k, t, lam, mu):
+    """The paper's form mu^k/k! [e^{-a t} B_k(c t)
+    + sum_j S2(k, j) gamma(j + 1, a t) / (e^mu - 1)^j]."""
+    mu = mpmath.mpf(mu)
+    a = lam * -mpmath.expm1(-mu)
+    ct = lam * mpmath.exp(-mu) * t
+    em1 = mpmath.expm1(mu)
+    s2 = mp_stirling_row(k)
+    bell = mpmath.fsum(s2[j] * ct**j for j in range(k + 1))
+    gam = mpmath.fsum(s2[j] * mpmath.gammainc(j + 1, 0, a * t) / em1**j
+                      for j in range(1, k + 1))
+    return mu**k / mpmath.factorial(k) * (mpmath.exp(-a * t) * bell + gam)
+
+
+def mp_rel(got, want):
+    assert math.isfinite(got)
+    return abs(got - float(want)) / float(want)
+
+
+class TestLargeLevels:
+    def test_crossing_density_where_the_bell_form_cancels(self):
+        # the Bell-derivative form gave 2.16e-16 here, about 1480 times too large
+        with mpmath.workdps(DPS):
+            w = mp_weights(2.0, 1.0, mpmath.mpf("1e-3"), 23)
+            want = mp_flux(w, 24, 2.0, 1.0, hit=False)
+        assert float(want) == pytest.approx(1.4589204001147e-19, rel=1e-12)
+        assert mp_rel(crossing_density_constant(24, 1e-3, LAW), want) < 1e-12
+
+    @pytest.mark.parametrize("k", [30, 100])
+    def test_five_quantities_against_mpmath(self, k):
+        lam, mu = 1.5, 1.0
+        law = IteratedLaw(ModelParams(lam, mu))
+        with mpmath.workdps(DPS):
+            assert mp_rel(hitting_probability(k, mu), mp_hitting_probability(k, mu)) < 1e-12
+            et = mp_mean_crossing_time(k, lam, mu)
+            assert mp_rel(mean_crossing_time_constant(k, law), et) < 1e-12
+            for scale in ("0.5", "1", "2"):
+                t = float(et * mpmath.mpf(scale))
+                mt = mpmath.mpf(t)
+                w = mp_weights(lam, mu, mt, k - 1)
+                assert mp_rel(crossing_density_constant(k, t, law),
+                              mp_flux(w, k, lam, mu, hit=False)) < 1e-12
+                assert mp_rel(hitting_density(k, t, law),
+                              mp_flux(w, k, lam, mu, hit=True)) < 1e-12
+                assert mp_rel(hitting_cdf(k, t, law),
+                              mp_hitting_cdf(k, mt, lam, mu)) < 1e-12
+
+    def test_hitting_probability_k30_against_simulation(self):
+        k, params, n = 30, ModelParams(2.0, 1.0), 20_000
+        hs = mc.batch_hitting(k, params, 10 * mean_crossing_time_constant(
+            k, IteratedLaw(params)), n, mc.make_rng(7))
+        freq = float(np.mean(~np.isnan(hs)))
+        pik = hitting_probability(k, params.mu)
+        assert abs(freq - pik) < 5 * math.sqrt(pik * (1 - pik) / n)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,11 @@ from poissonsub import (
     IteratedLaw,
     ModelParams,
     SeriesControl,
+    bell_series,
     dispersion_index,
     levy_exponent_limit_check,
 )
+from poissonsub.verify import cdf_closed_form
 
 
 def rel(a, b):
@@ -53,9 +56,14 @@ class TestPmf:
         assert abs(pv.sum() - 1.0) < 1e-10
 
     def test_recursive_equals_direct(self):
+        # the recursion against the Bell-series closed form
+        # mu^n/n! e^{-rate t} B_n(lam t e^{-mu})
         law = IteratedLaw(ModelParams(2.0, 1.0))
+        t = 1.5
         for n in (1, 2, 5, 12):
-            assert rel(law.pmf_recursive(n, 1.5), law.pmf(n, 1.5)) < 1e-10
+            bell = math.exp(-law.rate * t) / math.factorial(n) * bell_series(
+                n, 2.0 * t * math.exp(-1.0))
+            assert rel(law.pmf(n, t), bell) < 1e-10
 
     def test_semigroup_identity(self, law):
         s, t = 0.6, 2.0
@@ -73,6 +81,41 @@ class TestPmf:
         var = float((ns**2) @ pv) - mean**2
         assert rel(mean, lam * mu * t) < 1e-6
         assert rel(var, lam * mu * (1 + mu) * t) < 1e-6
+
+
+def mp_weight(lam, mu, t, n):
+    """p_n(t) = sum_m P{Poisson(lam t) = m} P{Poisson(m mu) = n} at 30 digits:
+    given N(t) = m, Z(t) is Poisson(m mu)."""
+    with mpmath.workdps(30):
+        rate, mu = mpmath.mpf(lam) * t, mpmath.mpf(mu)
+        half = int(30 * math.sqrt(lam * t) + 30)
+        lo, hi = max(0, int(lam * t) - half), int(lam * t) + half
+        return float(mpmath.fsum(
+            mpmath.exp(-rate + m * mpmath.log(rate) - mpmath.loggamma(m + 1)
+                       - m * mu + n * mpmath.log(m * mu) - mpmath.loggamma(n + 1))
+            for m in range(max(lo, 1), hi + 1)))
+
+
+class TestLargeLambdaT:
+    def test_no_stall_at_default_tolerance(self):
+        # a stop rule on the running sum 1 - cum stalled here, because the
+        # rounding of cum exceeds the tolerance
+        law = IteratedLaw(ModelParams(1.0, 1.0))
+        pv = law.pmf_vector(1500.0)
+        assert pv.size < 2500
+        assert math.fsum(pv) >= 1.0 - 1e-12
+
+    def test_underflowing_empty_state_against_mpmath(self):
+        # lam t = 4000: p_0 = e^{-2528} underflows, the weights do not
+        lam, mu, t = 2.0, 1.0, 2000.0
+        law = IteratedLaw(ModelParams(lam, mu))
+        pv = law.pmf_vector(t)
+        assert pv[0] == 0.0
+        assert law.log_pmf(0, t) == pytest.approx(-lam * t * (1 - math.exp(-mu)),
+                                                  rel=1e-14)
+        sd = math.sqrt(lam * mu * (1 + mu) * t)
+        for n in (int(4000 - 7 * sd), 4000, int(4000 + 7 * sd)):
+            assert rel(pv[n], mp_weight(lam, mu, t, n)) < 1e-11
 
 
 class TestCdf:
@@ -99,15 +142,15 @@ class TestCdf:
         law = IteratedLaw(ModelParams(1.0, 1.0))
         for n in (0, 1, 4, 8):
             for t in (0.0, 0.5, 1.0, 2.5):
-                assert abs(law.cdf_closed_form(n, t) - law.cdf(n, t)) < 1e-12
+                assert abs(cdf_closed_form(law, n, t) - law.cdf(n, t)) < 1e-12
 
     def test_closed_form_at_time_zero(self, law):
         # the corrected inner-sum start makes P_n(0) = 1, not 2
         for n in (1, 3, 7):
-            assert law.cdf_closed_form(n, 0.0) == 1.0
+            assert cdf_closed_form(law, n, 0.0) == 1.0
 
     def test_closed_form_empty_state(self, law):
-        assert law.cdf_closed_form(0, 1.0) == pytest.approx(
+        assert cdf_closed_form(law, 0, 1.0) == pytest.approx(
             law.pmf(0, 1.0), rel=1e-13)
 
 

@@ -216,5 +216,3 @@ class TestSeriesControl:
             SeriesControl(tolerance=0.0)
         with pytest.raises(ValueError):
             SeriesControl(tolerance=1.5)
-        with pytest.raises(ValueError):
-            SeriesControl(max_terms=0)
