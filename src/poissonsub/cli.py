@@ -8,11 +8,10 @@ Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -22,18 +21,13 @@ from .params import JumpSpec, ModelParams
 from .special import SeriesControl
 
 _FMT = "%.12g"
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the documented validation code is 1
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return _FMT % v
-    return str(v)
 
 
 def parse_range(spec: str, step: float) -> np.ndarray:
@@ -71,22 +65,54 @@ def _ctl(args) -> SeriesControl:
     return SeriesControl(tolerance=args.tolerance)
 
 
-def _write_table(rows: list[dict], meta: dict, args) -> None:
+def _cells(col: np.ndarray, fmt: str) -> list[str]:
+    """The cells of one column as text.  Float cells are "%.12g"; in JSON
+    they are the shortest repr of that 12-digit float, with NaN, Infinity
+    and -Infinity for non-finite values.  Int cells are written as they are,
+    and the cells of an object column (mixed ints and words) as ``str`` in
+    CSV and ``json.dumps`` in JSON."""
+    if col.dtype.kind != "f":
+        plain = fmt == "csv" or col.dtype.kind in "iu"
+        return list(map(str if plain else json.dumps, col.tolist()))
+    # each run of equal values is formatted once (a grid's t column is one
+    # run per t); equal means equal bits, so 0.0 and -0.0 stay apart
+    bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
+    first = np.ones(col.size, dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    cells = list(map(_FMT.__mod__, col[first].tolist()))
+    if fmt == "json":
+        # A decimal of at most 15 digits is the shortest repr of the normal
+        # float it rounds to, so there the 12 "%.12g" digits are repr's
+        # digits and only the layout can differ: repr writes integral values
+        # with ".0" and values in [1e12, 1e16) without an exponent.
+        # Subnormal, non-finite and large values go through json.dumps.
+        r = np.fromiter(map(float, cells), float, len(cells))
+        a = np.abs(r)
+        plain = (a < 1e12) & ((a >= _TINY) | (r == 0.0))
+        for i in np.flatnonzero(plain & (r == np.trunc(r))).tolist():
+            cells[i] += ".0"
+        for i in np.flatnonzero(~plain).tolist():
+            cells[i] = json.dumps(r[i].item())
+    if len(cells) == col.size:
+        return cells
+    return np.array(cells, dtype=object)[np.cumsum(first) - 1].tolist()
+
+
+def _write_table(table: dict[str, np.ndarray], meta: dict, args) -> None:
+    """Write a table, an ordered mapping from column name to column, as CSV
+    or as JSON laid out as ``json.dumps(..., indent=2)`` lays it out.  Each
+    column is formatted once; the rows are filled into one line template."""
+    names = list(table)
+    cols = [_cells(table[k], args.format) for k in names]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                                lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
-        text = buf.getvalue()
+        text = "\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n"
     else:
-        payload = {
-            "metadata": meta,
-            "rows": [{k: (float(_FMT % v) if isinstance(v, float) else v)
-                      for k, v in row.items()} for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        head = json.dumps({"metadata": meta, "rows": []}, indent=2)
+        line = "    {\n" + ",\n".join(
+            f"      {json.dumps(k).replace('%', '%%')}: %s" for k in names) + "\n    }"
+        # one % over the whole body is faster than one per row
+        body = ",\n".join([line] * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
+        text = head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -108,135 +134,125 @@ def _meta(args, **extra) -> dict:
 
 
 # -- command implementations -------------------------------------------------
+# Each returns a table: an ordered mapping from column name to a column array,
+# with one block of rows per point of the outer grid (t, or k).
 
 
-def _cmd_pmf(args) -> list[dict]:
+def _cat(blocks: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _cmd_pmf(args) -> dict[str, np.ndarray]:
     law = IteratedLaw(_model(args), _ctl(args))
-    rows = []
-    for t in parse_range(args.t, args.t_step):
-        if args.n is None:
-            pv = law.pmf_vector(float(t))
-            ns = range(len(pv))
-            vals = pv
-        else:
-            ns = [int(n) for n in parse_range(args.n, 1.0)]
-            vals = [law.pmf(n, float(t)) for n in ns]
-        rows.extend({"t": float(t), "n": int(n), "pmf": float(p)}
-                    for n, p in zip(ns, vals))
-    return rows
+    ts = parse_range(args.t, args.t_step)
+    if args.n is None:
+        ps = [law.pmf_vector(float(t)) for t in ts]
+        ns = [np.arange(p.size) for p in ps]
+    else:
+        n = parse_range(args.n, 1.0).astype(int)
+        ns = [n] * ts.size
+        ps = [np.array([law.pmf(k, float(t)) for k in n.tolist()], dtype=float)
+              for t in ts]
+    return {"t": np.repeat(ts, [p.size for p in ps]), "n": _cat(ns), "pmf": _cat(ps)}
 
 
-def _cmd_cdf(args) -> list[dict]:
+def _cmd_cdf(args) -> dict[str, np.ndarray]:
     params, ctl = _model(args), _ctl(args)
     jumps = _jump_spec(args)
-    rows = []
+    ts = parse_range(args.t, args.t_step)
     if jumps.kind == "degenerate_unit":
         law = IteratedLaw(params, ctl)
-        ns = [int(n) for n in parse_range(args.n or "0..10", 1.0)]
-        for t in parse_range(args.t, args.t_step):
-            rows.extend({"t": float(t), "n": n, "cdf": law.cdf(n, float(t))}
-                        for n in ns)
-    else:
-        for t in parse_range(args.t, args.t_step):
-            zs = parse_range(args.z, args.step)
-            vals = cpp.cpp_cdf_Z_grid(zs, float(t), params, jumps, ctl)
-            rows.extend({"t": float(t), "z": float(z), "cdf": float(v)}
-                        for z, v in zip(zs, vals))
-    return rows
+        ns = parse_range(args.n or "0..10", 1.0).astype(int)
+        vals = [law.cdf(n, float(t)) for t in ts for n in ns.tolist()]
+        return {"t": np.repeat(ts, ns.size), "n": np.tile(ns, ts.size),
+                "cdf": np.array(vals, dtype=float)}
+    zs = parse_range(args.z, args.step)
+    vals = [cpp.cpp_cdf_Z_grid(zs, float(t), params, jumps, ctl) for t in ts]
+    return {"t": np.repeat(ts, zs.size), "z": np.tile(zs, ts.size), "cdf": _cat(vals)}
 
 
-def _cmd_density(args) -> list[dict]:
+def _cmd_density(args) -> dict[str, np.ndarray]:
     params, ctl = _model(args), _ctl(args)
     jumps = _jump_spec(args)
-    rows = []
-    for t in parse_range(args.t, args.t_step):
-        zs = np.array([z for z in parse_range(args.z, args.step) if z != 0.0])
-        vals = cpp.cpp_density_Z_grid(zs, float(t), params, jumps, ctl)
-        rows.extend({"t": float(t), "z": float(z), "density": float(v)}
-                    for z, v in zip(zs, vals))
-    return rows
+    ts = parse_range(args.t, args.t_step)
+    zs = parse_range(args.z, args.step)
+    zs = zs[zs != 0.0]
+    vals = [cpp.cpp_density_Z_grid(zs, float(t), params, jumps, ctl) for t in ts]
+    return {"t": np.repeat(ts, zs.size), "z": np.tile(zs, ts.size),
+            "density": _cat(vals)}
 
 
-def _cmd_moments(args) -> list[dict]:
+def _cmd_moments(args) -> dict[str, np.ndarray]:
     params = _model(args)
     jumps = _jump_spec(args)
-    rows = []
-    for t in parse_range(args.t, args.t_step):
-        m = cpp.moments_Z(float(t), params, jumps)
-        rows.append({"t": float(t), "mean": m.mean, "variance": m.variance,
-                     "dispersion_index": m.dispersion_index})
-    return rows
+    ts = parse_range(args.t, args.t_step)
+    ms = [cpp.moments_Z(float(t), params, jumps) for t in ts]
+    return {"t": ts,
+            "mean": np.array([m.mean for m in ms], dtype=float),
+            "variance": np.array([m.variance for m in ms], dtype=float),
+            "dispersion_index": np.array([m.dispersion_index for m in ms],
+                                         dtype=float)}
 
 
-def _cmd_crossing(args) -> list[dict]:
+def _cmd_crossing(args) -> dict[str, np.ndarray]:
     law = IteratedLaw(_model(args), _ctl(args))
     k = args.k
-    rows = []
     if args.quantity == "mean":
         if args.boundary != "constant":
             raise ValueError("mean crossing time is available for the constant "
                              "boundary only")
-        return [{"k": k, "mean": crossing.mean_crossing_time_constant(k, law)}]
-    for t in parse_range(args.t, args.t_step):
-        t = float(t)
-        if args.quantity == "density":
-            if args.boundary != "constant":
-                raise ValueError("crossing density is available for the constant "
-                                 "boundary only")
-            if t <= 0:
-                continue
-            rows.append({"t": t, "k": k,
-                         "density": crossing.crossing_density_constant(k, t, law)})
-        else:
-            if args.boundary == "linear-increasing":
-                v = crossing.survival_linear_increasing(k, t, law)
-            else:
-                b = (crossing.Boundary.constant(k) if args.boundary == "constant"
-                     else crossing.Boundary.linear_decreasing(k))
-                v = crossing.survival_nonincreasing(b, t, law)
-            rows.append({"t": t, "k": k, "survival": v})
-    return rows
+        return {"k": np.array([k]),
+                "mean": np.array([crossing.mean_crossing_time_constant(k, law)])}
+    ts = parse_range(args.t, args.t_step)
+    if args.quantity == "density":
+        if args.boundary != "constant":
+            raise ValueError("crossing density is available for the constant "
+                             "boundary only")
+        ts = ts[ts > 0]
+        vals = [crossing.crossing_density_constant(k, t, law) for t in ts.tolist()]
+    elif args.boundary == "linear-increasing":
+        vals = [crossing.survival_linear_increasing(k, t, law) for t in ts.tolist()]
+    else:
+        b = (crossing.Boundary.constant(k) if args.boundary == "constant"
+             else crossing.Boundary.linear_decreasing(k))
+        vals = [crossing.survival_nonincreasing(b, t, law) for t in ts.tolist()]
+    return {"t": ts, "k": np.full(ts.size, k), args.quantity: np.array(vals, dtype=float)}
 
 
-def _cmd_hitting(args) -> list[dict]:
-    rows = []
-    ks = [int(k) for k in parse_range(args.k, 1.0)]
+def _cmd_hitting(args) -> dict[str, np.ndarray]:
+    ks = parse_range(args.k, 1.0).astype(int)
     if args.prob:
-        for k in ks:
-            for mu in parse_range(args.mu_grid or _FMT % args.mu, args.step):
-                rows.append({"k": k, "mu": float(mu),
-                             "prob": crossing.hitting_probability(k, float(mu))})
-        return rows
+        mus = parse_range(args.mu_grid or _FMT % args.mu, args.step)
+        vals = [crossing.hitting_probability(k, mu)
+                for k in ks.tolist() for mu in mus.tolist()]
+        return {"k": np.repeat(ks, mus.size), "mu": np.tile(mus, ks.size),
+                "prob": np.array(vals, dtype=float)}
     law = IteratedLaw(_model(args), _ctl(args))
-    for k in ks:
-        for t in parse_range(args.t, args.t_step):
-            t = float(t)
-            row = {"k": k, "t": t, "cdf": crossing.hitting_cdf(k, t, law)}
-            if t > 0:
-                row["density"] = crossing.hitting_density(k, t, law)
-            else:
-                row["density"] = 0.0
-            rows.append(row)
-    return rows
+    ts = parse_range(args.t, args.t_step)
+    cdf = [crossing.hitting_cdf(k, ts, law) for k in ks.tolist()]
+    density = [crossing.hitting_density(k, t, law) if t > 0 else 0.0
+               for k in ks.tolist() for t in ts.tolist()]
+    return {"k": np.repeat(ks, ts.size), "t": np.tile(ts, ks.size), "cdf": _cat(cdf),
+            "density": np.array(density, dtype=float)}
 
 
-def _cmd_avoiding(args) -> list[dict]:
+def _cmd_avoiding(args) -> dict[str, np.ndarray]:
     law = IteratedLaw(_model(args), _ctl(args))
     table = crossing.avoiding_table(args.k, args.horizon, law)
-    rows = []
-    for n, row in enumerate(table.rows):
-        for j, g in enumerate(row):
-            rows.append({"n": n, "j": j, "g": float(g)})
-        rows.append({"n": n, "j": "survival", "g": table.survival_at_integer(n)})
-    return rows
+    n, j, g = [], [], []
+    for i, row in enumerate(table.rows):
+        n += [i] * (row.size + 1)
+        j += [*range(row.size), "survival"]
+        g += [row, [table.survival_at_integer(i)]]
+    return {"n": np.array(n), "j": np.array(j, dtype=object), "g": np.concatenate(g)}
 
 
-def _cmd_simulate(args) -> list[dict]:
+def _cmd_simulate(args) -> dict[str, np.ndarray]:
     params = _model(args)
     jumps = _jump_spec(args)
     rng = mc.make_rng(args.seed)
     zs = mc.sample_Z(params, jumps, args.horizon, args.replicates, rng)
-    return [{"replicate": i, "z": float(z)} for i, z in enumerate(zs)]
+    return {"replicate": np.arange(zs.size), "z": np.asarray(zs, dtype=float)}
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
@@ -341,10 +357,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if all(r.passed for r in results) else 2
 
     try:
-        rows = args.fn(args)
-        if not rows:
+        table = args.fn(args)
+        if next(iter(table.values())).size == 0:
             raise ValueError("empty result grid; check the range arguments")
-        _write_table(rows, _meta(args, jumps=args.jumps), args)
+        _write_table(table, _meta(args, jumps=args.jumps), args)
     except (ValueError, KeyError) as exc:
         print(f"poissonsub: validation error: {exc}", file=sys.stderr)
         return 1

@@ -141,16 +141,23 @@ def hitting_density(k: int, t: float, law: IteratedLaw) -> float:
     return law.params.lam * float(w @ q)
 
 
-def hitting_cdf(k: int, t: float, law: IteratedLaw) -> float:
+def hitting_cdf(k: int, t: float | np.ndarray, law: IteratedLaw) -> float | np.ndarray:
     """CDF of the first-hitting time of state k; tends to pi_k as t -> inf.
     The chain reaches k at its m-th jump with probability h[m, k], and m
-    jumps take a Gamma(m, rate) time."""
+    jumps take a Gamma(m, rate) time.  ``t`` may be an array: the chain
+    table is then built once for the whole grid and the Gamma CDFs form one
+    matrix.  A single time gives a float."""
     if k < 1:
         raise ValueError(f"state must be >= 1, got {k}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    one = isinstance(t, (int, float))  # a single time skips the array set-up
+    t_min = t if one else np.min(t, initial=0.0)
+    if t_min < 0:
+        raise ValueError(f"time must be nonnegative, got {t_min}")
     h = _chain_visits(k, law.params.mu)[1:, k]
-    return min(1.0, float(h @ sc.gammainc(np.arange(1, k + 1), law.rate * t)))
+    m = np.arange(1, k + 1)
+    if one:
+        return min(1.0, float(h @ sc.gammainc(m, law.rate * t)))
+    return np.minimum(1.0, sc.gammainc(m, law.rate * np.asarray(t, dtype=float)[..., None]) @ h)
 
 
 def hitting_probability(k: int, mu: float) -> float:

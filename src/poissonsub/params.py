@@ -119,15 +119,10 @@ class JumpSpec:
             raise ValueError("degenerate_unit jumps have no density")
         z = np.asarray(z, dtype=float)
         if self.kind == "exponential":
-            zz = self.zeta * np.maximum(z, 0.0)
-            with np.errstate(divide="ignore"):
-                logpdf = (
-                    math.log(self.zeta)
-                    + (n - 1) * np.log(zz, out=np.full_like(zz, -np.inf), where=zz > 0)
-                    - zz
-                    - sc.gammaln(n)
-                )
-            out = np.where(z > 0, np.exp(logpdf), np.where((z == 0) & (n == 1), self.zeta, 0.0))
+            pos = z > 0
+            zz = np.where(pos, self.zeta * z, 1.0)  # log(1) = 0 off the support
+            logpdf = math.log(self.zeta) + (n - 1) * np.log(zz) - zz - sc.gammaln(n)
+            out = np.where(pos, np.exp(logpdf), np.where((z == 0) & (n == 1), self.zeta, 0.0))
         else:
             s = self.sigma * math.sqrt(n)
             out = np.exp(-0.5 * ((z - n * self.eta) / s) ** 2) / (s * math.sqrt(2 * math.pi))

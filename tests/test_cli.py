@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface: output formats,
 determinism, exit codes, and environment handling."""
 
+import argparse
 import csv
 import io
 import json
@@ -11,9 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from poissonsub.cli import main, parse_range
+from poissonsub.cli import _meta, _write_table, build_parser, main, parse_range
 
 
 def run_cli(args, capsys):
@@ -231,3 +233,105 @@ class TestOtherCommands:
         assert code == 0 and out1 == out2
         rows = list(csv.DictReader(io.StringIO(out1)))
         assert len(rows) == 5
+
+
+def reference_text(table, meta, fmt):
+    """The table rendered one dict per row, the reference the columnar
+    writer must match byte for byte: csv.DictWriter over "%.12g" cells, or
+    json.dumps(indent=2) over rows of float("%.12g" % v)."""
+    names = list(table)
+    rows = [dict(zip(names, vals))
+            for vals in zip(*(table[k].tolist() for k in names))]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=names, lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: "%.12g" % v if isinstance(v, float) else str(v)
+                             for k, v in row.items()})
+        return buf.getvalue()
+    payload = {"metadata": meta,
+               "rows": [{k: float("%.12g" % v) if isinstance(v, float) else v
+                         for k, v in row.items()} for row in rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+BYTE_CASES = [
+    "pmf --lambda 2 --mu 1 --t 1",
+    "pmf --lambda 1.5 --mu 0.7 --t 0..2 --n 0..5",
+    "cdf --t 0.5..2:0.5 --jumps exp --zeta 1 --z=-1..3:0.25",
+    "cdf --t 1..3 --jumps normal --eta 0.5 --sigma 1 --z=-2..4:0.37",
+    "cdf --t 0..2 --n 0..4",
+    "density --t 1 --jumps exp --zeta 1 --z=-1..2:0.5",
+    "density --t 0.7..2.1:0.7 --jumps normal --eta 0.5 --sigma 1 --z=-4..8:0.1",
+    "moments --jumps normal --eta 0 --sigma 1 --t 0..2",
+    "crossing --k 3 --quantity mean",
+    "crossing --k 2 --boundary linear-increasing --t 0..5:0.25",
+    "crossing --k 4 --quantity density --t 0..3:0.5",
+    "hitting --prob --k 1..4 --mu-grid 0.25..3:0.25",
+    "hitting --k 1..3 --lambda 1.5 --t 0..4:0.5",
+    "avoiding --k 2 --horizon 4",
+    "simulate --seed 7 --replicates 40 --jumps normal --eta -1 --sigma 2",
+]
+
+
+class TestByteIdentity:
+    """The columnar writer gives the same bytes as a row-by-row renderer."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("line", BYTE_CASES)
+    def test_stdout_and_output_file(self, line, fmt, tmp_path, capsys):
+        argv = shlex.split(line) + ["--format", fmt]
+        args = build_parser().parse_args(argv)
+        want = reference_text(args.fn(args), _meta(args, jumps=args.jumps), fmt)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "") and out == want
+        target = tmp_path / f"out.{fmt}"
+        code, out, _ = run_cli(argv + ["--output", str(target)], capsys)
+        assert code == 0 and out == ""
+        assert target.read_bytes() == want.encode()
+
+    def test_cases_cover_every_command(self):
+        assert {line.split()[0] for line in BYTE_CASES} == {
+            "pmf", "cdf", "density", "moments", "crossing", "hitting", "avoiding",
+            "simulate"}
+
+    def test_nan_cell(self, capsys):
+        _, out, _ = run_cli(["moments", "--jumps", "normal", "--eta", "0",
+                             "--sigma", "1", "--t", "1", "--format", "json"], capsys)
+        assert "NaN" in out
+        assert math.isnan(json.loads(out)["rows"][0]["dispersion_index"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_edge_values(self, fmt, capsys):
+        # values whose 12-digit JSON form is laid out differently from their
+        # "%.12g" text: integral, large, subnormal, non-finite, signed zero
+        rng = np.random.default_rng(3)
+        tiny = np.finfo(float).tiny
+        special = [0.0, -0.0, -0.0, 3.0, 3.0, -7.0, 1e11, 999999999999.5, 1e12,
+                   123456789012345.6, 1e16, 1.7976931348623157e308, 1e-4, 1e-5,
+                   0.99999999999995, tiny, 5e-324, -2.5e-310, math.nan,
+                   math.inf, -math.inf]
+        x = np.concatenate([special, rng.random(2000) * 40.0,
+                            rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000),
+                            tiny * (1.0 + rng.random(500) * 1e-3),
+                            np.repeat(rng.random(20), 25)])
+        table = {"x": x, "i": np.arange(x.size),
+                 "w": np.array(["word" if i % 3 else i for i in range(x.size)], dtype=object)}
+        meta = {"command": "test", "lam": 1.0}
+        args = argparse.Namespace(format=fmt, output=None)
+        _write_table(table, meta, args)
+        assert capsys.readouterr().out == reference_text(table, meta, fmt)
+
+    @pytest.mark.parametrize("line", [
+        "density --t 1 --jumps exp --zeta 1 --z 0",
+        "crossing --k 2 --quantity density --t 0",
+        "pmf --t 1..0",
+        "hitting --k 1..2 --t 1..0",
+    ])
+    def test_empty_grid_exits_one(self, line, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        code, out, err = run_cli(shlex.split(line) + ["--format", "json", "--output",
+                                                      str(target)], capsys)
+        assert code == 1 and out == "" and not target.exists()
+        assert "empty result grid" in err

@@ -1,6 +1,7 @@
 """Tests for the subordinated compound Poisson law and its specializations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ class TestJumpSpec:
         with pytest.raises(ValueError):
             JumpSpec.exponential(1.0).mgf(1.0)  # boundary of convergence
         assert JumpSpec.exponential(1.0).mgf(0.5) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_exponential_conv_pdf_quiet_across_zero(self, n):
+        # off the support the (n - 1) log z term must not become 0 * -inf
+        zs = np.linspace(-1.0, 2.0, 7)  # holds z = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pdf = JumpSpec.exponential(1.5).conv_pdf(n, zs)
+            dens = cpp_density_Z_grid(zs[zs != 0.0], 1.0, PARAMS, EXP)
+        assert np.all(pdf[zs < 0] == 0.0)
+        assert pdf[zs == 0.0][0] == (1.5 if n == 1 else 0.0)
+        assert pdf[-1] == pytest.approx(
+            1.5**n * 2.0 ** (n - 1) * math.exp(-3.0) / math.factorial(n - 1), rel=1e-14)
+        assert np.all(dens[:2] == 0.0) and np.all(dens[2:] > 0.0)
 
 
 class TestCdfY:

@@ -178,6 +178,19 @@ class TestHitting:
         assert hitting_cdf(3, 1e5, LAW) == pytest.approx(
             hitting_cdf(3, 1e5, other), abs=1e-10)
 
+    @pytest.mark.parametrize("k", [3, 30, 400])
+    def test_cdf_grid_matches_scalar_calls(self, k):
+        law = IteratedLaw(ModelParams(1.5, 1.0))
+        mean = (k + 0.5) / law.rate  # about E(T_k)
+        ts = np.r_[0.0, np.linspace(0.01 * mean, 4.0 * mean, 60)]
+        grid = hitting_cdf(k, ts, law)
+        scalar = np.array([hitting_cdf(k, float(t), law) for t in ts])
+        assert isinstance(hitting_cdf(k, float(ts[5]), law), float)
+        assert grid.shape == ts.shape and grid[0] == scalar[0] == 0.0
+        np.testing.assert_allclose(grid, scalar, rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError):
+            hitting_cdf(k, np.array([1.0, -1.0]), law)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_density_integrates_to_hitting_probability(self, k):
         for mu in (0.5, 1.0, 2.0):
