@@ -4,6 +4,10 @@ with a Monte Carlo simulator as an independent verification oracle."""
 
 __version__ = "0.1.0"
 
+# the suites of ``verify``, named here so that the CLI can list them without
+# importing ``verify`` (and with it scipy.stats)
+VERIFY_SUITES = ("formula-cross-checks", "figure-reproduction", "analytic-vs-mc")
+
 from .crossing import (
     AvoidingTable,
     Boundary,

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import chain
 
 import numpy as np
 
-from . import __version__, cpp, crossing, mc, verify
+from . import VERIFY_SUITES, __version__, cpp, crossing, mc
 from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams
 from .special import SeriesControl
@@ -211,7 +212,11 @@ def _cmd_crossing(args) -> dict[str, np.ndarray]:
         ts = ts[ts > 0]
         vals = [crossing.crossing_density_constant(k, t, law) for t in ts.tolist()]
     elif args.boundary == "linear-increasing":
-        vals = [crossing.survival_linear_increasing(k, t, law) for t in ts.tolist()]
+        # one avoiding table, up to the last whole time, serves every t
+        table = (crossing.avoiding_table(k, math.floor(ts.max(initial=0.0)), law)
+                 if ts.size else None)
+        vals = [crossing.survival_linear_increasing(k, t, law, table)
+                for t in ts.tolist()]
     else:
         b = (crossing.Boundary.constant(k) if args.boundary == "constant"
              else crossing.Boundary.linear_decreasing(k))
@@ -338,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=verify.SUITES)
+    p.add_argument("suite", choices=VERIFY_SUITES)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--replicates", type=int, default=100_000)
     p.set_defaults(fn=None)
@@ -350,6 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "verify":
+        from . import verify  # loads scipy.stats, which no other command needs
         results = verify.run_suite(args.suite, seed=args.seed,
                                    replicates=args.replicates)
         for r in results:

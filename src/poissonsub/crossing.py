@@ -76,6 +76,36 @@ class Boundary:
             return self.k + t
         return float(self.func(t))
 
+    def level_time(self, level: float, horizon: float) -> float:
+        """s*(level) = inf{s >= 0 : beta(s) <= level} for a nonincreasing
+        boundary, or inf if beta stays above `level` up to the horizon.  A
+        process sitting at `level` crosses by descent at s*(level), and a jump
+        at epoch e into `level` crosses exactly when e >= s*(level).  A
+        general boundary is bisected to 1e-12, so the result lies at most
+        that far above the true time."""
+        if not self.is_nonincreasing:
+            raise ValueError("level_time needs a nonincreasing boundary, "
+                             f"got {self.kind}")
+        if self.kind == "constant":
+            return 0.0 if level >= self.k else math.inf
+        if self.kind == "linear_decreasing":
+            s = max(float(self.k - level), 0.0)
+            return s if s <= horizon else math.inf
+        if self.value(0.0) <= level:
+            return 0.0
+        if self.value(horizon) > level:
+            return math.inf
+        lo, hi = 0.0, float(horizon)
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # no float left between lo and hi
+                break
+            if self.value(mid) <= level:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
 
 def _strict_floor(x: float) -> int:
     """Largest integer strictly smaller than x (so 3 -> 2, 2.7 -> 2)."""

@@ -91,48 +91,32 @@ def simulate_path(params: ModelParams, jumps: JumpSpec, horizon: float,
     )
 
 
-def _descent_crossing(boundary: Boundary, level: float, t_lo: float,
-                      t_hi: float) -> float | None:
-    """Earliest s in (t_lo, t_hi] with beta(s) <= level, for a nonincreasing
-    boundary and the process sitting at `level`; None if no such s."""
-    if boundary.kind == "constant":
-        return None
-    if boundary.kind == "linear_decreasing":
-        s = boundary.k - level
-        return s if t_lo < s <= t_hi else None
-    if boundary.value(t_hi) > level:
-        return None
-    lo, hi = t_lo, t_hi
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if boundary.value(mid) <= level:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def first_crossing_sample(boundary: Boundary, params: ModelParams,
                           jumps: JumpSpec, horizon: float,
                           rng: np.random.Generator) -> float | None:
     """First t with Z(t) >= beta(t), or None if censored at the horizon.
 
     For nonincreasing boundaries the inter-jump descent of the boundary
-    through the current level is detected as well as jump-epoch crossings.
+    through the current level is detected as well as jump-epoch crossings:
+    both happen at the level time ``boundary.level_time(z, horizon)``.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
+    descends = boundary.is_nonincreasing
     t, z = 0.0, 0.0
+    s = boundary.level_time(z, horizon) if descends else math.inf
     while True:
         e = t + rng.exponential(1.0 / params.lam)
-        if boundary.is_nonincreasing:
-            s = _descent_crossing(boundary, z, t, min(e, horizon))
-            if s is not None:
-                return s
+        if s <= min(e, horizon):
+            return s
         if e > horizon:
             return None
         z += sample_W(jumps, params.mu, rng)
-        if z >= boundary.value(e):
+        if descends:
+            s = boundary.level_time(z, horizon)
+            if e >= s:
+                return e
+        elif z >= boundary.value(e):
             return e
         t = e
 
@@ -182,25 +166,32 @@ def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float
                          size: int, rng: np.random.Generator,
                          max_rounds: int = 100_000) -> np.ndarray:
     """Vectorized first-crossing times for the iterated process (unit jumps);
-    censored paths get NaN."""
+    censored paths get NaN.
+
+    Under a nonincreasing boundary a path at integer level z crosses at the
+    level time s*(z) (``Boundary.level_time``), by descent or at the first
+    jump epoch e >= s*(z).  The table s*(0..top) is built once per call, with
+    top = max(k, ceil(beta(0))) so that s*(top) = 0, and levels above top
+    read s*(top); a general boundary is thus evaluated once per level."""
+    by_level = boundary.is_nonincreasing
+    if by_level:
+        top = max(boundary.k, math.ceil(boundary.value(0.0)))
+        level_time = np.array([boundary.level_time(z, horizon)
+                               for z in range(top + 1)])
+    # a live path sits below top; with no finite level time there (the
+    # constant boundary) no path crosses between jumps
+    descent = by_level and bool(np.isfinite(level_time[:top]).any())
     t = np.zeros(size)
-    z = np.zeros(size)
+    z = np.zeros(size, dtype=np.int64)
     out = np.full(size, np.nan)
     active = np.arange(size)
     for _ in range(max_rounds):
         if active.size == 0:
             return out
         e = t[active] + rng.exponential(1.0 / params.lam, active.size)
-        if boundary.is_nonincreasing and boundary.kind != "constant":
-            if boundary.kind == "linear_decreasing":
-                s = boundary.k - z[active]
-                desc = (t[active] < s) & (s <= np.minimum(e, horizon))
-            else:
-                s = np.array([
-                    _descent_crossing(boundary, zi, ti, min(ei, horizon)) or np.nan
-                    for zi, ti, ei in zip(z[active], t[active], e)
-                ])
-                desc = ~np.isnan(s)
+        if descent:
+            s = level_time[z[active]]
+            desc = s <= np.minimum(e, horizon)
             out[active[desc]] = s[desc]
             keep = ~desc
             active, e = active[keep], e[keep]
@@ -209,12 +200,10 @@ def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float
         if active.size == 0:
             return out
         z[active] += rng.poisson(params.mu, active.size)
-        beta = np.array([boundary.value(ei) for ei in e]) \
-            if boundary.kind == "general_nonincreasing" else (
-                boundary.k + e if boundary.kind == "linear_increasing"
-                else boundary.k - e if boundary.kind == "linear_decreasing"
-                else np.full(e.size, float(boundary.k)))
-        crossed = z[active] >= beta
+        if by_level:
+            crossed = e >= level_time[np.minimum(z[active], top)]
+        else:
+            crossed = z[active] >= boundary.k + e
         out[active[crossed]] = e[crossed]
         t[active] = e
         active = active[~crossed]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from . import cpp, crossing, mc
+from . import VERIFY_SUITES as SUITES, cpp, crossing, mc
 from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams
 from .special import (
@@ -27,8 +27,6 @@ from .special import (
     lower_incomplete_gamma,
     stirling2,
 )
-
-SUITES = ("formula-cross-checks", "figure-reproduction", "analytic-vs-mc")
 
 # per-time continuous-part masses 1 - e^{-lam t (1-e^{-mu})} at mu = 1,
 # rounded to 4 decimals, for lam = 1 and lam = 2, t = 1..5

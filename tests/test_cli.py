@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poissonsub import IteratedLaw, ModelParams, survival_linear_increasing, verify
 from poissonsub.cli import _meta, _write_table, build_parser, main, parse_range
 
 
@@ -111,11 +112,32 @@ class TestExitCodes:
                   "--z", "1000", "--max-terms", "10"])
         assert exc.value.code == 1
 
+    def test_unknown_suite_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "no-such-suite"])
+        assert exc.value.code == 1
+
     def test_verify_success(self, capsys):
         code, out, _ = run_cli(["verify", "formula-cross-checks"], capsys)
         assert code == 0
         lines = [l for l in out.splitlines() if l]
         assert all(l.startswith("[PASS]") for l in lines)
+
+
+class TestImports:
+    def test_cli_does_not_load_scipy_stats(self):
+        # only the verify command needs scipy.stats; its import is deferred
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, poissonsub.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_parser_accepts_every_verify_suite(self):
+        parser = build_parser()
+        for name in verify.SUITES:
+            assert parser.parse_args(["verify", name]).suite == name
 
 
 class TestOutputFiles:
@@ -206,6 +228,22 @@ class TestOtherCommands:
             ["crossing", "--k", "2", "--boundary", "linear-increasing",
              "--quantity", "density"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("k,lam,mu,ts", [
+        (3, 1.0, 1.0, "0..20:0.05"), (1, 2.0, 1.0, "0..5:0.25"),
+        (5, 3.0, 1.4, "0.3..12.3:0.37")])
+    def test_crossing_linear_increasing_one_table(self, capsys, k, lam, mu, ts):
+        # the command builds one avoiding table for the grid; each value must
+        # print as a per-t call that builds its own table does
+        code, out, _ = run_cli(
+            ["crossing", "--boundary", "linear-increasing", "--k", str(k),
+             "--lambda", str(lam), "--mu", str(mu), f"--t={ts}"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        law = IteratedLaw(ModelParams(lam, mu))
+        want = ["%.12g" % survival_linear_increasing(k, t, law)
+                for t in parse_range(ts, 1.0).tolist()]
+        assert [r["survival"] for r in rows] == want
 
     def test_hitting_prob_grid(self, capsys):
         code, out, _ = run_cli(

@@ -53,6 +53,58 @@ class TestBoundary:
         assert _strict_floor(0.0) == -1
 
 
+class TestLevelTime:
+    def test_constant_closed_form(self):
+        b = Boundary.constant(3)
+        assert b.level_time(0, 10.0) == math.inf
+        assert b.level_time(2.9, 10.0) == math.inf
+        assert b.level_time(3, 10.0) == 0.0
+        assert b.level_time(7, 10.0) == 0.0
+
+    def test_linear_decreasing_closed_form(self):
+        b = Boundary.linear_decreasing(3)
+        assert [b.level_time(z, 10.0) for z in range(5)] == [3.0, 2.0, 1.0, 0.0, 0.0]
+        assert b.level_time(0.5, 10.0) == 2.5
+        assert b.level_time(0, 2.5) == math.inf  # reached after the horizon
+        assert b.level_time(1, 2.0) == 2.0  # reached at the horizon
+
+    def test_bisection_lies_within_tolerance_above(self):
+        # k / (1 + s/tau) reaches level z at s* = tau (k/z - 1)
+        k, tau = 4, 0.7
+        b = Boundary.nonincreasing(k, lambda s: k / (1.0 + s / tau))
+        for z in (1, 2, 3, 3.5):
+            exact = tau * (k / z - 1.0)
+            got = b.level_time(z, 50.0)
+            assert b.value(got) <= z
+            assert -1e-14 <= got - exact <= 1e-12 + 1e-14
+        # a step at a representable time is bracketed exactly
+        step = Boundary.nonincreasing(3, lambda s: 3.0 if s < 1.25 else 0.5)
+        for z in (0.5, 1, 2):
+            assert 1.25 <= step.level_time(z, 10.0) <= 1.25 + 1e-12
+        assert step.level_time(0, 10.0) == math.inf
+
+    def test_at_or_above_the_start(self):
+        b = Boundary.nonincreasing(2, lambda s: 2.0 / (1.0 + s))
+        assert b.level_time(2, 10.0) == 0.0
+        assert b.level_time(5, 10.0) == 0.0
+
+    def test_infinite_when_not_reached_before_horizon(self):
+        b = Boundary.nonincreasing(4, lambda s: 4.0 / (1.0 + s))
+        assert b.level_time(1, 2.9) == math.inf  # s* = 3
+        assert b.level_time(1, 3.1) == pytest.approx(3.0, abs=1e-11)
+        assert b.level_time(0, 1e6) == math.inf  # never reached
+
+    def test_huge_horizon_terminates(self):
+        # float spacing near 1e6 exceeds 1e-12, so the bisection must stop
+        # when no float is left between its ends
+        b = Boundary.nonincreasing(2, lambda s: 2.0 if s < 7e5 else 0.0)
+        assert b.level_time(1, 1e6) == pytest.approx(7e5, rel=1e-15)
+
+    def test_increasing_boundary_rejected(self):
+        with pytest.raises(ValueError):
+            Boundary.linear_increasing(2).level_time(1, 10.0)
+
+
 class TestSurvivalNonincreasing:
     def test_wrong_operation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from poissonsub import (
     JumpSpec,
     ModelParams,
     hitting_probability,
+    survival_nonincreasing,
 )
 from poissonsub import mc
 
@@ -181,6 +182,42 @@ class TestBatchSamplers:
         f2 = float(np.mean(~np.isnan(paths)))
         se = math.sqrt(f1 * (1 - f1) / n + f2 * (1 - f2) / (n // 10))
         assert abs(f1 - f2) < 4 * se
+
+
+class TestBatchGeneralBoundary:
+    """The general-boundary branch of ``batch_first_crossing``: one bisected
+    level time per integer level."""
+
+    @staticmethod
+    def survival_within_5se(b, times, n, seed):
+        law = IteratedLaw(PARAMS)
+        x = mc.batch_first_crossing(b, PARAMS, mc.default_horizon(PARAMS), n,
+                                    mc.make_rng(seed))
+        for t in times:
+            p = survival_nonincreasing(b, t, law)
+            emp = float(np.mean(~(x <= t)))  # censored paths survive
+            se = math.sqrt(max(p * (1 - p), 1e-12) / n)
+            assert abs(emp - p) < 5 * se, (t, emp, p)
+
+    def test_same_seed_as_linear_decreasing(self):
+        horizon, n = mc.default_horizon(PARAMS), 50_000
+        gen = mc.batch_first_crossing(Boundary.nonincreasing(3, lambda s: 3.0 - s),
+                                      PARAMS, horizon, n, mc.make_rng(30))
+        lin = mc.batch_first_crossing(Boundary.linear_decreasing(3),
+                                      PARAMS, horizon, n, mc.make_rng(30))
+        assert np.array_equal(np.isnan(gen), np.isnan(lin))
+        np.testing.assert_allclose(gen, lin, rtol=0, atol=1e-11)
+
+    def test_hyperbolic_boundary_matches_survival(self):
+        k, tau = 4, 0.8
+        b = Boundary.nonincreasing(k, lambda s: k / (1.0 + s / tau))
+        # level times tau (k/z - 1) are 2.4, 0.8 and 0.27; a bisected one lies
+        # up to 1e-12 late, so no t sits on one
+        self.survival_within_5se(b, (0.3, 0.7, 1.6), 50_000, 31)
+
+    def test_step_boundary_matches_survival(self):
+        b = Boundary.nonincreasing(3, lambda s: 3.0 if s < 1 else 0.5)
+        self.survival_within_5se(b, (0.5, 1.5), 50_000, 32)
 
 
 class TestSampleZ:
