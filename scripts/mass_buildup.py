@@ -8,8 +8,7 @@ import csv
 import math
 import sys
 
-from poissonsub import ModelParams, atom_mass_Z, mc
-from poissonsub.cpp import exp_jump_density_grid
+from poissonsub import JumpSpec, ModelParams, atom_mass_Z, cpp_density_Z_grid, mc
 from poissonsub.verify import gauss_panel_mass
 
 
@@ -26,7 +25,6 @@ def main() -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["lam", "t", "mass_closed_form", "mass_quadrature",
                      "mass_monte_carlo"])
-    from poissonsub import JumpSpec
     jumps = JumpSpec.exponential(args.zeta)
     for lam, rng in zip(args.lambdas, mc.substreams(args.seed, len(args.lambdas))):
         params = ModelParams(lam, args.mu)
@@ -34,7 +32,7 @@ def main() -> int:
             closed = 1.0 - atom_mass_Z(float(t), params)
             hi = lam * t + 12 * math.sqrt(2 * lam * t) + 20
             quad = gauss_panel_mass(
-                lambda z: exp_jump_density_grid(z, float(t), params, args.zeta),
+                lambda z: cpp_density_Z_grid(z, float(t), params, jumps),
                 hi)
             zs = mc.sample_Z(params, jumps, float(t), args.replicates, rng)
             freq = float((zs > 0).mean())

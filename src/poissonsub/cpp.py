@@ -1,11 +1,11 @@
 """Law of the subordinated compound Poisson process Z(t) = Y[N(t)].
 
-The CDF/density are mixtures of closed-form n-fold convolutions of the jump
-law; the mixture weights are the iterated Poisson pmf from
-``IteratedLaw.pmf_vector``, so truncation follows the same tail-mass rule
-everywhere.
-Exponential-jump and normal-jump specializations are exposed both through
-the generic mixture and through their direct series forms.
+The CDF and density are mixtures of the closed-form n-fold convolutions
+``JumpSpec.conv_cdf`` and ``conv_pdf`` of the jump law, weighted by the
+iterated Poisson pmf from ``IteratedLaw.pmf_vector``, so truncation follows
+the same tail-mass rule everywhere.  Each quantity has one path, vectorised
+over its z-grid; the paper's exponential-jump series are oracles in
+``verify``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from scipy import special as sc
 
 from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams, MomentSummary
-from .special import SeriesControl, log_poisson_pmf, poisson_cdf, poisson_pmf
+from .special import SeriesControl, log_poisson_pmf
 
 _DEFAULT_CTL = SeriesControl()
 
@@ -40,6 +40,24 @@ def _poisson_weights(a: float, tol: float) -> np.ndarray:
     return np.exp(log_poisson_pmf(np.arange(n_hi + 1), a))
 
 
+def _mixture(w: np.ndarray, z: np.ndarray, conv) -> np.ndarray:
+    """sum_{n>=1} w[n] conv(n, z) over the points z, one (N x width) block
+    of the n-fold kernel at a time, with N x width about 2**20 cells."""
+    ns = np.arange(1, len(w))[:, None]
+    width = max(1, 2**20 // max(1, ns.size))
+    flat = z.ravel()
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, width):
+        out[lo:lo + width] = w[1:] @ conv(ns, flat[lo:lo + width])
+    return out.reshape(z.shape)
+
+
+def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
+    """The mixture CDF: the atom w[0] at 0 plus the n-fold jump CDFs."""
+    z = np.asarray(z, dtype=float)
+    return np.minimum(1.0, w[0] * (z >= 0) + _mixture(w, z, jumps.conv_cdf))
+
+
 def cpp_cdf_Y(y: float, t: float, params: ModelParams, jumps: JumpSpec,
               ctl: SeriesControl = _DEFAULT_CTL) -> float:
     """CDF of the plain compound Poisson process Y(t) driven by M(t)."""
@@ -47,173 +65,33 @@ def cpp_cdf_Y(y: float, t: float, params: ModelParams, jumps: JumpSpec,
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:
         return 1.0 if y >= 0 else 0.0
-    w = _poisson_weights(params.mu * t, ctl.tolerance)
-    total = w[0] if y >= 0 else 0.0
-    total += math.fsum(w[m] * jumps.conv_cdf(m, y) for m in range(1, len(w)))
-    return min(1.0, total)
-
-
-def cpp_cdf_Z(z: float, t: float, params: ModelParams, jumps: JumpSpec,
-              ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """CDF of Z(t) = Y[N(t)] as the mixture of n-fold jump convolutions
-    over the iterated Poisson weights.  Right-continuous; includes the atom
-    at 0."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if t == 0.0:
-        return 1.0 if z >= 0 else 0.0
-    law = IteratedLaw(params, ctl)
-    w = law.pmf_vector(t)
-    total = w[0] if z >= 0 else 0.0
-    total += math.fsum(w[n] * jumps.conv_cdf(n, z) for n in range(1, len(w)))
-    return min(1.0, total)
-
-
-def cpp_density_Z(z: float, t: float, params: ModelParams, jumps: JumpSpec,
-                  ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """Density of the absolutely continuous part of Z(t), z != 0, t > 0."""
-    if not jumps.is_continuous:
-        raise ValueError("degenerate_unit jumps have a discrete law, no density")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    if z == 0.0:
-        raise ValueError("density is undefined at the atom z = 0")
-    law = IteratedLaw(params, ctl)
-    w = law.pmf_vector(t)
-    return max(0.0, math.fsum(w[n] * jumps.conv_pdf(n, z) for n in range(1, len(w))))
-
-
-def exp_jump_cdf(z: float, t: float, params: ModelParams, zeta: float,
-                 ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """CDF of Z(t) for exponential(zeta) jumps via the direct series
-    1 - sum_m p_m(t) P(m-1; zeta z)."""
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if z < 0:
-        return 0.0
-    if t == 0.0:
-        return 1.0
-    law = IteratedLaw(params, ctl)
-    w = law.pmf_vector(t)
-    s = math.fsum(w[m] * poisson_cdf(m - 1, zeta * z) for m in range(1, len(w)))
-    # the truncated tail of the weights carries P(m-1;.) <= 1, so this
-    # underestimates the subtracted mass by at most the tail tolerance
-    return min(1.0, max(0.0, 1.0 - s - (1.0 - w.sum())))
-
-
-def exp_jump_cdf_alt(z: float, t: float, params: ModelParams, zeta: float,
-                     ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """Alternative series for the exponential-jump CDF:
-    sum_j p(j; zeta z) sum_{m<=j} p_m(t)."""
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if z < 0:
-        return 0.0
-    if t == 0.0:
-        return 1.0
-    law = IteratedLaw(params, ctl)
-    cum = np.cumsum(law.pmf_vector(t))
-    a = zeta * z
-    pz = _poisson_weights(a, ctl.tolerance)
-    m = min(len(pz), len(cum))
-    # beyond the computed weight vector the inner cumulative sum is ~1
-    total = float(pz[:m] @ cum[:m]) + float(pz[m:].sum())
-    return min(1.0, total)
-
-
-def exp_jump_density(z: float, t: float, params: ModelParams, zeta: float,
-                     ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """Density of Z(t) for exponential(zeta) jumps:
-    zeta sum_m p_m(t) p(m-1; zeta z), z > 0."""
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    if z <= 0:
-        raise ValueError(f"density is defined for z > 0, got {z}")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    law = IteratedLaw(params, ctl)
-    w = law.pmf_vector(t)
-    return zeta * math.fsum(
-        w[m] * poisson_pmf(m - 1, zeta * z) for m in range(1, len(w))
-    )
-
-
-def normal_jump_cdf(z: float, t: float, params: ModelParams, eta: float,
-                    sigma: float, ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """CDF of Z(t) for normal(eta, sigma^2) jumps."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return cpp_cdf_Z(z, t, params, JumpSpec.normal(eta, sigma), ctl)
+    return float(_cdf_mixture(_poisson_weights(params.mu * t, ctl.tolerance), y, jumps))
 
 
 def cpp_cdf_Z_grid(z: np.ndarray, t: float, params: ModelParams, jumps: JumpSpec,
-                   ctl: SeriesControl = _DEFAULT_CTL,
-                   chunk: int = 20_000) -> np.ndarray:
-    """Vectorized cpp_cdf_Z over an array of z values (chunked so the
-    weights-by-grid matrix stays small)."""
+                   ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
+    """CDF of Z(t) = Y[N(t)] at every point of z: the mixture of n-fold jump
+    convolutions over the iterated Poisson weights.  Right-continuous;
+    includes the atom at 0.  A scalar value is the call on one point."""
     z = np.asarray(z, dtype=float)
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:
         return np.where(z >= 0, 1.0, 0.0)
-    law = IteratedLaw(params, ctl)
-    w = law.pmf_vector(t)
-    ns = np.arange(1, len(w))
-    out = np.empty_like(z)
-    for lo in range(0, z.size, chunk):
-        zz = z[lo:lo + chunk]
-        if jumps.kind == "exponential":
-            fm = sc.gammainc(ns[:, None], jumps.zeta * np.maximum(zz, 0.0)[None, :])
-            fm[:, zz < 0] = 0.0
-        elif jumps.kind == "normal":
-            fm = sc.ndtr(
-                (zz[None, :] - ns[:, None] * jumps.eta)
-                / (jumps.sigma * np.sqrt(ns)[:, None])
-            )
-        else:
-            fm = (zz[None, :] >= ns[:, None]).astype(float)
-        out[lo:lo + chunk] = w[0] * (zz >= 0) + w[1:] @ fm
-    return np.minimum(1.0, out)
+    return _cdf_mixture(IteratedLaw(params, ctl).pmf_vector(t), z, jumps)
 
 
 def cpp_density_Z_grid(z: np.ndarray, t: float, params: ModelParams,
-                       jumps: JumpSpec, ctl: SeriesControl = _DEFAULT_CTL,
-                       chunk: int = 20_000) -> np.ndarray:
-    """Vectorized cpp_density_Z over an array of z values (z != 0)."""
+                       jumps: JumpSpec, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
+    """Density of the absolutely continuous part of Z(t) at every point of
+    z (z != 0, t > 0)."""
     if not jumps.is_continuous:
         raise ValueError("degenerate_unit jumps have a discrete law, no density")
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     z = np.asarray(z, dtype=float)
-    law = IteratedLaw(params, ctl)
-    w = law.pmf_vector(t)
-    out = np.empty_like(z)
-    for lo in range(0, z.size, chunk):
-        zz = z[lo:lo + chunk]
-        fm = np.stack([jumps.conv_pdf(n, zz) for n in range(1, len(w))])
-        out[lo:lo + chunk] = w[1:] @ fm
-    return np.maximum(0.0, out)
-
-
-def exp_jump_density_grid(z: np.ndarray, t: float, params: ModelParams,
-                          zeta: float, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
-    """Vectorized exp_jump_density: zeta sum_m p_m(t) p(m-1; zeta z), z > 0."""
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("density is defined for z > 0")
-    law = IteratedLaw(params, ctl)
-    w = law.pmf_vector(t)
-    m = np.arange(len(w) - 1, dtype=float)[:, None]  # poisson counts m-1
-    lp = -zeta * z[None, :] + m * np.log(zeta * z)[None, :] - sc.gammaln(m + 1.0)
-    return zeta * (w[1:] @ np.exp(lp))
+    w = IteratedLaw(params, ctl).pmf_vector(t)
+    return np.maximum(0.0, _mixture(w, z, jumps.conv_pdf))
 
 
 def laplace_exponent(theta: float, params: ModelParams, jumps: JumpSpec) -> float:

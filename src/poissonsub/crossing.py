@@ -81,8 +81,9 @@ class Boundary:
         boundary, or inf if beta stays above `level` up to the horizon.  A
         process sitting at `level` crosses by descent at s*(level), and a jump
         at epoch e into `level` crosses exactly when e >= s*(level).  A
-        general boundary is bisected to 1e-12, so the result lies at most
-        that far above the true time."""
+        general boundary is bisected until no float lies between the ends of
+        the bracket, and the upper end is returned: the smallest float s
+        with beta(s) <= level, so a representable level time is exact."""
         if not self.is_nonincreasing:
             raise ValueError("level_time needs a nonincreasing boundary, "
                              f"got {self.kind}")
@@ -96,14 +97,13 @@ class Boundary:
         if self.value(horizon) > level:
             return math.inf
         lo, hi = 0.0, float(horizon)
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # no float left between lo and hi
-                break
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
             if self.value(mid) <= level:
                 hi = mid
             else:
                 lo = mid
+            mid = 0.5 * (lo + hi)
         return hi
 
 

@@ -4,7 +4,7 @@ Z is a compound Poisson process with rate lam and Poisson(mu) batches, so
 its weights p_n(t) follow the compound-Poisson (Panjer) recursion; one
 private engine runs it and every quantity of the law is read off its
 output.  The paper's Bell-polynomial and Stirling forms are kept as
-reference forms in ``special`` and ``verify``.
+reference forms in ``verify``.
 """
 
 from __future__ import annotations

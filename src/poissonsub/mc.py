@@ -1,6 +1,7 @@
-"""Monte Carlo oracle: path simulation of the subordinated compound Poisson
-process, first-crossing and first-hitting samplers, and vectorized batch
-samplers used for large verification runs.
+"""Monte Carlo oracle: vectorized batch samplers of Z(t), of first-crossing
+times and of hitting times, used for large verification runs, and the
+per-path samplers (one jump, one first crossing, one hitting) that the tests
+check the batch samplers against.
 
 All randomness flows through numpy Generators seeded from a SeedSequence;
 replicates get independent spawned substreams so results are reproducible
@@ -10,39 +11,11 @@ regardless of how the work is split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .crossing import Boundary
 from .params import JumpSpec, ModelParams
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    seed: int
-    replicates: int = 1
-    horizon: float = 1.0
-
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One trajectory: subordinator event times with cumulative jump values."""
-
-    epochs: np.ndarray
-    increments: np.ndarray
-    cumulative: np.ndarray
-
-    def value_at(self, t: float) -> float:
-        """Z(t): cumulative value at the last epoch <= t (0 before the first)."""
-        i = int(np.searchsorted(self.epochs, t, side="right"))
-        return float(self.cumulative[i - 1]) if i > 0 else 0.0
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -70,25 +43,6 @@ def sample_W(jumps: JumpSpec, mu: float, rng: np.random.Generator) -> float:
     if jumps.kind == "exponential":
         return float(rng.exponential(1.0 / jumps.zeta, k).sum())
     return float(rng.normal(jumps.eta, jumps.sigma, k).sum())
-
-
-def simulate_path(params: ModelParams, jumps: JumpSpec, horizon: float,
-                  rng: np.random.Generator) -> PathSample:
-    """Exponential(lam) inter-arrival epochs up to the horizon, one compound
-    jump per epoch."""
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    epochs = []
-    t = rng.exponential(1.0 / params.lam)
-    while t <= horizon:
-        epochs.append(t)
-        t += rng.exponential(1.0 / params.lam)
-    increments = np.array([sample_W(jumps, params.mu, rng) for _ in epochs])
-    return PathSample(
-        epochs=np.array(epochs),
-        increments=increments,
-        cumulative=np.cumsum(increments) if len(epochs) else np.array([]),
-    )
 
 
 def first_crossing_sample(boundary: Boundary, params: ModelParams,

@@ -98,35 +98,56 @@ class JumpSpec:
             return self.zeta / (self.zeta - s)
         return math.exp(self.eta * s + 0.5 * self.sigma**2 * s**2)
 
-    def conv_cdf(self, n: int, z):
-        """n-fold convolution CDF F_X^{(n)}(z) in closed form, n >= 1."""
-        if n < 1:
-            raise ValueError("convolution order must be >= 1")
-        z = np.asarray(z, dtype=float)
+    def conv_cdf(self, n, z):
+        """n-fold convolution CDF F_X^{(n)}(z) in closed form.  The order n
+        is an int >= 1 or an (N, 1) array of them that broadcasts against z;
+        the result is one (N x Z) block, computed in place."""
+        n, z, out = _conv_block(n, z)
         if self.kind == "degenerate_unit":
-            out = np.where(z >= n, 1.0, 0.0)
+            np.greater_equal(z, n, out=out)
         elif self.kind == "exponential":
-            out = np.where(z >= 0, sc.gammainc(n, self.zeta * np.maximum(z, 0.0)), 0.0)
+            # gammainc(n, 0) = 0, so z < 0 needs no mask
+            sc.gammainc(n, self.zeta * np.maximum(z, 0.0), out=out)
         else:
-            out = sc.ndtr((z - n * self.eta) / (self.sigma * math.sqrt(n)))
+            np.subtract(z, n * self.eta, out=out)
+            out /= self.sigma * np.sqrt(n)
+            sc.ndtr(out, out=out)
         return out if out.ndim else float(out)
 
-    def conv_pdf(self, n: int, z):
-        """n-fold convolution density f_X^{(n)}(z); continuous kinds only."""
-        if n < 1:
-            raise ValueError("convolution order must be >= 1")
+    def conv_pdf(self, n, z):
+        """n-fold convolution density f_X^{(n)}(z); continuous kinds only.
+        Orders and block as in ``conv_cdf``."""
         if not self.is_continuous:
             raise ValueError("degenerate_unit jumps have no density")
-        z = np.asarray(z, dtype=float)
+        n, z, out = _conv_block(n, z)
         if self.kind == "exponential":
             pos = z > 0
             zz = np.where(pos, self.zeta * z, 1.0)  # log(1) = 0 off the support
-            logpdf = math.log(self.zeta) + (n - 1) * np.log(zz) - zz - sc.gammaln(n)
-            out = np.where(pos, np.exp(logpdf), np.where((z == 0) & (n == 1), self.zeta, 0.0))
+            np.multiply(n - 1, np.log(zz), out=out)
+            out += math.log(self.zeta)
+            out -= zz
+            out -= sc.gammaln(n)
+            np.exp(out, out=out)
+            np.copyto(out, 0.0, where=~pos)
+            np.copyto(out, self.zeta, where=(z == 0) & (n == 1))
         else:
-            s = self.sigma * math.sqrt(n)
-            out = np.exp(-0.5 * ((z - n * self.eta) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+            s = self.sigma * np.sqrt(n)
+            np.subtract(z, n * self.eta, out=out)
+            out /= s
+            np.square(out, out=out)
+            out *= -0.5
+            np.exp(out, out=out)
+            out /= s * math.sqrt(2 * math.pi)
         return out if out.ndim else float(out)
+
+
+def _conv_block(n, z):
+    """Orders and points as arrays, and the block their product fills."""
+    n = np.asarray(n)
+    if np.any(n < 1):
+        raise ValueError("convolution order must be >= 1")
+    z = np.asarray(z, dtype=float)
+    return n, z, np.empty(np.broadcast_shapes(n.shape, z.shape))
 
 
 @dataclass(frozen=True)

@@ -3,30 +3,28 @@ analytic-vs-Monte-Carlo comparisons.
 
 Each check returns a CheckResult with the measured discrepancy and its
 tolerance; the CLI prints one line per check and exits nonzero on failure.
-The paper's Stirling and Bell closed forms live here as reference forms for
-the weight engine and the first-passage sums; they are exact-coefficient
-forms, limited to degree ``special.N_MAX``.
+The paper's alternative forms live here, and only here, as oracles for the
+production paths: the Stirling numbers and Bell polynomials (exact-coefficient
+forms limited to degree ``N_MAX``, and the log-space Bell series), the scalar
+Poisson kernels and incomplete gamma function, the Stirling and Bell closed
+forms of the law and of the first-passage quantities, and the two
+exponential-jump series of the law of Z(t).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sc
 from scipy import stats
 
 from . import VERIFY_SUITES as SUITES, cpp, crossing, mc
 from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams
-from .special import (
-    SeriesControl,
-    bell_poly,
-    bell_poly_derivative,
-    bell_series,
-    lower_incomplete_gamma,
-    stirling2,
-)
+from .special import SeriesControl
 
 # per-time continuous-part masses 1 - e^{-lam t (1-e^{-mu})} at mu = 1,
 # rounded to 4 decimals, for lam = 1 and lam = 2, t = 1..5
@@ -98,6 +96,155 @@ def chi_square_pvalue(counts: np.ndarray, expected: np.ndarray,
     exp = exp * (total / exp.sum())
     stat = float(np.sum((obs - exp) ** 2 / exp))
     return float(stats.chi2.sf(stat, df=len(obs) - 1))
+
+
+# -- reference special functions ----------------------------------------------
+
+# Largest degree for which exact-integer Stirling coefficients are kept.
+# Beyond this, polynomial-form evaluation refuses rather than losing precision.
+N_MAX = 25
+
+
+class UnsupportedDegreeError(ValueError):
+    """Raised for polynomial degrees above the exact-coefficient cap."""
+
+
+@dataclass(frozen=True)
+class BellEval:
+    """One Bell-polynomial evaluation, carried in both linear and log scale."""
+
+    n: int
+    x: float
+    value: float
+    log_value: float
+
+
+def _build_stirling_triangle(n_max: int) -> list[list[int]]:
+    # additive recurrence S2(n,k) = k*S2(n-1,k) + S2(n-1,k-1), exact ints
+    tri = [[1]]
+    for n in range(1, n_max + 1):
+        prev = tri[-1]
+        row = [0] * (n + 1)
+        for k in range(1, n + 1):
+            row[k] = k * (prev[k] if k <= n - 1 else 0) + prev[k - 1]
+        tri.append(row)
+    return tri
+
+
+_STIRLING = _build_stirling_triangle(N_MAX)
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind, exact.  S2(n,k) = 0 for k > n."""
+    if n < 0 or k < 0:
+        raise ValueError("stirling2 requires n >= 0 and k >= 0")
+    if n > N_MAX:
+        raise UnsupportedDegreeError(f"stirling2 supports n <= {N_MAX}, got {n}")
+    if k > n:
+        return 0
+    return _STIRLING[n][k]
+
+
+def poisson_pmf(m: int, a: float) -> float:
+    """P{Poisson(a) = m} = e^{-a} a^m / m!, computed in log space."""
+    if m < 0:
+        raise ValueError(f"count must be nonnegative, got {m}")
+    if a < 0:
+        raise ValueError(f"rate must be nonnegative, got {a}")
+    if a == 0.0:
+        return 1.0 if m == 0 else 0.0
+    return math.exp(-a + m * math.log(a) - math.lgamma(m + 1))
+
+
+def poisson_cdf(n: int, a: float) -> float:
+    """P{Poisson(a) <= n}, the partial sum of poisson_pmf."""
+    if n < 0:
+        raise ValueError(f"count must be nonnegative, got {n}")
+    if a < 0:
+        raise ValueError(f"rate must be nonnegative, got {a}")
+    # regularized upper incomplete gamma identity; exact partial-sum semantics
+    return float(sc.pdtr(n, a))
+
+
+def bell_poly(n: int, x: float) -> BellEval:
+    """Bell polynomial B_n(x) = sum_k S2(n,k) x^k with compensated summation."""
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    if n > N_MAX:
+        raise UnsupportedDegreeError(f"bell_poly supports n <= {N_MAX}, got {n}")
+    if x < 0:
+        raise ValueError(f"argument must be nonnegative, got {x}")
+    if n == 0:
+        return BellEval(0, x, 1.0, 0.0)
+    value = math.fsum(_STIRLING[n][k] * x**k for k in range(1, n + 1))
+    log_value = math.log(value) if value > 0.0 else -math.inf
+    return BellEval(n, x, value, log_value)
+
+
+def bell_poly_derivative(n: int, x: float) -> float:
+    """B'_n(x), via the identity B'_n = -B_n + B_{n+1}/x for x > 0.
+
+    At x = 0 the identity form degenerates; the coefficient derivative
+    S2(n,1) = 1 (n >= 1) is returned instead.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    if n > N_MAX - 1:
+        raise UnsupportedDegreeError(
+            f"bell_poly_derivative supports n <= {N_MAX - 1}, got {n}"
+        )
+    if x < 0:
+        raise ValueError(f"argument must be nonnegative, got {x}")
+    if x == 0.0:
+        return 0.0 if n == 0 else float(_STIRLING[n][1])
+    return -bell_poly(n, x).value + bell_poly(n + 1, x).value / x
+
+
+def log_bell_series(n: int, x: float, ctl: SeriesControl = SeriesControl()) -> float:
+    """log B_n(x) via the Poisson-weighted power series sum_k k^n x^k e^{-x}/k!.
+
+    Valid for any degree n >= 0 (no Stirling cap) and finite x >= 0.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"argument must be finite and nonnegative, got {x}")
+    if n == 0:
+        return 0.0
+    if x == 0.0:
+        return -math.inf
+    log_x = math.log(x)
+    log_tol = math.log(ctl.tolerance)
+    total = -math.inf
+    peak = -math.inf
+    chunk = 512
+    for k0 in itertools.count(1, chunk):
+        ks = np.arange(k0, k0 + chunk, dtype=float)
+        lt = n * np.log(ks) + ks * log_x - x - sc.gammaln(ks + 1.0)
+        total = np.logaddexp(total, sc.logsumexp(lt))
+        peak = max(peak, float(lt.max()))
+        last = float(lt[-1])
+        # terms are unimodal in k: past the mode the ratio drops below 1/2
+        # once k+1 > 2 x e^{n/k}, so the remaining tail is < 2 e^{last}
+        k_last = k0 + chunk - 1
+        past_mode = last < peak and (k_last + 1) > 2.0 * x * math.exp(n / k_last)
+        if past_mode and last < total + log_tol:
+            break
+    return float(total)
+
+
+def bell_series(n: int, x: float, ctl: SeriesControl = SeriesControl()) -> float:
+    """B_n(x) via the truncated infinite series (linear scale)."""
+    return math.exp(log_bell_series(n, x, ctl))
+
+
+def lower_incomplete_gamma(a: float, z: float) -> float:
+    """gamma(a, z) = int_0^z t^{a-1} e^{-t} dt for a > 0, z >= 0."""
+    if a <= 0:
+        raise ValueError(f"shape must be positive, got {a}")
+    if z < 0:
+        raise ValueError(f"upper limit must be nonnegative, got {z}")
+    return float(sc.gammainc(a, z) * sc.gamma(a))
 
 
 # -- the paper's closed forms ------------------------------------------------
@@ -177,6 +324,48 @@ def _hitting_probability_stirling(k: int, mu: float) -> float:
     return mu**k / math.factorial(k) * s
 
 
+def _exp_jump_cdf(z: float, t: float, params: ModelParams, zeta: float,
+                  ctl: SeriesControl = SeriesControl()) -> float:
+    """CDF of Z(t) for exponential(zeta) jumps via the direct series
+    1 - sum_m p_m(t) P(m-1; zeta z)."""
+    if z < 0:
+        return 0.0
+    if t == 0.0:
+        return 1.0
+    w = IteratedLaw(params, ctl).pmf_vector(t)
+    s = math.fsum(w[m] * poisson_cdf(m - 1, zeta * z) for m in range(1, len(w)))
+    # the truncated tail of the weights carries P(m-1;.) <= 1, so this
+    # underestimates the subtracted mass by at most the tail tolerance
+    return min(1.0, max(0.0, 1.0 - s - (1.0 - w.sum())))
+
+
+def _exp_jump_cdf_alt(z: float, t: float, params: ModelParams, zeta: float,
+                      ctl: SeriesControl = SeriesControl()) -> float:
+    """Alternative series for the exponential-jump CDF:
+    sum_j p(j; zeta z) sum_{m<=j} p_m(t)."""
+    if z < 0:
+        return 0.0
+    if t == 0.0:
+        return 1.0
+    cum = np.cumsum(IteratedLaw(params, ctl).pmf_vector(t))
+    pz = cpp._poisson_weights(zeta * z, ctl.tolerance)
+    m = min(len(pz), len(cum))
+    # beyond the computed weight vector the inner cumulative sum is ~1
+    return min(1.0, float(pz[:m] @ cum[:m]) + float(pz[m:].sum()))
+
+
+def _exp_jump_density_grid(z: np.ndarray, t: float, params: ModelParams, zeta: float,
+                           ctl: SeriesControl = SeriesControl()) -> np.ndarray:
+    """Exponential-jump density series zeta sum_m p_m(t) p(m-1; zeta z), z > 0."""
+    z = np.asarray(z, dtype=float)
+    if np.any(z <= 0):
+        raise ValueError("density is defined for z > 0")
+    w = IteratedLaw(params, ctl).pmf_vector(t)
+    m = np.arange(len(w) - 1, dtype=float)[:, None]  # poisson counts m-1
+    lp = -zeta * z[None, :] + m * np.log(zeta * z)[None, :] - sc.gammaln(m + 1.0)
+    return zeta * (w[1:] @ np.exp(lp))
+
+
 # -- suites ------------------------------------------------------------------
 
 
@@ -224,19 +413,19 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
     params = ModelParams(1.0, 1.0)
     jumps = JumpSpec.exponential(1.0)
     worst = 0.0
+    zs = np.linspace(0.0, 8.0, 17)
     for t in (0.5, 1.0, 2.0):
-        for z in np.linspace(0.0, 8.0, 17):
-            a = cpp.exp_jump_cdf(z, t, params, 1.0, ctl)
-            worst = max(worst, abs(a - cpp.cpp_cdf_Z(z, t, params, jumps, ctl)))
-            worst = max(worst, abs(a - cpp.exp_jump_cdf_alt(z, t, params, 1.0, ctl)))
+        grid = cpp.cpp_cdf_Z_grid(zs, t, params, jumps, ctl)
+        for z, g in zip(zs, grid):
+            a = _exp_jump_cdf(z, t, params, 1.0, ctl)
+            alt = _exp_jump_cdf_alt(z, t, params, 1.0, ctl)
+            worst = max(worst, abs(a - g), abs(a - alt))
     out.append(CheckResult("exponential jumps: direct vs generic vs alternative CDF",
                            worst < 1e-10, worst, 1e-10))
 
-    worst = max(
-        abs(cpp.exp_jump_density(z, 1.0, params, 1.0, ctl)
-            - cpp.cpp_density_Z(z, 1.0, params, jumps, ctl))
-        for z in np.linspace(0.25, 8.0, 16)
-    )
+    zs = np.linspace(0.25, 8.0, 16)
+    worst = float(np.max(np.abs(_exp_jump_density_grid(zs, 1.0, params, 1.0, ctl)
+                                - cpp.cpp_density_Z_grid(zs, 1.0, params, jumps, ctl))))
     out.append(CheckResult("exponential jumps: density series vs generic mixture",
                            worst < 1e-10, worst, 1e-10))
 
@@ -287,6 +476,7 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
 
 def figure_reproduction(ctl: SeriesControl = SeriesControl()) -> list[CheckResult]:
     out = []
+    jumps = JumpSpec.exponential(1.0)
     for lam, masses in MASS_TABLE.items():
         params = ModelParams(lam, 1.0)
         worst = max(
@@ -299,7 +489,7 @@ def figure_reproduction(ctl: SeriesControl = SeriesControl()) -> list[CheckResul
         for t in range(1, 6):
             hi = params.lam * t + 12.0 * math.sqrt(2.0 * params.lam * t) + 20.0
             q = gauss_panel_mass(
-                lambda z: cpp.exp_jump_density_grid(z, float(t), params, 1.0, ctl),
+                lambda z: cpp.cpp_density_Z_grid(z, float(t), params, jumps, ctl),
                 hi)
             worst_q = max(worst_q, abs(q - masses[t - 1]))
         out.append(CheckResult(

@@ -15,10 +15,8 @@ from poissonsub import (
     JumpSpec,
     ModelParams,
     atom_mass_Z,
-    bell_poly,
-    bell_poly_derivative,
-    bell_series,
     cpp_cdf_Z_grid,
+    cpp_density_Z_grid,
     crossing_density_constant,
     hitting_cdf,
     hitting_density,
@@ -29,8 +27,7 @@ from poissonsub import (
     survival_nonincreasing,
 )
 from poissonsub import mc
-from poissonsub.cpp import exp_jump_density_grid
-from poissonsub.verify import gauss_panel_mass, ks_distance
+from poissonsub.verify import bell_poly, bell_series, gauss_panel_mass, ks_distance
 
 
 @contextmanager
@@ -59,6 +56,7 @@ MASSES = {
 
 def test_continuous_mass_table(capsys):
     with criterion(capsys, "continuous-mass-table", 1.0):
+        jumps = JumpSpec.exponential(1.0)
         for lam, expected in MASSES.items():
             params = ModelParams(lam, 1.0)
             for t, target in zip(range(1, 6), expected):
@@ -66,7 +64,7 @@ def test_continuous_mass_table(capsys):
                 assert abs(mass - target) < 5e-5
                 hi = lam * t + 12 * math.sqrt(2 * lam * t) + 20
                 quad = gauss_panel_mass(
-                    lambda z: exp_jump_density_grid(z, float(t), params, 1.0),
+                    lambda z: cpp_density_Z_grid(z, float(t), params, jumps),
                     hi)
                 assert abs(quad - target) < 1e-4
 

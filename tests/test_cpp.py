@@ -1,6 +1,7 @@
 """Tests for the subordinated compound Poisson law and its specializations."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,19 +15,18 @@ from poissonsub import (
     ModelParams,
     atom_mass_Z,
     cpp_cdf_Y,
-    cpp_cdf_Z,
     cpp_cdf_Z_grid,
-    cpp_density_Z,
     cpp_density_Z_grid,
-    exp_jump_cdf,
-    exp_jump_cdf_alt,
-    exp_jump_density,
     laplace_exponent,
     moments_Z,
-    normal_jump_cdf,
 )
 from poissonsub import mc
-from poissonsub.verify import gauss_panel_mass
+from poissonsub.verify import (
+    _exp_jump_cdf,
+    _exp_jump_cdf_alt,
+    _exp_jump_density_grid,
+    gauss_panel_mass,
+)
 
 PARAMS = ModelParams(1.0, 1.0)
 EXP = JumpSpec.exponential(1.0)
@@ -67,6 +67,36 @@ class TestJumpSpec:
             1.5**n * 2.0 ** (n - 1) * math.exp(-3.0) / math.factorial(n - 1), rel=1e-14)
         assert np.all(dens[:2] == 0.0) and np.all(dens[2:] > 0.0)
 
+    @pytest.mark.parametrize("jumps", [
+        JumpSpec.degenerate_unit(), JumpSpec.exponential(1.5),
+        JumpSpec.normal(0.5, 1.2), JumpSpec.normal(-1.0, 0.3)])
+    def test_block_of_orders_equals_scalar_calls(self, jumps):
+        # one (N x Z) block holds, bit for bit, the rows of the per-n calls
+        ns = np.arange(1, 41)[:, None]
+        zs = np.concatenate([[-3.0, -1e-300, -0.0, 0.0, 1e-300],
+                             np.linspace(0.25, 60.0, 30)])
+        kernels = [jumps.conv_cdf] + ([jumps.conv_pdf] if jumps.is_continuous else [])
+        for conv in kernels:
+            block = conv(ns, zs)
+            assert block.shape == (40, zs.size)
+            for i, n in enumerate(ns[:, 0]):
+                row = np.array([conv(int(n), z) for z in zs])
+                assert np.array_equal(block[i], row)
+                assert np.array_equal(block[i], conv(int(n), zs))
+        if jumps.kind == "exponential":
+            pdf = jumps.conv_pdf(ns, zs)
+            # z = -0.0 and 0.0 both sit on the atom of the n = 1 density
+            assert np.all(pdf[:, :2] == 0.0)
+            assert np.all(jumps.conv_cdf(ns, zs)[:, :4] == 0.0)
+            assert np.all(pdf[0, 2:4] == 1.5) and np.all(pdf[1:, 2:4] == 0.0)
+
+    def test_orders_below_one_rejected(self):
+        for conv in (EXP.conv_cdf, EXP.conv_pdf):
+            with pytest.raises(ValueError):
+                conv(0, 1.0)
+            with pytest.raises(ValueError):
+                conv(np.arange(0, 3)[:, None], np.ones(2))
+
 
 class TestCdfY:
     def test_negative_support_exponential(self):
@@ -91,22 +121,21 @@ class TestCdfY:
 
 class TestCdfZ:
     def test_time_zero(self):
-        assert cpp_cdf_Z(0.5, 0.0, PARAMS, EXP) == 1.0
-        assert cpp_cdf_Z(-0.5, 0.0, PARAMS, NORM) == 0.0
+        assert cpp_cdf_Z_grid(0.5, 0.0, PARAMS, EXP) == 1.0
+        assert cpp_cdf_Z_grid(-0.5, 0.0, PARAMS, NORM) == 0.0
 
     def test_atom_jump_size(self):
         t = 1.0
-        below = cpp_cdf_Z(-1e-12, t, PARAMS, EXP)
-        at = cpp_cdf_Z(0.0, t, PARAMS, EXP)
+        below, at = cpp_cdf_Z_grid([-1e-12, 0.0], t, PARAMS, EXP)
         assert below == pytest.approx(0.0, abs=1e-12)
         assert at - below == pytest.approx(atom_mass_Z(t, PARAMS), abs=1e-10)
 
     def test_degenerate_matches_iterated(self):
         law = IteratedLaw(PARAMS)
         unit = JumpSpec.degenerate_unit()
+        vals = cpp_cdf_Z_grid(np.arange(11) + 0.5, 1.0, PARAMS, unit)
         for n in range(11):
-            assert abs(cpp_cdf_Z(n + 0.5, 1.0, PARAMS, unit)
-                       - law.cdf(n, 1.0)) < 1e-12
+            assert abs(vals[n] - law.cdf(n, 1.0)) < 1e-12
 
     @given(t=st.floats(0.1, 3.0))
     @settings(max_examples=20, deadline=None)
@@ -119,28 +148,46 @@ class TestCdfZ:
             assert np.all((vals >= 0) & (vals <= 1))
 
     def test_grid_matches_scalar(self):
+        # against a compensated sum over per-n scalar kernel calls
         zs = np.array([-1.0, 0.0, 0.7, 3.2])
+        w = IteratedLaw(PARAMS).pmf_vector(1.2)
         for jumps in (EXP, NORM, JumpSpec.degenerate_unit()):
             grid = cpp_cdf_Z_grid(zs, 1.2, PARAMS, jumps)
-            scalar = [cpp_cdf_Z(z, 1.2, PARAMS, jumps) for z in zs]
+            scalar = [(w[0] if z >= 0 else 0.0) + math.fsum(
+                w[n] * jumps.conv_cdf(n, z) for n in range(1, len(w))) for z in zs]
             np.testing.assert_allclose(grid, scalar, atol=1e-14)
+            assert cpp_cdf_Z_grid(zs[2], 1.2, PARAMS, jumps) == grid[2]
 
 
 class TestDensityZ:
     def test_no_density_for_discrete_law(self):
         with pytest.raises(ValueError):
-            cpp_density_Z(1.0, 1.0, PARAMS, JumpSpec.degenerate_unit())
+            cpp_density_Z_grid([1.0], 1.0, PARAMS, JumpSpec.degenerate_unit())
 
     def test_normal_symmetry(self):
         sym = JumpSpec.normal(0.0, 1.0)
-        for z in (0.5, 1.0, 2.5):
-            assert cpp_density_Z(z, 1.0, PARAMS, sym) == pytest.approx(
-                cpp_density_Z(-z, 1.0, PARAMS, sym), rel=1e-12)
+        zs = np.array([0.5, 1.0, 2.5])
+        np.testing.assert_allclose(cpp_density_Z_grid(zs, 1.0, PARAMS, sym),
+                                   cpp_density_Z_grid(-zs, 1.0, PARAMS, sym), rtol=1e-12)
 
     def test_exponential_matches_closed_form(self):
-        for z in np.linspace(0.2, 8.0, 14):
-            assert abs(cpp_density_Z(z, 1.0, PARAMS, EXP)
-                       - exp_jump_density(z, 1.0, PARAMS, 1.0)) < 1e-10
+        zs = np.linspace(0.2, 8.0, 14)
+        np.testing.assert_allclose(cpp_density_Z_grid(zs, 1.0, PARAMS, EXP),
+                                   _exp_jump_density_grid(zs, 1.0, PARAMS, 1.0),
+                                   rtol=0, atol=1e-10)
+
+    def test_block_memory(self):
+        # normal jumps at lam t = 200 mix about 350 orders over 20 000
+        # points; a whole (N x Z) matrix and its per-n rows took 110 MB
+        zs = np.linspace(-50.0, 400.0, 20_000)
+        params = ModelParams(2.0, 1.0)
+        tracemalloc.start()
+        try:
+            cpp_density_Z_grid(zs, 100.0, params, NORM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_mass_atom_identity(self):
         # continuous mass plus the atom must account for everything
@@ -152,40 +199,42 @@ class TestDensityZ:
 
 
 class TestExponentialSpecialization:
+    """The paper's two exponential-jump CDF series and its density series,
+    kept in ``verify`` as oracles, against the mixture."""
+
     def test_atom(self):
         law = IteratedLaw(PARAMS)
-        assert exp_jump_cdf(0.0, 1.0, PARAMS, 1.0) == pytest.approx(
+        assert _exp_jump_cdf(0.0, 1.0, PARAMS, 1.0) == pytest.approx(
             law.pmf(0, 1.0), abs=1e-12)
 
     def test_time_zero(self):
-        assert exp_jump_cdf(3.0, 0.0, PARAMS, 1.0) == 1.0
+        assert _exp_jump_cdf(3.0, 0.0, PARAMS, 1.0) == 1.0
 
     def test_below_support(self):
-        assert exp_jump_cdf(-1.0, 1.0, PARAMS, 1.0) == 0.0
+        assert _exp_jump_cdf(-1.0, 1.0, PARAMS, 1.0) == 0.0
 
     def test_alternative_form_agrees(self):
         for t in (0.5, 1.0, 3.0):
             for z in (0.0, 0.3, 1.0, 4.0, 9.0):
-                assert abs(exp_jump_cdf(z, t, PARAMS, 1.0)
-                           - exp_jump_cdf_alt(z, t, PARAMS, 1.0)) < 1e-10
+                assert abs(_exp_jump_cdf(z, t, PARAMS, 1.0)
+                           - _exp_jump_cdf_alt(z, t, PARAMS, 1.0)) < 1e-10
 
     def test_generic_mixture_agrees(self):
-        for z in np.linspace(0.0, 8.0, 9):
-            assert abs(exp_jump_cdf(z, 1.0, PARAMS, 1.0)
-                       - cpp_cdf_Z(z, 1.0, PARAMS, EXP)) < 1e-10
+        zs = np.linspace(0.0, 8.0, 9)
+        grid = cpp_cdf_Z_grid(zs, 1.0, PARAMS, EXP)
+        for z, g in zip(zs, grid):
+            assert abs(_exp_jump_cdf(z, 1.0, PARAMS, 1.0) - g) < 1e-10
 
     def test_density_small_z_limit(self):
         law = IteratedLaw(PARAMS)
         limit = law.pmf(1, 1.0)  # times zeta = 1
-        assert exp_jump_density(1e-9, 1.0, PARAMS, 1.0) == pytest.approx(
+        assert cpp_density_Z_grid(1e-9, 1.0, PARAMS, EXP) == pytest.approx(
             limit, rel=1e-6)
 
     def test_density_mass(self):
-        from poissonsub.cpp import exp_jump_density_grid
-
         params = ModelParams(2.0, 1.0)
         mass = gauss_panel_mass(
-            lambda z: exp_jump_density_grid(z, 1.0, params, 1.0), 60.0)
+            lambda z: _exp_jump_density_grid(z, 1.0, params, 1.0), 60.0)
         assert mass == pytest.approx(0.7175, abs=5e-5)
         assert mass == pytest.approx(1.0 - atom_mass_Z(1.0, params), abs=1e-9)
 
@@ -193,14 +242,12 @@ class TestExponentialSpecialization:
 class TestNormalSpecialization:
     def test_symmetric_split_at_zero(self):
         p0 = atom_mass_Z(1.0, PARAMS)
-        below = normal_jump_cdf(-1e-12, 1.0, PARAMS, 0.0, 1.0)
-        at = normal_jump_cdf(0.0, 1.0, PARAMS, 0.0, 1.0)
+        below, at = cpp_cdf_Z_grid([-1e-12, 0.0], 1.0, PARAMS, JumpSpec.normal(0.0, 1.0))
         assert below == pytest.approx((1 - p0) / 2, abs=1e-10)
         assert at == pytest.approx((1 + p0) / 2, abs=1e-10)
 
     def test_time_zero_indicator(self):
-        assert normal_jump_cdf(-0.1, 0.0, PARAMS, 0.5, 1.0) == 0.0
-        assert normal_jump_cdf(0.1, 0.0, PARAMS, 0.5, 1.0) == 1.0
+        assert list(cpp_cdf_Z_grid([-0.1, 0.1], 0.0, PARAMS, NORM)) == [0.0, 1.0]
 
     def test_monte_carlo_oracle(self):
         from poissonsub.verify import ks_distance

@@ -13,11 +13,10 @@ from poissonsub import (
     IteratedLaw,
     ModelParams,
     SeriesControl,
-    bell_series,
     dispersion_index,
     levy_exponent_limit_check,
 )
-from poissonsub.verify import cdf_closed_form
+from poissonsub.verify import bell_series, cdf_closed_form
 
 
 def rel(a, b):

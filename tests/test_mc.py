@@ -1,5 +1,6 @@
-"""Tests for the Monte Carlo simulator: reproducibility, path invariants,
-and agreement of the vectorized batch samplers with the path-level ones."""
+"""Tests for the Monte Carlo simulator: reproducibility, and agreement of
+the vectorized batch samplers with the path-level ones and the analytic
+laws."""
 
 import math
 
@@ -23,12 +24,6 @@ EXP = JumpSpec.exponential(1.0)
 
 
 class TestConfigAndStreams:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            mc.SimConfig(seed=1, replicates=0)
-        with pytest.raises(ValueError):
-            mc.SimConfig(seed=1, horizon=0.0)
-
     def test_seed_reproducibility_bitwise(self):
         a = mc.sample_Z(PARAMS, EXP, 1.0, 1000, mc.make_rng(7))
         b = mc.sample_Z(PARAMS, EXP, 1.0, 1000, mc.make_rng(7))
@@ -68,35 +63,6 @@ class TestSampleW:
         p0 = float(np.mean(ws == 0.0))
         se0 = math.sqrt(p0 * (1 - p0) / n)
         assert abs(p0 - math.exp(-1.0)) < 3 * se0
-
-
-class TestSimulatePath:
-    def test_path_invariants(self):
-        rng = mc.make_rng(1)
-        p = mc.simulate_path(PARAMS, EXP, 10.0, rng)
-        assert np.all(np.diff(p.epochs) > 0)
-        assert p.epochs[-1] <= 10.0
-        assert np.all(p.increments >= 0.0)
-        np.testing.assert_allclose(p.cumulative, np.cumsum(p.increments))
-
-    def test_value_at(self):
-        p = mc.PathSample(
-            epochs=np.array([1.0, 2.0, 3.5]),
-            increments=np.array([1.0, 0.0, 2.0]),
-            cumulative=np.array([1.0, 1.0, 3.0]),
-        )
-        assert p.value_at(0.5) == 0.0
-        assert p.value_at(1.0) == 1.0
-        assert p.value_at(3.4) == 1.0
-        assert p.value_at(9.0) == 3.0
-
-    def test_epoch_count_is_poisson(self):
-        rng = mc.make_rng(2)
-        n = 4000
-        counts = np.array([len(mc.simulate_path(PARAMS, UNIT, 1.0, rng).epochs)
-                           for _ in range(n)])
-        se = float(counts.std(ddof=1)) / math.sqrt(n)
-        assert abs(float(counts.mean()) - 2.0) < 4 * se
 
 
 class TestFirstCrossingSampler:
@@ -185,8 +151,8 @@ class TestBatchSamplers:
 
 
 class TestBatchGeneralBoundary:
-    """The general-boundary branch of ``batch_first_crossing``: one bisected
-    level time per integer level."""
+    """The general-boundary branch of ``batch_first_crossing``: one level
+    time per integer level, bisected to adjacent floats."""
 
     @staticmethod
     def survival_within_5se(b, times, n, seed):
@@ -211,9 +177,18 @@ class TestBatchGeneralBoundary:
     def test_hyperbolic_boundary_matches_survival(self):
         k, tau = 4, 0.8
         b = Boundary.nonincreasing(k, lambda s: k / (1.0 + s / tau))
-        # level times tau (k/z - 1) are 2.4, 0.8 and 0.27; a bisected one lies
-        # up to 1e-12 late, so no t sits on one
+        # level times tau (k/z - 1) are 2.4, 0.8 and 0.27
         self.survival_within_5se(b, (0.3, 0.7, 1.6), 50_000, 31)
+
+    def test_survival_at_a_level_time(self):
+        # t = 0.8 is the level time of z = 2: a path waiting at 2 crosses
+        # then, so the bisection must end at the first float where the
+        # boundary reads 2, not above 0.8 (which read 0.745 against 0.578)
+        k, tau = 4, 0.8
+        b = Boundary.nonincreasing(k, lambda s: k / (1.0 + s / tau))
+        s = b.level_time(2, mc.default_horizon(PARAMS))
+        assert 0.8 - 1e-15 < s <= 0.8 and b.value(s) <= 2.0
+        self.survival_within_5se(b, (0.8,), 50_000, 31)
 
     def test_step_boundary_matches_survival(self):
         b = Boundary.nonincreasing(3, lambda s: 3.0 if s < 1 else 0.5)

@@ -1,4 +1,5 @@
-"""Oracle-backed tests for the special-function layer."""
+"""Oracle-backed tests for the special functions: the truncation policy of
+``special`` and the reference forms that ``verify`` keeps as oracles."""
 
 import math
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from poissonsub.special import (
+from poissonsub.special import SeriesControl
+from poissonsub.verify import (
     N_MAX,
-    SeriesControl,
     UnsupportedDegreeError,
     bell_poly,
     bell_poly_derivative,
