@@ -5,7 +5,6 @@ Monte Carlo overlay column."""
 
 import argparse
 import csv
-import math
 import sys
 
 import numpy as np
@@ -14,18 +13,17 @@ from poissonsub import (
     Boundary,
     IteratedLaw,
     ModelParams,
-    avoiding_table,
     mc,
     survival_linear_increasing,
     survival_nonincreasing,
 )
 
 
-def analytic(boundary: str, k: int, t: float, law: IteratedLaw, table) -> float:
+def analytic(boundary: str, k: int, ts: np.ndarray, law: IteratedLaw) -> np.ndarray:
     if boundary == "increasing":
-        return survival_linear_increasing(k, t, law, table)
+        return survival_linear_increasing(k, ts, law)
     b = Boundary.constant(k) if boundary == "constant" else Boundary.linear_decreasing(k)
-    return survival_nonincreasing(b, t, law)
+    return np.array([survival_nonincreasing(b, float(t), law) for t in ts])
 
 
 def mc_boundary(boundary: str, k: int) -> Boundary:
@@ -58,11 +56,8 @@ def main() -> int:
     writer.writerow(header)
     rng = mc.make_rng(args.seed)
     for k in args.k:
-        table = (avoiding_table(k, int(math.floor(args.t_max)), law)
-                 if args.boundary == "increasing" else None)
-        for t in ts:
-            row = [k, "%.6g" % t,
-                   "%.10g" % analytic(args.boundary, k, float(t), law, table)]
+        for t, s in zip(ts, analytic(args.boundary, k, ts, law)):
+            row = [k, "%.6g" % t, "%.10g" % s]
             if args.replicates:
                 if t == 0.0:
                     row.append("1")

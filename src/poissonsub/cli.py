@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from itertools import chain
@@ -152,8 +151,7 @@ def _cmd_pmf(args) -> dict[str, np.ndarray]:
     else:
         n = parse_range(args.n, 1.0).astype(int)
         ns = [n] * ts.size
-        ps = [np.array([law.pmf(k, float(t)) for k in n.tolist()], dtype=float)
-              for t in ts]
+        ps = [law.pmf(n, t) for t in ts.tolist()]
     return {"t": np.repeat(ts, [p.size for p in ps]), "n": _cat(ns), "pmf": _cat(ps)}
 
 
@@ -164,9 +162,8 @@ def _cmd_cdf(args) -> dict[str, np.ndarray]:
     if jumps.kind == "degenerate_unit":
         law = IteratedLaw(params, ctl)
         ns = parse_range(args.n or "0..10", 1.0).astype(int)
-        vals = [law.cdf(n, float(t)) for t in ts for n in ns.tolist()]
-        return {"t": np.repeat(ts, ns.size), "n": np.tile(ns, ts.size),
-                "cdf": np.array(vals, dtype=float)}
+        vals = [law.cdf(ns, t) for t in ts.tolist()]
+        return {"t": np.repeat(ts, ns.size), "n": np.tile(ns, ts.size), "cdf": _cat(vals)}
     zs = parse_range(args.z, args.step)
     vals = [cpp.cpp_cdf_Z_grid(zs, float(t), params, jumps, ctl) for t in ts]
     return {"t": np.repeat(ts, zs.size), "z": np.tile(zs, ts.size), "cdf": _cat(vals)}
@@ -210,13 +207,9 @@ def _cmd_crossing(args) -> dict[str, np.ndarray]:
             raise ValueError("crossing density is available for the constant "
                              "boundary only")
         ts = ts[ts > 0]
-        vals = [crossing.crossing_density_constant(k, t, law) for t in ts.tolist()]
+        vals = crossing.crossing_density_constant(k, ts, law)
     elif args.boundary == "linear-increasing":
-        # one avoiding table, up to the last whole time, serves every t
-        table = (crossing.avoiding_table(k, math.floor(ts.max(initial=0.0)), law)
-                 if ts.size else None)
-        vals = [crossing.survival_linear_increasing(k, t, law, table)
-                for t in ts.tolist()]
+        vals = crossing.survival_linear_increasing(k, ts, law)
     else:
         b = (crossing.Boundary.constant(k) if args.boundary == "constant"
              else crossing.Boundary.linear_decreasing(k))
@@ -234,11 +227,13 @@ def _cmd_hitting(args) -> dict[str, np.ndarray]:
                 "prob": np.array(vals, dtype=float)}
     law = IteratedLaw(_model(args), _ctl(args))
     ts = parse_range(args.t, args.t_step)
-    cdf = [crossing.hitting_cdf(k, ts, law) for k in ks.tolist()]
-    density = [crossing.hitting_density(k, t, law) if t > 0 else 0.0
-               for k in ks.tolist() for t in ts.tolist()]
-    return {"k": np.repeat(ks, ts.size), "t": np.tile(ts, ks.size), "cdf": _cat(cdf),
-            "density": np.array(density, dtype=float)}
+    pos = ts > 0  # the density cell at t = 0 is written as 0
+    cdf, density = np.zeros((2, ks.size, ts.size))
+    for i, k in enumerate(ks.tolist()):
+        cdf[i] = crossing.hitting_cdf(k, ts, law)
+        density[i, pos] = crossing.hitting_density(k, ts[pos], law)
+    return {"k": np.repeat(ks, ts.size), "t": np.tile(ts, ks.size), "cdf": cdf.ravel(),
+            "density": density.ravel()}
 
 
 def _cmd_avoiding(args) -> dict[str, np.ndarray]:

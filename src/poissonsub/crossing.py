@@ -5,22 +5,24 @@ boundary (crossing density and mean), the first-hitting time of a state
 (density, CDF, hitting probability) and the linearly increasing boundary
 (iterative avoiding-probability table and piecewise survival).
 
-Every quantity is a sum of nonnegative terms: over the law weights p_j(t)
-of ``IteratedLaw`` for densities and survival, over the embedded jump chain
-for hitting probabilities and times.  The paper's Stirling and Bell forms
-are reference forms in ``verify``.
-"""
+The passage laws of a level k are mixtures over the jump index m (the m-th
+nonzero jump comes at a Gamma(m, rate) time), read from one cached table of
+the embedded jump chain.  The densities, the hitting CDF and the increasing-
+boundary survival take one time or an array of times.  Every quantity is a
+sum of nonnegative terms; the paper's Stirling and Bell forms and the flux
+sums over the law weights are reference forms in ``verify``."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy import special as sc
 
-from .iterated import IteratedLaw
+from .iterated import IteratedLaw, _float_if_scalar
 from .special import log_poisson_pmf
 
 _NONINCREASING = ("constant", "linear_decreasing", "general_nonincreasing")
@@ -126,76 +128,72 @@ def survival_nonincreasing(boundary: Boundary, t: float, law: IteratedLaw) -> fl
     return law.cdf(_strict_floor(b), t)
 
 
-def crossing_density_constant(k: int, t: float, law: IteratedLaw) -> float:
-    """First-crossing density through the constant boundary k.  A path
-    crosses only by a jump out of some state j < k, so
-    psi_k(t) = lam sum_{j<k} p_j(t) P{Poisson(mu) >= k - j}."""
-    if k < 1:
-        raise ValueError(f"boundary level must be >= 1, got {k}")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    w = np.exp(law._log_weights(t, k - 1))
-    up = sc.pdtrc(np.arange(k - 1, -1, -1), law.params.mu)  # P{Poisson(mu) > k-1-j}
-    return law.params.lam * float(w @ up)
-
-
+@lru_cache(maxsize=16)  # one (k, mu) serves a whole t-grid
 def _chain_visits(k: int, mu: float) -> np.ndarray:
     """h[m, j] = P{the embedded jump chain is at j after m nonzero jumps},
-    0 <= m, j <= k; the steps are zero-truncated Poisson(mu)."""
-    r = np.exp(log_poisson_pmf(np.arange(k + 1), mu)) / -math.expm1(-mu)
-    r[0] = 0.0
+    0 <= m, j <= k >= 1, with zero-truncated Poisson(mu) steps.  Every
+    passage law of the level reads it, so it is cached and read-only."""
+    if k < 1:
+        raise ValueError(f"level must be >= 1, got {k}")
+    if mu <= 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    r = np.exp(log_poisson_pmf(np.arange(1, k + 1), mu)) / -math.expm1(-mu)  # steps 1..k
     h = np.zeros((k + 1, k + 1))
     h[0, 0] = 1.0
     for m in range(1, k + 1):
-        h[m, m:] = np.convolve(h[m - 1, m - 1:], r[1:k + 2 - m])[: k + 1 - m]
+        h[m, m:] = np.convolve(h[m - 1, m - 1:], r[:k + 1 - m])[: k + 1 - m]
+    h.flags.writeable = False
     return h
+
+
+def _chain_mixture(t, law: IteratedLaw, c: np.ndarray):
+    """sum_m Pois(rate t; m) c_m over m < len(c), at one time or an array of
+    times t > 0: a passage law mixed over the number of nonzero jumps by t."""
+    t = np.asarray(t, dtype=float)
+    if not np.min(t, initial=math.inf) > 0:  # NaN fails too
+        raise ValueError(f"time must be positive, got {np.min(t)}")
+    m = np.arange(c.size)
+    x = law.rate * t[..., None]
+    return _float_if_scalar(np.exp(sc.xlogy(m, x) - x - sc.gammaln(m + 1)) @ c)
+
+
+def crossing_density_constant(k: int, t, law: IteratedLaw):
+    """First-crossing density through the constant boundary k at one time or
+    an array of times.  A path crosses only by a jump out of some state
+    j < k, so psi_k(t) = lam sum_{j<k} p_j(t) P{Poisson(mu) >= k - j}, with
+    p_j(t) = sum_m Pois(rate t; m) h[m, j]."""
+    h = _chain_visits(k, law.params.mu)[:k, :k]
+    up = sc.pdtrc(np.arange(k - 1, -1, -1), law.params.mu)  # P{Poisson(mu) > k-1-j}
+    return _chain_mixture(t, law, law.params.lam * (h @ up))
 
 
 def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
     """E(T) for the constant boundary k: each state j < k the chain visits
     is held for an exponential(rate) time, so E(T) = sum_{j<k} pi_j / rate."""
-    if k < 1:
-        raise ValueError(f"boundary level must be >= 1, got {k}")
     return float(_chain_visits(k, law.params.mu)[:, :k].sum()) / law.rate
 
 
-def hitting_density(k: int, t: float, law: IteratedLaw) -> float:
-    """Density of the first-hitting time of state k (defective: integrates
-    to pi_k < 1): h_k(t) = lam sum_{j<k} p_j(t) P{Poisson(mu) = k - j}."""
-    if k < 1:
-        raise ValueError(f"state must be >= 1, got {k}")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    w = np.exp(law._log_weights(t, k - 1))
-    q = np.exp(log_poisson_pmf(np.arange(k, 0, -1), law.params.mu))
-    return law.params.lam * float(w @ q)
+def hitting_density(k: int, t, law: IteratedLaw):
+    """Density of the first-hitting time of state k at one time or an array
+    of times (defective: integrates to pi_k < 1).  After m jumps the next
+    comes at rate ``rate`` and lands on k with probability h[m + 1, k]."""
+    return _chain_mixture(t, law, law.rate * _chain_visits(k, law.params.mu)[1:, k])
 
 
-def hitting_cdf(k: int, t: float | np.ndarray, law: IteratedLaw) -> float | np.ndarray:
-    """CDF of the first-hitting time of state k; tends to pi_k as t -> inf.
-    The chain reaches k at its m-th jump with probability h[m, k], and m
-    jumps take a Gamma(m, rate) time.  ``t`` may be an array: the chain
-    table is then built once for the whole grid and the Gamma CDFs form one
-    matrix.  A single time gives a float."""
-    if k < 1:
-        raise ValueError(f"state must be >= 1, got {k}")
-    one = isinstance(t, (int, float))  # a single time skips the array set-up
-    t_min = t if one else np.min(t, initial=0.0)
-    if t_min < 0:
-        raise ValueError(f"time must be nonnegative, got {t_min}")
+def hitting_cdf(k: int, t, law: IteratedLaw):
+    """CDF of the first-hitting time of state k at one time or an array of
+    times; tends to pi_k as t -> inf.  The chain reaches k at its m-th jump
+    with probability h[m, k], and m jumps take a Gamma(m, rate) time."""
     h = _chain_visits(k, law.params.mu)[1:, k]
+    t = np.asarray(t, dtype=float)
+    if not np.min(t, initial=0.0) >= 0:
+        raise ValueError(f"time must be nonnegative, got {np.min(t)}")
     m = np.arange(1, k + 1)
-    if one:
-        return min(1.0, float(h @ sc.gammainc(m, law.rate * t)))
-    return np.minimum(1.0, sc.gammainc(m, law.rate * np.asarray(t, dtype=float)[..., None]) @ h)
+    return _float_if_scalar(np.minimum(1.0, sc.gammainc(m, law.rate * t[..., None]) @ h))
 
 
 def hitting_probability(k: int, mu: float) -> float:
     """pi_k = P{state k is ever visited}; independent of lam and in (0, 1]."""
-    if k < 1:
-        raise ValueError(f"state must be >= 1, got {k}")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
     return min(1.0, float(_chain_visits(k, mu)[:, k].sum()))
 
 
@@ -231,20 +229,18 @@ def avoiding_table(k: int, horizon: int, law: IteratedLaw) -> AvoidingTable:
     return AvoidingTable(k=k, horizon=horizon, rows=rows)
 
 
-def survival_linear_increasing(k: int, t: float, law: IteratedLaw,
-                               table: AvoidingTable | None = None) -> float:
-    """P{T > t} for the boundary beta(t) = k + t, via the avoiding table at
-    n = floor(t) plus one convolution step over the fractional part."""
-    if k < 1:
-        raise ValueError(f"boundary offset must be >= 1, got {k}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    n = int(math.floor(t))
-    if table is None or table.horizon < n or table.k != k:
-        table = avoiding_table(k, n, law)
-    elapsed = t - n
-    if elapsed == 0.0:
-        return table.survival_at_integer(n)
-    g = table.rows[n]  # entries j = 0..k+n-1; g(k+n; n) == 0 by construction
-    cdf = np.minimum(np.cumsum(np.exp(law._log_weights(elapsed, k + n))), 1.0)
-    return math.fsum(g * cdf[k + n - np.arange(g.size)])
+def survival_linear_increasing(k: int, t, law: IteratedLaw):
+    """P{T > t} for the boundary beta(t) = k + t at one time or an array of
+    times: one avoiding table up to n = floor(max t) serves every time, and
+    each adds one convolution step over its fractional part."""
+    t = np.asarray(t, dtype=float)
+    if not np.min(t, initial=0.0) >= 0:
+        raise ValueError(f"time must be nonnegative, got {np.min(t)}")
+    table = avoiding_table(k, math.floor(np.max(t, initial=0.0)), law)
+    out = []
+    for ti in t.ravel().tolist():
+        n = math.floor(ti)
+        g = table.rows[n]  # entries j = 0..k+n-1; g(k+n; n) == 0 by construction
+        out.append(table.survival_at_integer(n) if ti == n else
+                   math.fsum(g * law.cdf(k + n - np.arange(g.size), ti - n)))
+    return _float_if_scalar(np.reshape(out, t.shape))

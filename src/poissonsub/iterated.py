@@ -25,6 +25,11 @@ _TINY, _HUGE = 1e-200, 1e200
 _CHERNOFF_S = np.geomspace(1e-4, 30.0, 512)
 
 
+def _float_if_scalar(x):
+    """A law's value at one point as a Python float; any other as the array."""
+    return x if np.ndim(x) else float(x)
+
+
 @dataclass(frozen=True)
 class IteratedLaw:
     params: ModelParams
@@ -41,11 +46,11 @@ class IteratedLaw:
     @cached_property
     def _severity(self) -> np.ndarray:
         """j q_j for j = J..1 (reversed for the recursion's dot product),
-        q_j = P{Poisson(mu) = j}, cut at J = mu + 12 sqrt(mu) + 30 where the
-        batch-size tail is negligible."""
+        q_j = P{Poisson(mu) = j}, up to the last q_J that is not 0 as a float
+        (log q_J >= -745, well inside the range below): no term is lost at small t."""
         mu = self.params.mu
-        j = np.arange(1, int(mu + 12.0 * math.sqrt(mu) + 30.0) + 1)
-        return (j * np.exp(log_poisson_pmf(j, mu)))[::-1].copy()
+        j = np.arange(1, int(mu + 45.0 * math.sqrt(mu) + 250.0))
+        return np.trim_zeros(j * np.exp(log_poisson_pmf(j, mu)), "b")[::-1].copy()
 
     # -- the weight engine ---------------------------------------------------
 
@@ -55,8 +60,8 @@ class IteratedLaw:
 
         The recursion runs on rescaled values and carries the log of the
         scale, so it works where p_0 or the tail underflows."""
-        if t == 0.0:
-            return np.where(np.arange(n + 1) == 0, 0.0, -math.inf)
+        if t < 0:
+            raise ValueError(f"time must be nonnegative, got {t}")
         jq = self._severity
         nj = jq.size
         lt = self.params.lam * t
@@ -71,11 +76,11 @@ class IteratedLaw:
                 p[i] = v = lt / i * float(np.dot(jq[nj - m:], p[i - m:i]))
                 if _TINY < v < _HUGE:
                     continue
-                # only the last nj values feed later states; rescale them
-                # once their maximum leaves the safe range
+                # only the last nj values feed later states; rescale them to a
+                # maximum of 1 as they rise, and of _HUGE as they fall
                 lo = max(0, i - nj + 1)
                 top = float(p[lo:i + 1].max())
-                if _TINY <= top <= _HUGE:
+                if v <= _TINY and top == _HUGE:
                     continue
                 out[done:i + 1] = np.log(p[done:i + 1]) + shift
                 done = i + 1
@@ -83,30 +88,33 @@ class IteratedLaw:
                     break  # every later weight is zero too
                 p[lo:i + 1] /= top
                 shift += math.log(top)
+                if v <= _TINY:
+                    p[lo:i + 1] *= _HUGE
+                    shift -= math.log(_HUGE)
             out[done:] = np.log(p[done:]) + shift
         return out
 
     # -- pmf / cdf -----------------------------------------------------------
 
-    def log_pmf(self, n: int, t: float) -> float:
-        if n < 0:
-            raise ValueError(f"state must be nonnegative, got {n}")
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        return float(self._log_weights(t, n)[n])
+    def log_pmf(self, n, t: float):
+        """log p_n(t) at one state or an array of states: one engine run."""
+        n = np.asarray(n)
+        if np.min(n, initial=0) < 0:
+            raise ValueError(f"state must be nonnegative, got {np.min(n)}")
+        return _float_if_scalar(self._log_weights(t, int(np.max(n, initial=0)))[n])
 
-    def pmf(self, n: int, t: float) -> float:
-        """p_n(t) = P{Z(t) = n}."""
-        return math.exp(self.log_pmf(n, t))
+    def pmf(self, n, t: float):
+        """p_n(t) = P{Z(t) = n} at one state or an array of states."""
+        return _float_if_scalar(np.exp(self.log_pmf(n, t)))
 
-    def pmf_vector(self, t: float, tail: float | None = None) -> np.ndarray:
+    def pmf_vector(self, t: float) -> np.ndarray:
         """p_0(t)..p_N(t) with N the smallest state whose remaining mass is
-        below ``tail`` (defaults to ctl.tolerance)."""
+        below ctl.tolerance."""
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
         if t == 0.0:
             return np.array([1.0])
-        tol = self.ctl.tolerance if tail is None else tail
+        tol = self.ctl.tolerance
         # Chernoff: P{Z(t) >= n} <= exp(K(s) - s n) for every s > 0, with the
         # cumulant generating function K(s) = lam t (exp(mu (e^s - 1)) - 1);
         # the mass past the upper index is held to a thousandth of tol
@@ -120,15 +128,15 @@ class IteratedLaw:
         tails = np.append(np.cumsum(w[::-1])[::-1], 0.0)
         return w[: int(np.argmax(tails < 0.999 * tol))]
 
-    def cdf(self, n: int, t: float) -> float:
-        """P_n(t), partial sum of the pmf."""
-        if n < 0:
-            raise ValueError(f"state must be nonnegative, got {n}")
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        if t == 0.0:
-            return 1.0
-        return min(1.0, math.fsum(np.exp(self._log_weights(t, n))))
+    def cdf(self, n, t: float):
+        """P_n(t), the partial sum of the pmf, at one state or an array of
+        states; each partial sum is exactly rounded (fsum)."""
+        n = np.asarray(n)
+        if np.min(n, initial=0) < 0:
+            raise ValueError(f"state must be nonnegative, got {np.min(n)}")
+        w = np.exp(self._log_weights(t, int(np.max(n, initial=0)))).tolist()
+        out = [min(1.0, math.fsum(w[:i + 1])) for i in n.ravel().tolist()]
+        return _float_if_scalar(np.reshape(out, n.shape))
 
     # -- conditional law, moments, sojourn -----------------------------------
 

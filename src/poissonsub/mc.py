@@ -17,6 +17,8 @@ import numpy as np
 from .crossing import Boundary
 from .params import JumpSpec, ModelParams
 
+_MAX_ROUNDS = 100_000  # jump rounds before a batch sampler gives up
+
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -117,8 +119,7 @@ def sample_Z(params: ModelParams, jumps: JumpSpec, t: float, size: int,
 
 
 def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float,
-                         size: int, rng: np.random.Generator,
-                         max_rounds: int = 100_000) -> np.ndarray:
+                         size: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized first-crossing times for the iterated process (unit jumps);
     censored paths get NaN.
 
@@ -139,7 +140,7 @@ def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float
     z = np.zeros(size, dtype=np.int64)
     out = np.full(size, np.nan)
     active = np.arange(size)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         if active.size == 0:
             return out
         e = t[active] + rng.exponential(1.0 / params.lam, active.size)
@@ -165,8 +166,7 @@ def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float
 
 
 def batch_hitting(k: int, params: ModelParams, horizon: float, size: int,
-                  rng: np.random.Generator,
-                  max_rounds: int = 100_000) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Vectorized hitting times of state k for the iterated process; NaN for
     paths that overshoot k or are censored."""
     if k < 1:
@@ -175,7 +175,7 @@ def batch_hitting(k: int, params: ModelParams, horizon: float, size: int,
     z = np.zeros(size, dtype=np.int64)
     out = np.full(size, np.nan)
     active = np.arange(size)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         if active.size == 0:
             return out
         t[active] += rng.exponential(1.0 / params.lam, active.size)

@@ -7,8 +7,9 @@ The paper's alternative forms live here, and only here, as oracles for the
 production paths: the Stirling numbers and Bell polynomials (exact-coefficient
 forms limited to degree ``N_MAX``, and the log-space Bell series), the scalar
 Poisson kernels and incomplete gamma function, the Stirling and Bell closed
-forms of the law and of the first-passage quantities, and the two
-exponential-jump series of the law of Z(t).
+forms of the law and of the first-passage quantities, the crossing and
+hitting densities as flux sums over the weight engine's law weights, and the
+two exponential-jump series of the law of Z(t).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy import stats
 from . import VERIFY_SUITES as SUITES, cpp, crossing, mc
 from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams
-from .special import SeriesControl
+from .special import SeriesControl, log_poisson_pmf
 
 # per-time continuous-part masses 1 - e^{-lam t (1-e^{-mu})} at mu = 1,
 # rounded to 4 decimals, for lam = 1 and lam = 2, t = 1..5
@@ -318,6 +319,21 @@ def _hitting_cdf_stirling(k: int, t: float, law: IteratedLaw) -> float:
     return mu**k / math.factorial(k) * (math.exp(-a * t) * bell_poly(k, ct).value + gam)
 
 
+def _crossing_density_flux(k: int, t: float, law: IteratedLaw) -> float:
+    """Constant-boundary crossing density from the law weights of the
+    weight engine: lam sum_{j<k} p_j(t) P{Poisson(mu) >= k - j}."""
+    w = np.exp(law._log_weights(t, k - 1))
+    return law.params.lam * float(w @ sc.pdtrc(np.arange(k - 1, -1, -1), law.params.mu))
+
+
+def _hitting_density_flux(k: int, t: float, law: IteratedLaw) -> float:
+    """Hitting density from the law weights of the weight engine:
+    lam sum_{j<k} p_j(t) P{Poisson(mu) = k - j}."""
+    w = np.exp(law._log_weights(t, k - 1))
+    q = np.exp(log_poisson_pmf(np.arange(k, 0, -1), law.params.mu))
+    return law.params.lam * float(w @ q)
+
+
 def _hitting_probability_stirling(k: int, mu: float) -> float:
     em1 = math.expm1(mu)
     s = math.fsum(stirling2(k, j) * math.factorial(j) / em1**j for j in range(1, k + 1))
@@ -470,6 +486,17 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
                         _rel(crossing.hitting_cdf(k, t, law),
                              _hitting_cdf_stirling(k, t, law)))
     out.append(CheckResult("first passage: flux and chain sums vs Stirling forms, k <= 20",
+                           worst < 1e-12, worst, 1e-12))
+
+    # the two engines: jump-chain mixtures on a t-grid against the flux sums
+    # over the law weights, from a hundredth of the mean crossing time on
+    worst = 0.0
+    for k in range(1, 21):
+        ts = np.array([0.01, 0.1, 1.0, 4.0]) * crossing.mean_crossing_time_constant(k, law)
+        for chain, flux in ((crossing.crossing_density_constant, _crossing_density_flux),
+                            (crossing.hitting_density, _hitting_density_flux)):
+            worst = max(worst, *map(_rel, chain(k, ts, law), [flux(k, t, law) for t in ts]))
+    out.append(CheckResult("first-passage densities: jump chain vs weight engine, k <= 20",
                            worst < 1e-12, worst, 1e-12))
     return out
 

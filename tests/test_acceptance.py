@@ -14,6 +14,7 @@ from poissonsub import (
     IteratedLaw,
     JumpSpec,
     ModelParams,
+    SeriesControl,
     atom_mass_Z,
     cpp_cdf_Z_grid,
     cpp_density_Z_grid,
@@ -89,9 +90,9 @@ def test_iterated_law_identities(capsys):
     with criterion(capsys, "iterated-law-identities", 5.0):
         for lam in (1.0, 2.0, 4.0):
             for mu in (0.5, 1.0, 3.0):
-                law = IteratedLaw(ModelParams(lam, mu))
+                law = IteratedLaw(ModelParams(lam, mu), SeriesControl(tolerance=1e-13))
                 for t in (0.5, 1.0, 2.0):
-                    pv = law.pmf_vector(t, tail=1e-13)
+                    pv = law.pmf_vector(t)
                     assert abs(pv.sum() - 1.0) < 1e-10
                     for n in (1, 3, 7):
                         # Bell-series closed form mu^n/n! e^{-rate t} B_n(lam t e^{-mu})
@@ -181,7 +182,7 @@ def test_linear_increasing_boundary(capsys):
                                  for j in range(len(tab.rows[n]))])
                 assert np.all(tab.rows[n] <= free + 1e-13)
                 assert tab.survival_at_integer(n) == float(tab.rows[n].sum())
-                right = survival_linear_increasing(k, n + 1e-13, law, tab)
+                right = survival_linear_increasing(k, n + 1e-13, law)
                 assert abs(right - tab.survival_at_integer(n)) < 1e-12
 
         n_paths = 100_000

@@ -245,6 +245,23 @@ class TestOtherCommands:
                 for t in parse_range(ts, 1.0).tolist()]
         assert [r["survival"] for r in rows] == want
 
+    @pytest.mark.parametrize("line,runs", [
+        ("pmf --t 1..3 --n 0..40", 3), ("cdf --t 0.5..5:0.5 --n 0..60", 10),
+        ("crossing --k 4 --quantity density --t 0..3:0.25", 0),
+        ("hitting --k 1..3 --t 0..4:0.5", 0)])
+    def test_weight_engine_runs_once_per_t(self, capsys, monkeypatch, line, runs):
+        # a law table runs the weight engine once per t, not once per cell,
+        # and the passage-time densities read the jump chain instead
+        engine, calls = IteratedLaw._log_weights, []
+
+        def counted(law, t, n):
+            calls.append(t)
+            return engine(law, t, n)
+
+        monkeypatch.setattr(IteratedLaw, "_log_weights", counted)
+        code, _, _ = run_cli(shlex.split(line), capsys)
+        assert code == 0 and len(calls) == runs
+
     def test_hitting_prob_grid(self, capsys):
         code, out, _ = run_cli(
             ["hitting", "--prob", "--k", "1..3", "--mu-grid", "0.5..1:0.5"],

@@ -23,7 +23,7 @@ from poissonsub import (
     survival_nonincreasing,
 )
 from poissonsub import mc
-from poissonsub.crossing import _strict_floor
+from poissonsub.crossing import _chain_visits, _strict_floor
 from poissonsub.verify import crossing_density_constant_stirling
 
 LAW = IteratedLaw(ModelParams(2.0, 1.0))
@@ -230,18 +230,29 @@ class TestHitting:
         assert hitting_cdf(3, 1e5, LAW) == pytest.approx(
             hitting_cdf(3, 1e5, other), abs=1e-10)
 
+    @pytest.mark.parametrize("fn", [hitting_cdf, hitting_density,
+                                    crossing_density_constant])
     @pytest.mark.parametrize("k", [3, 30, 400])
-    def test_cdf_grid_matches_scalar_calls(self, k):
+    def test_cdf_grid_matches_scalar_calls(self, k, fn):
         law = IteratedLaw(ModelParams(1.5, 1.0))
         mean = (k + 0.5) / law.rate  # about E(T_k)
-        ts = np.r_[0.0, np.linspace(0.01 * mean, 4.0 * mean, 60)]
-        grid = hitting_cdf(k, ts, law)
-        scalar = np.array([hitting_cdf(k, float(t), law) for t in ts])
-        assert isinstance(hitting_cdf(k, float(ts[5]), law), float)
-        assert grid.shape == ts.shape and grid[0] == scalar[0] == 0.0
-        np.testing.assert_allclose(grid, scalar, rtol=1e-14, atol=0.0)
+        ts = np.linspace(0.01 * mean, 4.0 * mean, 60)
+        if fn is hitting_cdf:
+            ts = np.r_[0.0, ts]
+        grid = fn(k, ts, law)
+        scalar = np.array([fn(k, float(t), law) for t in ts])
+        assert isinstance(fn(k, float(ts[5]), law), float)
+        assert grid.shape == ts.shape
+        if fn is hitting_cdf:
+            assert grid[0] == scalar[0] == 0.0
+        np.testing.assert_allclose(grid, scalar, rtol=1e-15, atol=0.0)
+        assert fn(k, np.empty(0), law).shape == (0,)
+        assert fn(k, ts[:60].reshape(12, 5), law).shape == (12, 5)
         with pytest.raises(ValueError):
-            hitting_cdf(k, np.array([1.0, -1.0]), law)
+            fn(k, np.array([1.0, -1.0]), law)
+        if fn is not hitting_cdf:
+            with pytest.raises(ValueError):
+                fn(k, np.array([1.0, 0.0]), law)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_density_integrates_to_hitting_probability(self, k):
@@ -305,9 +316,11 @@ class TestAvoidingTable:
 class TestSurvivalLinearIncreasing:
     def test_matches_table_at_integers(self):
         tab = avoiding_table(3, 6, LAW)
+        grid = survival_linear_increasing(3, np.arange(7.0), LAW)
         for n in range(7):
-            assert survival_linear_increasing(3, float(n), LAW, tab) == \
-                tab.survival_at_integer(n)
+            assert grid[n] == tab.survival_at_integer(n)
+            assert survival_linear_increasing(3, float(n), LAW) == pytest.approx(
+                tab.survival_at_integer(n), rel=1e-15)
 
     def test_continuity_at_integers(self):
         for k in (1, 3):
@@ -334,10 +347,15 @@ class TestSurvivalLinearIncreasing:
                 LAW.cdf(2, t), abs=1e-12)
 
     def test_reuses_supplied_table(self):
-        tab = avoiding_table(2, 10, LAW)
-        a = survival_linear_increasing(2, 7.3, LAW, tab)
-        b = survival_linear_increasing(2, 7.3, LAW)
-        assert a == pytest.approx(b, abs=1e-14)
+        # one avoiding table, up to the largest whole time, serves a grid
+        ts = np.array([7.3, 0.0, 2.5, 10.0, 0.4, 6.0])
+        grid = survival_linear_increasing(2, ts, LAW)
+        scalar = np.array([survival_linear_increasing(2, float(t), LAW) for t in ts])
+        assert isinstance(survival_linear_increasing(2, 7.3, LAW), float)
+        np.testing.assert_allclose(grid, scalar, rtol=1e-15, atol=0.0)
+        assert survival_linear_increasing(2, np.empty(0), LAW).shape == (0,)
+        with pytest.raises(ValueError):
+            survival_linear_increasing(2, np.array([1.0, -0.5]), LAW)
 
 
 # -- large levels, against 50-digit mpmath ------------------------------------
@@ -448,6 +466,19 @@ class TestLargeLevels:
                 assert mp_rel(hitting_cdf(k, t, law),
                               mp_hitting_cdf(k, mt, lam, mu)) < 1e-12
 
+    @pytest.mark.parametrize("k", [50, 100])
+    def test_densities_at_small_time(self, k):
+        # a flux sum over engine weights whose batch sizes were cut at
+        # mu + 12 sqrt(mu) + 30 was 5.2e-11 off here at k = 100
+        lam, mu, t = 1.0, 0.3, 1e-3
+        law = IteratedLaw(ModelParams(lam, mu))
+        with mpmath.workdps(60):
+            w = mp_weights(lam, mu, mpmath.mpf(t), k - 1)
+            cross = mp_flux(w, k, lam, mu, hit=False)
+            hit = mp_flux(w, k, lam, mu, hit=True)
+        assert mp_rel(crossing_density_constant(k, t, law), cross) < 1e-12
+        assert mp_rel(hitting_density(k, t, law), hit) < 1e-12
+
     def test_hitting_probability_k30_against_simulation(self):
         k, params, n = 30, ModelParams(2.0, 1.0), 20_000
         hs = mc.batch_hitting(k, params, 10 * mean_crossing_time_constant(
@@ -455,3 +486,28 @@ class TestLargeLevels:
         freq = float(np.mean(~np.isnan(hs)))
         pik = hitting_probability(k, params.mu)
         assert abs(freq - pik) < 5 * math.sqrt(pik * (1 - pik) / n)
+
+
+class TestChainTable:
+    def test_cached_read_only_and_rebuilt_bit_for_bit(self):
+        law = IteratedLaw(ModelParams(1.5, 0.8))
+        ts = np.linspace(0.05, 12.0, 40)
+
+        def values():
+            return [f(12, ts, law) for f in (crossing_density_constant,
+                                             hitting_density, hitting_cdf)] + [
+                np.array([hitting_probability(12, 0.8),
+                          mean_crossing_time_constant(12, law)])]
+
+        h = _chain_visits(12, 0.8)
+        assert _chain_visits(12, 0.8) is h
+        with pytest.raises(ValueError):
+            h[1, 1] = 0.5
+        with pytest.raises(ValueError):
+            h[1:, 12] *= 2.0
+        cached = values()
+        _chain_visits.cache_clear()
+        fresh = values()
+        assert _chain_visits(12, 0.8) is not h
+        for a, b in zip(cached, fresh):
+            assert a.tobytes() == b.tobytes()

@@ -73,8 +73,8 @@ class TestPmf:
 
     def test_moments_sum(self):
         lam, mu, t = 2.0, 3.0, 1.0
-        law = IteratedLaw(ModelParams(lam, mu))
-        pv = law.pmf_vector(t, tail=1e-14)
+        law = IteratedLaw(ModelParams(lam, mu), SeriesControl(tolerance=1e-14))
+        pv = law.pmf_vector(t)
         ns = np.arange(len(pv))
         mean = float(ns @ pv)
         var = float((ns**2) @ pv) - mean**2
@@ -115,6 +115,56 @@ class TestLargeLambdaT:
         sd = math.sqrt(lam * mu * (1 + mu) * t)
         for n in (int(4000 - 7 * sd), 4000, int(4000 + 7 * sd)):
             assert rel(pv[n], mp_weight(lam, mu, t, n)) < 1e-11
+
+
+def mp_weight_explicit(lam, mu, t, n, m_hi=200):
+    """p_n(t) at 60 digits, every term m = 1..m_hi of
+    sum_m P{Poisson(lam t) = m} P{Poisson(m mu) = n} summed: at small t the
+    terms peak late, near m = n / log(n / (lam t))."""
+    with mpmath.workdps(60):
+        lt, mu = mpmath.mpf(lam) * mpmath.mpf(t), mpmath.mpf(mu)
+        return mpmath.fsum(
+            mpmath.exp(-lt) * lt**m / mpmath.factorial(m)
+            * mpmath.exp(-m * mu) * (m * mu)**n / mpmath.factorial(n)
+            for m in range(1, m_hi + 1))
+
+
+class TestSmallTime:
+    @pytest.mark.parametrize("n", [60, 100])
+    @pytest.mark.parametrize("t", [1e-9, 1e-6, 1e-3])
+    def test_weights_past_the_bulk_of_the_batch_law(self, n, t):
+        # a batch law cut at mu + 12 sqrt(mu) + 30 = 36 left p_60(1e-9)
+        # 0.91% low and p_100(1e-9) 1.3% low
+        law = IteratedLaw(ModelParams(1.0, 0.3))
+        want = mp_weight_explicit(1.0, 0.3, t, n)
+        assert rel(law.pmf(n, t), float(want)) < 1e-12
+        assert abs(law.log_pmf(n, t) - float(mpmath.log(want))) < 1e-12
+
+
+    @pytest.mark.parametrize("n,t", [(200, 1e-9), (300, 1e-9), (300, 1e-3), (400, 1e-12)])
+    def test_log_weights_below_the_float_range(self, n, t):
+        # log p_200(1e-9) = -866: the last 143 weights span more than the
+        # float range; a batch law cut at 36 left it 0.041 off
+        law = IteratedLaw(ModelParams(1.0, 0.3))
+        want = mpmath.log(mp_weight_explicit(1.0, 0.3, t, n, m_hi=600))
+        assert law.log_pmf(n, t) == pytest.approx(float(want), abs=1e-10)
+
+
+class TestStateArrays:
+    @pytest.mark.parametrize("method", ["pmf", "log_pmf", "cdf"])
+    @pytest.mark.parametrize("t", [0.0, 0.7, 40.0])
+    def test_array_matches_scalar_calls(self, law, method, t):
+        fn = getattr(law, method)
+        ns = np.array([7, 0, 3, 60, 3, 95])
+        grid = fn(ns, t)
+        scalar = np.array([fn(n, t) for n in ns.tolist()])
+        assert isinstance(fn(3, t), float)
+        assert grid.shape == ns.shape
+        np.testing.assert_allclose(grid, scalar, rtol=1e-15, atol=0.0)
+        assert fn(ns.reshape(2, 3), t).shape == (2, 3)
+        assert fn(np.empty(0, dtype=int), t).shape == (0,)
+        with pytest.raises(ValueError):
+            fn(np.array([2, -1]), t)
 
 
 class TestCdf:
@@ -186,8 +236,8 @@ class TestDispersionAndSojourn:
         assert dispersion_index(ModelParams(1.0, 1e-9)) == pytest.approx(1.0)
 
     def test_dispersion_from_pmf(self):
-        law = IteratedLaw(ModelParams(2.0, 3.0))
-        pv = law.pmf_vector(1.0, tail=1e-14)
+        law = IteratedLaw(ModelParams(2.0, 3.0), SeriesControl(tolerance=1e-14))
+        pv = law.pmf_vector(1.0)
         ns = np.arange(len(pv))
         mean = float(ns @ pv)
         var = float((ns**2) @ pv) - mean**2
