@@ -23,6 +23,7 @@ import numpy as np
 from scipy import special as sc
 
 from .iterated import IteratedLaw, _float_if_scalar
+from .params import check_time
 from .special import log_poisson_pmf
 
 _NONINCREASING = ("constant", "linear_decreasing", "general_nonincreasing")
@@ -120,8 +121,7 @@ def survival_nonincreasing(boundary: Boundary, t: float, law: IteratedLaw) -> fl
     if not boundary.is_nonincreasing:
         raise ValueError("survival_nonincreasing handles nonincreasing boundaries; "
                          "use survival_linear_increasing for the increasing case")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    check_time(t)
     b = boundary.value(t)
     if b <= 0:
         return 0.0
@@ -135,8 +135,8 @@ def _chain_visits(k: int, mu: float) -> np.ndarray:
     passage law of the level reads it, so it is cached and read-only."""
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu}")
     r = np.exp(log_poisson_pmf(np.arange(1, k + 1), mu)) / -math.expm1(-mu)  # steps 1..k
     h = np.zeros((k + 1, k + 1))
     h[0, 0] = 1.0
@@ -149,9 +149,8 @@ def _chain_visits(k: int, mu: float) -> np.ndarray:
 def _chain_mixture(t, law: IteratedLaw, c: np.ndarray):
     """sum_m Pois(rate t; m) c_m over m < len(c), at one time or an array of
     times t > 0: a passage law mixed over the number of nonzero jumps by t."""
+    check_time(t, positive=True)
     t = np.asarray(t, dtype=float)
-    if not np.min(t, initial=math.inf) > 0:  # NaN fails too
-        raise ValueError(f"time must be positive, got {np.min(t)}")
     m = np.arange(c.size)
     x = law.rate * t[..., None]
     return _float_if_scalar(np.exp(sc.xlogy(m, x) - x - sc.gammaln(m + 1)) @ c)
@@ -185,9 +184,8 @@ def hitting_cdf(k: int, t, law: IteratedLaw):
     times; tends to pi_k as t -> inf.  The chain reaches k at its m-th jump
     with probability h[m, k], and m jumps take a Gamma(m, rate) time."""
     h = _chain_visits(k, law.params.mu)[1:, k]
+    check_time(t)
     t = np.asarray(t, dtype=float)
-    if not np.min(t, initial=0.0) >= 0:
-        raise ValueError(f"time must be nonnegative, got {np.min(t)}")
     m = np.arange(1, k + 1)
     return _float_if_scalar(np.minimum(1.0, sc.gammainc(m, law.rate * t[..., None]) @ h))
 
@@ -233,9 +231,8 @@ def survival_linear_increasing(k: int, t, law: IteratedLaw):
     """P{T > t} for the boundary beta(t) = k + t at one time or an array of
     times: one avoiding table up to n = floor(max t) serves every time, and
     each adds one convolution step over its fractional part."""
+    check_time(t)
     t = np.asarray(t, dtype=float)
-    if not np.min(t, initial=0.0) >= 0:
-        raise ValueError(f"time must be nonnegative, got {np.min(t)}")
     table = avoiding_table(k, math.floor(np.max(t, initial=0.0)), law)
     out = []
     for ti in t.ravel().tolist():

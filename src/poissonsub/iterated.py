@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, check_time
 from .special import SeriesControl, log_poisson_pmf
 
 # scaled weights are renormalised once they leave [_TINY, _HUGE]
@@ -60,8 +60,7 @@ class IteratedLaw:
 
         The recursion runs on rescaled values and carries the log of the
         scale, so it works where p_0 or the tail underflows."""
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        check_time(t)
         jq = self._severity
         nj = jq.size
         lt = self.params.lam * t
@@ -110,8 +109,7 @@ class IteratedLaw:
     def pmf_vector(self, t: float) -> np.ndarray:
         """p_0(t)..p_N(t) with N the smallest state whose remaining mass is
         below ctl.tolerance."""
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        check_time(t)
         if t == 0.0:
             return np.array([1.0])
         tol = self.ctl.tolerance

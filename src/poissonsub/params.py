@@ -18,10 +18,10 @@ class ModelParams:
     mu: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,13 @@ class JumpSpec:
         if self.kind == "degenerate_unit":
             pass
         elif self.kind == "exponential":
-            if self.zeta is None or self.zeta <= 0:
-                raise ValueError("exponential jumps require zeta > 0")
+            if self.zeta is None or not 0 < self.zeta < math.inf:
+                raise ValueError(f"exponential jumps require a finite zeta > 0, got {self.zeta}")
         elif self.kind == "normal":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("normal jumps require sigma > 0")
-            if self.eta is None:
-                raise ValueError("normal jumps require a mean eta")
+            if self.sigma is None or not 0 < self.sigma < math.inf:
+                raise ValueError(f"normal jumps require a finite sigma > 0, got {self.sigma}")
+            if self.eta is None or not math.isfinite(self.eta):
+                raise ValueError(f"normal jumps require a finite mean eta, got {self.eta}")
         else:
             raise ValueError(f"unknown jump kind {self.kind!r}")
 
@@ -139,6 +139,24 @@ class JumpSpec:
             np.exp(out, out=out)
             out /= s * math.sqrt(2 * math.pi)
         return out if out.ndim else float(out)
+
+
+def check_time(t, positive: bool = False) -> None:
+    """Raise ValueError unless every time in t, one or an array, is finite
+    and nonnegative (positive with ``positive``).  NaN fails too."""
+    if isinstance(t, (int, float)):
+        lo = hi = t
+    else:
+        t = np.asarray(t, dtype=float)
+        lo, hi = t.min(initial=1.0), t.max(initial=0.0)
+    if not (lo > 0 if positive else lo >= 0):
+        bad = lo
+    elif not hi < math.inf:
+        bad = hi
+    else:
+        return
+    kind = "positive" if positive else "nonnegative"
+    raise ValueError(f"time must be finite and {kind}, got {bad}")
 
 
 def _conv_block(n, z):

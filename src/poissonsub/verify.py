@@ -8,8 +8,10 @@ production paths: the Stirling numbers and Bell polynomials (exact-coefficient
 forms limited to degree ``N_MAX``, and the log-space Bell series), the scalar
 Poisson kernels and incomplete gamma function, the Stirling and Bell closed
 forms of the law and of the first-passage quantities, the crossing and
-hitting densities as flux sums over the weight engine's law weights, and the
-two exponential-jump series of the law of Z(t).
+hitting densities as flux sums over the weight engine's law weights, the
+direct exponential-jump CDF series and density series of Z(t), and the
+exponential-jump CDF summed term by term over ``JumpSpec.conv_cdf``.  The
+paper's alternative CDF series is the production path in ``cpp``.
 """
 
 from __future__ import annotations
@@ -355,19 +357,11 @@ def _exp_jump_cdf(z: float, t: float, params: ModelParams, zeta: float,
     return min(1.0, max(0.0, 1.0 - s - (1.0 - w.sum())))
 
 
-def _exp_jump_cdf_alt(z: float, t: float, params: ModelParams, zeta: float,
-                      ctl: SeriesControl = SeriesControl()) -> float:
-    """Alternative series for the exponential-jump CDF:
-    sum_j p(j; zeta z) sum_{m<=j} p_m(t)."""
-    if z < 0:
-        return 0.0
-    if t == 0.0:
-        return 1.0
-    cum = np.cumsum(IteratedLaw(params, ctl).pmf_vector(t))
-    pz = cpp._poisson_weights(zeta * z, ctl.tolerance)
-    m = min(len(pz), len(cum))
-    # beyond the computed weight vector the inner cumulative sum is ~1
-    return min(1.0, float(pz[:m] @ cum[:m]) + float(pz[m:].sum()))
+def _conv_cdf_fsum(z: float, w: np.ndarray, jumps: JumpSpec) -> float:
+    """The mixture CDF w_0 [z >= 0] + sum_n w_n F_X^{(n)}(z) term by term:
+    one exactly rounded sum over the block of ``JumpSpec.conv_cdf``."""
+    col = jumps.conv_cdf(np.arange(1, len(w))[:, None], [z])[:, 0]
+    return min(1.0, math.fsum([w[0] * (z >= 0), *(w[1:] * col)]))
 
 
 def _exp_jump_density_grid(z: np.ndarray, t: float, params: ModelParams, zeta: float,
@@ -431,11 +425,11 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
     worst = 0.0
     zs = np.linspace(0.0, 8.0, 17)
     for t in (0.5, 1.0, 2.0):
+        w = IteratedLaw(params, ctl).pmf_vector(t)
         grid = cpp.cpp_cdf_Z_grid(zs, t, params, jumps, ctl)
         for z, g in zip(zs, grid):
-            a = _exp_jump_cdf(z, t, params, 1.0, ctl)
-            alt = _exp_jump_cdf_alt(z, t, params, 1.0, ctl)
-            worst = max(worst, abs(a - g), abs(a - alt))
+            worst = max(worst, abs(_exp_jump_cdf(z, t, params, 1.0, ctl) - g),
+                        abs(_conv_cdf_fsum(z, w, jumps) - g))
     out.append(CheckResult("exponential jumps: direct vs generic vs alternative CDF",
                            worst < 1e-10, worst, 1e-10))
 
@@ -444,6 +438,16 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
                                 - cpp.cpp_density_Z_grid(zs, 1.0, params, jumps, ctl))))
     out.append(CheckResult("exponential jumps: density series vs generic mixture",
                            worst < 1e-10, worst, 1e-10))
+
+    # lam t = 500, relative, from F near 1e-104 to 1: the production series
+    # against the gammainc terms summed one by one
+    params, jumps = ModelParams(5.0, 1.0), JumpSpec.exponential(2.0)
+    w = IteratedLaw(params, ctl).pmf_vector(100.0)
+    zs = np.array([5.0, 25.0, 75.0, 150.0, 200.0, 250.0, 300.0, 400.0])
+    grid = cpp.cpp_cdf_Z_grid(zs, 100.0, params, jumps, ctl)
+    worst = max(_rel(_conv_cdf_fsum(z, w, jumps), g) for z, g in zip(zs, grid))
+    out.append(CheckResult("exponential jumps: alternative vs generic CDF at lam t = 500",
+                           worst < 1e-12, worst, 1e-12))
 
     worst = 0.0
     for n in range(16):

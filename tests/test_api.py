@@ -2,7 +2,11 @@
 paper's alternative forms kept as oracles in ``verify``."""
 
 import ast
+import math
 import pathlib
+
+import numpy as np
+import pytest
 
 import poissonsub
 from poissonsub import special
@@ -46,3 +50,33 @@ def test_only_the_cli_verify_branch_imports_verify():
                     assert path.name == "cli.py", path.name
                     # the import sits inside main(), not at module level
                     assert node not in tree.body
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_inputs_rejected(bad):
+    P = poissonsub
+    with pytest.raises(ValueError, match="finite"):
+        P.ModelParams(bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        P.ModelParams(1.0, bad)
+    params, exp = P.ModelParams(1.0, 1.0), P.JumpSpec.exponential(1.0)
+    law = P.IteratedLaw(params)
+    for call in (
+        lambda t: P.atom_mass_Z(t, params),
+        lambda t: P.cpp_cdf_Y(1.0, t, params, exp),
+        lambda t: P.cpp_cdf_Z_grid([1.0], t, params, exp),
+        lambda t: P.cpp_density_Z_grid([1.0], t, params, exp),
+        lambda t: P.moments_Z(t, params, exp),
+        lambda t: law.pmf_vector(t),
+        lambda t: law.pmf([0, 2], t),
+        lambda t: law.cdf(2, t),
+        lambda t: P.survival_nonincreasing(P.Boundary.constant(2), t, law),
+        lambda t: P.survival_linear_increasing(2, np.array([1.0, t]), law),
+        lambda t: P.crossing_density_constant(2, np.array([1.0, t]), law),
+        lambda t: P.hitting_density(2, t, law),
+        lambda t: P.hitting_cdf(2, np.array([1.0, t]), law),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call(bad)
+    with pytest.raises(ValueError, match="finite"):
+        P.hitting_probability(2, bad)

@@ -99,6 +99,23 @@ class TestExitCodes:
         code, _, err = run_cli(["pmf", "--lambda", "-1", "--t", "1"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("line", [
+        "pmf --t inf",
+        "pmf --t 1 --lambda nan",
+        "cdf --t inf --n 0..2",
+        "cdf --t 1 --jumps exp --zeta nan",
+        "density --t inf --jumps exp --zeta 1",
+        "moments --t inf",
+        "crossing --k 2 --t inf",
+        "hitting --k 2 --prob --mu nan",
+        "avoiding --k 2 --mu inf",
+    ])
+    def test_non_finite_input(self, line, capsys):
+        # each used to print a table of inf, nan or 1, or end in a traceback
+        code, out, err = run_cli(line.split(), capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("poissonsub: validation error:") and "finite" in err
+
     def test_io_error(self, capsys):
         code, _, err = run_cli(
             ["pmf", "--t", "1", "--output", "/nonexistent/dir/x.csv"], capsys)

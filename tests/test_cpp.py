@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,10 @@ from poissonsub import (
     moments_Z,
 )
 from poissonsub import mc
+from poissonsub.cpp import _poisson_weights
 from poissonsub.verify import (
+    _conv_cdf_fsum,
     _exp_jump_cdf,
-    _exp_jump_cdf_alt,
     _exp_jump_density_grid,
     gauss_panel_mass,
 )
@@ -41,6 +43,12 @@ class TestJumpSpec:
             JumpSpec.normal(0.0, -1.0)
         with pytest.raises(ValueError):
             JumpSpec("weibull")
+        for bad in ((math.inf,), (math.nan,)):
+            with pytest.raises(ValueError, match="finite"):
+                JumpSpec.exponential(*bad)
+        for bad in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                JumpSpec.normal(*bad)
 
     def test_moments(self):
         assert JumpSpec.degenerate_unit().xi == 1.0
@@ -214,10 +222,12 @@ class TestExponentialSpecialization:
         assert _exp_jump_cdf(-1.0, 1.0, PARAMS, 1.0) == 0.0
 
     def test_alternative_form_agrees(self):
+        # the alternative series sum_j p(j; zeta z) sum_{m<=j} p_m(t) is
+        # the production path
+        zs = np.array([0.0, 0.3, 1.0, 4.0, 9.0])
         for t in (0.5, 1.0, 3.0):
-            for z in (0.0, 0.3, 1.0, 4.0, 9.0):
-                assert abs(_exp_jump_cdf(z, t, PARAMS, 1.0)
-                           - _exp_jump_cdf_alt(z, t, PARAMS, 1.0)) < 1e-10
+            for z, g in zip(zs, cpp_cdf_Z_grid(zs, t, PARAMS, EXP)):
+                assert abs(_exp_jump_cdf(z, t, PARAMS, 1.0) - g) < 1e-10
 
     def test_generic_mixture_agrees(self):
         zs = np.linspace(0.0, 8.0, 9)
@@ -237,6 +247,97 @@ class TestExponentialSpecialization:
             lambda z: _exp_jump_density_grid(z, 1.0, params, 1.0), 60.0)
         assert mass == pytest.approx(0.7175, abs=5e-5)
         assert mass == pytest.approx(1.0 - atom_mass_Z(1.0, params), abs=1e-9)
+
+
+def _mp_mixture_cdf(w: np.ndarray, x: float) -> mpmath.mpf:
+    """w_0 + sum_n w_n P(n, x) at 40 digits, one mpmath gammainc per order.
+    P(n, x) falls with n, so the sum stops once the weight left times
+    P(n, x) is below 1e-40 of the sum so far."""
+    with mpmath.workdps(40):
+        total, rest = mpmath.mpf(w[0]), math.fsum(w[1:])
+        for n in np.flatnonzero(w[1:]).tolist():
+            p = mpmath.gammainc(n + 1, 0, x, regularized=True)
+            total += mpmath.mpf(w[n + 1]) * p
+            rest -= w[n + 1]
+            if p * rest < total * mpmath.mpf(10) ** -40:
+                break
+        return total
+
+
+class TestExponentialCdfKernel:
+    """The exponential-jump CDF: one Poisson-pmf block over the cumulative
+    weights plus one gammainc per point."""
+
+    @pytest.mark.parametrize("lt, mu, fracs", [
+        (100.0, 0.5, (1e-3, 0.03, 0.1, 0.3, 0.6, 1.0, 1.3)),
+        (100.0, 2.0, (1e-3, 0.03, 0.1, 0.3, 0.6, 1.0, 1.3)),
+        (1000.0, 0.5, (1e-3, 0.03, 0.1, 0.3, 0.6, 1.0, 1.3)),
+        (1000.0, 2.0, (1e-3, 0.03, 0.1, 0.3)),  # F from 1e-361 to 3e-87
+    ])
+    def test_relative_accuracy_against_mpmath(self, lt, mu, fracs):
+        # z at fractions of the mean of Z(t), from the far lower tail to F
+        # near 1.  The reference is taken at x = fl(zeta z), the point the
+        # kernel sees: in the lower tail F moves by hundreds of ulps per ulp
+        # of x, which no kernel can undo.
+        zeta, t = 1.7, 10.0
+        params = ModelParams(lt / t, mu)
+        w = IteratedLaw(params).pmf_vector(t)
+        zs = lt * mu / zeta * np.array(fracs)
+        got = cpp_cdf_Z_grid(zs, t, params, JumpSpec.exponential(zeta))
+        for z, g in zip(zs, got):
+            ref = _mp_mixture_cdf(w, zeta * z)
+            if ref >= 1e-280:
+                assert abs(g - ref) <= 2e-14 * ref, (z, g, ref)
+            else:
+                assert g <= 1e-280
+
+    @given(lam=st.floats(0.2, 5.0), mu=st.floats(0.1, 3.0), t=st.floats(0.01, 10.0),
+           zeta=st.floats(0.1, 10.0), q=st.floats(0.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_gammainc_terms(self, lam, mu, t, zeta, q):
+        # against the gammainc block of JumpSpec.conv_cdf, summed exactly
+        params, jumps = ModelParams(lam, mu), JumpSpec.exponential(zeta)
+        w = IteratedLaw(params).pmf_vector(t)
+        z = q * lam * mu * t / zeta  # q times the mean of Z(t)
+        assert cpp_cdf_Z_grid(z, t, params, jumps) == pytest.approx(
+            _conv_cdf_fsum(z, w, jumps), rel=1e-12, abs=1e-300)
+
+    def test_at_and_below_zero(self):
+        jumps = JumpSpec.exponential(1.7)
+        w = IteratedLaw(PARAMS).pmf_vector(1.0)
+        below, neg0, pos0, tiny = cpp_cdf_Z_grid([-1.0, -0.0, 0.0, 1e-300], 1.0, PARAMS, jumps)
+        assert below == 0.0
+        assert neg0 == pos0 == w[0]  # the atom; P(n, 0) = 0 for every n >= 1
+        assert tiny == pytest.approx(_conv_cdf_fsum(1e-300, w, jumps), rel=1e-15)
+
+    @pytest.mark.parametrize("t, size", [(1e-10, 1), (1e-8, 2)])
+    def test_one_or_two_weights(self, t, size):
+        params = ModelParams(1.0, 0.01)
+        w = IteratedLaw(params).pmf_vector(t)
+        assert w.size == size
+        zs = np.array([-1.0, 0.0, 0.5, 3.0])
+        np.testing.assert_allclose(cpp_cdf_Z_grid(zs, t, params, EXP),
+                                   [_conv_cdf_fsum(z, w, EXP) for z in zs], rtol=1e-15)
+
+    def test_cdf_Y(self):
+        # Y(t) mixes the same kernel over Poisson(mu t) weights
+        jumps = JumpSpec.exponential(0.6)
+        for t in (0.5, 4.0, 300.0):
+            w = _poisson_weights(PARAMS.mu * t, 1e-12)
+            for y in (0.0, 0.2 * t, 1.5 * t, 3.0 * t):
+                assert cpp_cdf_Y(y, t, PARAMS, jumps) == pytest.approx(
+                    _conv_cdf_fsum(y, w, jumps), rel=1e-13)
+
+    def test_no_warning_at_the_edges(self):
+        # x = 0 takes log(0) inside the block; x = inf must not give inf - inf
+        zs = np.array([-np.inf, -1.0, -0.0, 0.0, 1e-300, 2.0, 1e305, np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cpp_cdf_Z_grid(zs, 1.0, PARAMS, JumpSpec.exponential(1.7))
+            at0 = cpp_cdf_Y(0.0, 1.0, PARAMS, EXP)
+        assert got[0] == 0.0 and at0 == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert got[-3] == got[-2] == pytest.approx(1.0, abs=1e-12)
+        assert math.isnan(got[-1])
 
 
 class TestNormalSpecialization:
