@@ -3,6 +3,16 @@ times and of hitting times, used for large verification runs, and the
 per-path samplers (one jump, one first crossing, one hitting) that the tests
 check the batch samplers against.
 
+The per-path samplers are the unthinned reference: they step through every
+jump of N, zero jumps included, each a Poisson(mu) count.  The batch
+first-crossing and hitting samplers step through the nonzero jumps only:
+those arrive at rate lam (1 - e^{-mu}), and their sizes are iid
+zero-truncated Poisson(mu), drawn by inverse-CDF lookup in one table per
+call.  This thinning is exact for first passage, since a zero jump leaves
+the level unchanged and so can neither cross a boundary nor land on a state
+that the level before it did not already cross or hit (a nonincreasing
+boundary reaches the level between jumps at the level's own time).
+
 All randomness flows through numpy Generators seeded from a SeedSequence;
 replicates get independent spawned substreams so results are reproducible
 regardless of how the work is split.
@@ -13,9 +23,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaln, pdtr
 
 from .crossing import Boundary
-from .params import JumpSpec, ModelParams
+from .params import JumpSpec, ModelParams, check_time
 
 _MAX_ROUNDS = 100_000  # jump rounds before a batch sampler gives up
 
@@ -30,9 +41,14 @@ def substreams(seed: int, n: int) -> list[np.random.Generator]:
             for ss in np.random.SeedSequence(seed).spawn(n)]
 
 
+def _nonzero_rate(params: ModelParams) -> float:
+    """Rate lam (1 - e^{-mu}) of the jumps of N that move Z."""
+    return params.lam * -math.expm1(-params.mu)
+
+
 def default_horizon(params: ModelParams) -> float:
     """Covers ~50 mean sojourn times, so censoring bias is negligible."""
-    return 50.0 / (params.lam * (1.0 - math.exp(-params.mu)))
+    return 50.0 / _nonzero_rate(params)
 
 
 def sample_W(jumps: JumpSpec, mu: float, rng: np.random.Generator) -> float:
@@ -56,8 +72,7 @@ def first_crossing_sample(boundary: Boundary, params: ModelParams,
     through the current level is detected as well as jump-epoch crossings:
     both happen at the level time ``boundary.level_time(z, horizon)``.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    check_time(horizon, positive=True)
     descends = boundary.is_nonincreasing
     t, z = 0.0, 0.0
     s = boundary.level_time(z, horizon) if descends else math.inf
@@ -83,8 +98,7 @@ def hitting_sample(k: int, params: ModelParams, horizon: float,
     None if it jumps over k or is censored at the horizon."""
     if k < 1:
         raise ValueError(f"state must be >= 1, got {k}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    check_time(horizon, positive=True)
     t, z = 0.0, 0
     while True:
         t += rng.exponential(1.0 / params.lam)
@@ -105,8 +119,7 @@ def sample_Z(params: ModelParams, jumps: JumpSpec, t: float, size: int,
     """size draws of Z(t).  Conditional on the subordinator count N the total
     number of inner jumps is Poisson(mu N), and the jump total collapses to a
     closed-form law (count / gamma / normal), so no path loop is needed."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    check_time(t)
     if t == 0.0:
         return np.zeros(size)
     n = rng.poisson(params.lam * t, size)
@@ -118,16 +131,60 @@ def sample_Z(params: ModelParams, jumps: JumpSpec, t: float, size: int,
     return jumps.eta * k + jumps.sigma * np.sqrt(k) * rng.standard_normal(size)
 
 
+def _ztp_cdf(mu: float) -> tuple[int, np.ndarray]:
+    """Inverse-CDF table (lo, c) of the zero-truncated Poisson(mu) law X:
+    c[i] = P{X < lo + i}, so a uniform u with c[i-1] <= u < c[i] draws
+    X = lo + i - 1.
+
+    The values lo.. run over mu -+ (10 sqrt(mu) + 20), outside which X has
+    less than 1e-21 of its mass; lo is 1 unless mu is above about 170, so
+    the table has O(sqrt(mu)) entries for any mu.  c[0] is that lower mass,
+    and c stops at its first entry that rounds to 1."""
+    spread = 10.0 * math.sqrt(mu) + 20.0
+    lo = max(1, math.floor(mu - spread))
+    j = np.arange(lo, math.ceil(mu + spread) + 1)
+    nonzero = -math.expm1(-mu)
+    pmf = np.exp(j * math.log(mu) - mu - gammaln(j + 1)) / nonzero
+    below = (pdtr(lo - 1, mu) - math.exp(-mu)) / nonzero if lo > 1 else 0.0
+    c = np.concatenate(([below], below + np.cumsum(pmf)))
+    return lo, c[:np.searchsorted(c, 1.0) + 1]
+
+
+def _ztp(mu: float, lo: int, c: np.ndarray, size: int,
+         rng: np.random.Generator) -> np.ndarray:
+    """size zero-truncated Poisson(mu) draws from the table ``_ztp_cdf(mu)``.
+
+    A uniform outside the table (below c[0], or at or above its last entry
+    when rounding leaves that below 1) takes a fresh exact draw
+    1 + Poisson(mu - T), where T, the first arrival of a unit-rate Poisson
+    process given that it comes before mu, is -log1p(U expm1(-mu)); so no
+    value of X is cut off."""
+    i = np.searchsorted(c, rng.random(size), side="right")
+    x = i + (lo - 1)
+    beyond = (i == 0) | (i == c.size)
+    n = int(np.count_nonzero(beyond))
+    if n:
+        first = -np.log1p(rng.random(n) * math.expm1(-mu))
+        x[beyond] = 1 + rng.poisson(np.maximum(mu - first, 0.0))
+    return x
+
+
 def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float,
                          size: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized first-crossing times for the iterated process (unit jumps);
     censored paths get NaN.
 
-    Under a nonincreasing boundary a path at integer level z crosses at the
-    level time s*(z) (``Boundary.level_time``), by descent or at the first
-    jump epoch e >= s*(z).  The table s*(0..top) is built once per call, with
+    Each path steps through the nonzero jumps of Z only (see the module
+    docstring).  Under a nonincreasing boundary a path at integer level z
+    crosses at the level time s*(z) (``Boundary.level_time``), by descent or
+    at the first nonzero jump epoch e >= s*(z).  The level time depends on
+    the level alone, so a zero jump at some epoch before the next nonzero one
+    would change nothing: the path descends iff s*(z) <= min(e, horizon).
+    Under k + t, a level z below k + e' at one epoch stays below it at every
+    later one.  The table s*(0..top) is built once per call, with
     top = max(k, ceil(beta(0))) so that s*(top) = 0, and levels above top
     read s*(top); a general boundary is thus evaluated once per level."""
+    check_time(horizon, positive=True)
     by_level = boundary.is_nonincreasing
     if by_level:
         top = max(boundary.k, math.ceil(boundary.value(0.0)))
@@ -136,55 +193,62 @@ def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float
     # a live path sits below top; with no finite level time there (the
     # constant boundary) no path crosses between jumps
     descent = by_level and bool(np.isfinite(level_time[:top]).any())
-    t = np.zeros(size)
-    z = np.zeros(size, dtype=np.int64)
+    rate = _nonzero_rate(params)
+    lo, c = _ztp_cdf(params.mu)
     out = np.full(size, np.nan)
-    active = np.arange(size)
+    # live paths: index into out, level, epoch of the last nonzero jump
+    idx = np.arange(size)
+    z = np.zeros(size, dtype=np.int64)
+    t = np.zeros(size)
     for _ in range(_MAX_ROUNDS):
-        if active.size == 0:
+        if idx.size == 0:
             return out
-        e = t[active] + rng.exponential(1.0 / params.lam, active.size)
+        e = t + rng.standard_exponential(idx.size) / rate
+        live = e <= horizon
         if descent:
-            s = level_time[z[active]]
+            s = level_time.take(z)
             desc = s <= np.minimum(e, horizon)
-            out[active[desc]] = s[desc]
-            keep = ~desc
-            active, e = active[keep], e[keep]
-        censored = e > horizon
-        active, e = active[~censored], e[~censored]
-        if active.size == 0:
-            return out
-        z[active] += rng.poisson(params.mu, active.size)
+            done = np.flatnonzero(desc)
+            out[idx[done]] = s[done]
+            live &= ~desc
+        z = z + _ztp(params.mu, lo, c, idx.size, rng)
         if by_level:
-            crossed = e >= level_time[np.minimum(z[active], top)]
+            crossed = e >= level_time.take(z, mode="clip")
         else:
-            crossed = z[active] >= boundary.k + e
-        out[active[crossed]] = e[crossed]
-        t[active] = e
-        active = active[~crossed]
+            crossed = z >= boundary.k + e
+        crossed &= live
+        done = np.flatnonzero(crossed)
+        out[idx[done]] = e[done]
+        keep = np.flatnonzero(live & ~crossed)
+        idx, z, t = idx[keep], z[keep], e[keep]
     raise RuntimeError("batch_first_crossing did not converge")
 
 
 def batch_hitting(k: int, params: ModelParams, horizon: float, size: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Vectorized hitting times of state k for the iterated process; NaN for
-    paths that overshoot k or are censored."""
+    paths that overshoot k or are censored.
+
+    Each path steps through the nonzero jumps of Z only (see the module
+    docstring): a zero jump stays at a level below k, so it cannot land on
+    k, and every path settles within k nonzero jumps."""
     if k < 1:
         raise ValueError(f"state must be >= 1, got {k}")
-    t = np.zeros(size)
-    z = np.zeros(size, dtype=np.int64)
+    check_time(horizon, positive=True)
+    rate = _nonzero_rate(params)
+    lo, c = _ztp_cdf(params.mu)
     out = np.full(size, np.nan)
-    active = np.arange(size)
+    idx = np.arange(size)
+    z = np.zeros(size, dtype=np.int64)
+    t = np.zeros(size)
     for _ in range(_MAX_ROUNDS):
-        if active.size == 0:
+        if idx.size == 0:
             return out
-        t[active] += rng.exponential(1.0 / params.lam, active.size)
-        censored = t[active] > horizon
-        active = active[~censored]
-        if active.size == 0:
-            return out
-        z[active] += rng.poisson(params.mu, active.size)
-        hit = z[active] == k
-        out[active[hit]] = t[active[hit]]
-        active = active[z[active] < k]
+        t = t + rng.standard_exponential(idx.size) / rate
+        z = z + _ztp(params.mu, lo, c, idx.size, rng)
+        live = t <= horizon
+        hit = np.flatnonzero(live & (z == k))
+        out[idx[hit]] = t[hit]
+        keep = np.flatnonzero(live & (z < k))
+        idx, z, t = idx[keep], z[keep], t[keep]
     raise RuntimeError("batch_hitting did not converge")

@@ -109,6 +109,8 @@ class TestExitCodes:
         "crossing --k 2 --t inf",
         "hitting --k 2 --prob --mu nan",
         "avoiding --k 2 --mu inf",
+        "simulate --horizon inf",
+        "simulate --horizon nan",
     ])
     def test_non_finite_input(self, line, capsys):
         # each used to print a table of inf, nan or 1, or end in a traceback
@@ -305,6 +307,12 @@ class TestOtherCommands:
         assert code == 0 and out1 == out2
         rows = list(csv.DictReader(io.StringIO(out1)))
         assert len(rows) == 5
+
+    def test_simulate_at_time_zero(self, capsys):
+        code, out, _ = run_cli(["simulate", "--horizon", "0", "--replicates", "4"],
+                               capsys)
+        assert code == 0
+        assert [float(r["z"]) for r in csv.DictReader(io.StringIO(out))] == [0.0] * 4
 
 
 def reference_text(table, meta, fmt):

@@ -150,6 +150,133 @@ class TestBatchSamplers:
         assert abs(f1 - f2) < 4 * se
 
 
+def ks_censored(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic of two samples of passage
+    times, censored (NaN) times counted as +inf, and its 1% critical value."""
+    a = np.sort(np.nan_to_num(a, nan=np.inf))
+    b = np.sort(np.nan_to_num(b, nan=np.inf))
+    grid = np.concatenate([a, b])
+    d = np.abs(np.searchsorted(a, grid, side="right") / a.size
+               - np.searchsorted(b, grid, side="right") / b.size).max()
+    crit = math.sqrt(-math.log(0.01 / 2) / 2 * (a.size + b.size) / (a.size * b.size))
+    return float(d), crit
+
+
+@pytest.mark.parametrize("mu", [0.3, 1.4])
+class TestBatchAgainstPathSamplers:
+    """The batch samplers step through the nonzero jumps only; the per-path
+    samplers through every jump.  Their laws must agree for every boundary
+    kind, at a small mu (three jumps in four are zero) and a larger one."""
+
+    N_BATCH, N_PATHS = 20_000, 5_000
+
+    @pytest.mark.parametrize("boundary, horizon, seed", [
+        (Boundary.constant(4), None, 40),
+        (Boundary.linear_decreasing(3), None, 41),
+        (Boundary.linear_increasing(2), 10.0, 42),
+        (Boundary.nonincreasing(4, lambda s: 4.0 / (1.0 + s / 0.8)), None, 43),
+    ], ids=["constant", "decreasing", "increasing", "general"])
+    def test_first_crossing(self, mu, boundary, horizon, seed):
+        params = ModelParams(2.0, mu)
+        horizon = horizon or mc.default_horizon(params)
+        rng1, rng2 = mc.substreams(seed, 2)
+        batch = mc.batch_first_crossing(boundary, params, horizon, self.N_BATCH, rng1)
+        paths = np.array([mc.first_crossing_sample(boundary, params, UNIT, horizon, rng2)
+                          for _ in range(self.N_PATHS)], dtype=float)
+        d, crit = ks_censored(batch, paths)
+        assert d < crit, (d, crit)
+
+    def test_hitting(self, mu):
+        params, k = ModelParams(2.0, mu), 3
+        horizon = mc.default_horizon(params)
+        rng1, rng2 = mc.substreams(44, 2)
+        batch = mc.batch_hitting(k, params, horizon, self.N_BATCH, rng1)
+        paths = np.array([mc.hitting_sample(k, params, horizon, rng2)
+                          for _ in range(self.N_PATHS)], dtype=float)
+        d, crit = ks_censored(batch, paths)
+        assert d < crit, (d, crit)
+        f1 = float(np.mean(~np.isnan(batch)))
+        f2 = float(np.mean(~np.isnan(paths)))
+        se = math.sqrt(f1 * (1 - f1) / self.N_BATCH + f2 * (1 - f2) / self.N_PATHS)
+        assert abs(f1 - f2) < 4 * se
+
+
+class TestZeroTruncatedPoisson:
+    """The increments of the batch samplers: one inverse-CDF table per mu,
+    and an exact draw for a uniform outside it."""
+
+    N = 100_000
+
+    @staticmethod
+    def pvalue(x, mu):
+        hi = int(x.max()) + 50
+        counts = np.bincount(x, minlength=hi + 1)[:hi + 1]
+        j = np.arange(hi + 1)
+        expected = x.size * stats.poisson.pmf(j, mu) / stats.poisson.sf(0, mu)
+        expected[0] = 0.0
+        from poissonsub.verify import chi_square_pvalue
+        return chi_square_pvalue(counts, expected)
+
+    @pytest.mark.parametrize("mu, seed", [(0.3, 50), (1.4, 51), (30.0, 52), (300.0, 53)])
+    def test_chi_square(self, mu, seed):
+        lo, c = mc._ztp_cdf(mu)
+        x = mc._ztp(mu, lo, c, self.N, mc.make_rng(seed))
+        assert x.min() >= 1
+        assert self.pvalue(x, mu) > 0.01
+
+    def test_table_follows_mu(self):
+        # no fixed range of values: at mu = 300 the table starts above 100
+        # and ends past 400, holding the lower mass in its first entry
+        lo, c = mc._ztp_cdf(300.0)
+        assert lo > 100 and lo + c.size - 2 > 400
+        assert 0 < c[0] < 1e-30
+        assert c[-1] > 1 - 1e-12
+        assert np.all(np.diff(c) >= 0)
+
+    def test_tiny_mu(self):
+        # P{X >= 2} = mu/2 + ...: every draw is 1
+        lo, c = mc._ztp_cdf(1e-12)
+        assert lo == 1 and c[-1] >= 1
+        assert np.all(mc._ztp(1e-12, lo, c, self.N, mc.make_rng(54)) == 1)
+
+    @pytest.mark.parametrize("mu, seed", [(1e-12, 55), (1.4, 56), (30.0, 57)])
+    def test_forced_fallback_is_exact(self, mu, seed):
+        # an empty table sends every uniform to the exact construction
+        x = mc._ztp(mu, 1, np.empty(0), self.N, mc.make_rng(seed))
+        assert x.min() >= 1
+        if mu < 1e-6:
+            assert np.all(x == 1)
+        else:
+            assert self.pvalue(x, mu) > 0.01
+
+    def test_values_beyond_a_short_table(self):
+        # a table cut after the value 2 still yields larger values
+        lo, c = mc._ztp_cdf(1.4)
+        x = mc._ztp(1.4, lo, c[:3], self.N, mc.make_rng(58))
+        assert x.max() > 2
+
+
+class TestTimeChecks:
+    """Times must be finite; a horizon must also be positive."""
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+    def test_sample_Z(self, t):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mc.sample_Z(PARAMS, UNIT, t, 10, mc.make_rng(0))
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
+    def test_horizon(self, horizon):
+        b, rng = Boundary.constant(2), mc.make_rng(0)
+        for call in (
+            lambda: mc.first_crossing_sample(b, PARAMS, UNIT, horizon, rng),
+            lambda: mc.hitting_sample(2, PARAMS, horizon, rng),
+            lambda: mc.batch_first_crossing(b, PARAMS, horizon, 10, rng),
+            lambda: mc.batch_hitting(2, PARAMS, horizon, 10, rng),
+        ):
+            with pytest.raises(ValueError, match="finite and positive"):
+                call()
+
+
 class TestBatchGeneralBoundary:
     """The general-boundary branch of ``batch_first_crossing``: one level
     time per integer level, bisected to adjacent floats."""
