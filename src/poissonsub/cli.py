@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from itertools import chain
@@ -31,7 +33,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_range(spec: str, step: float) -> np.ndarray:
-    """Parse 'a..b' (inclusive, given step), 'a..b:step', or a single value."""
+    """Parse 'a..b' (inclusive, given step), 'a..b:step', or a single value.
+    The ends, the step and the number of steps of a range must be finite."""
+    text = spec
     if ":" in spec:
         spec, s = spec.split(":", 1)
         step = float(s)
@@ -39,8 +43,10 @@ def parse_range(spec: str, step: float) -> np.ndarray:
         a, b = (float(x) for x in spec.split("..", 1))
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
-        n = int(round((b - a) / step))
-        grid = a + step * np.arange(n + 1)
+        n = (b - a) / step
+        if not all(map(math.isfinite, (a, b, step, n))):
+            raise ValueError(f"range {text!r}: ends, step and count must be finite")
+        grid = a + step * np.arange(round(n) + 1)
         return grid[grid <= b + 1e-12 * max(1.0, abs(b))]
     return np.array([float(spec)])
 
@@ -57,62 +63,72 @@ def _jump_spec(args) -> JumpSpec:
     return JumpSpec.normal(args.eta, args.sigma)
 
 
-def _model(args) -> ModelParams:
-    return ModelParams(args.lam, args.mu)
+def _law(args) -> IteratedLaw:
+    return IteratedLaw(ModelParams(args.lam, args.mu), SeriesControl(args.tolerance))
 
 
-def _ctl(args) -> SeriesControl:
-    return SeriesControl(tolerance=args.tolerance)
-
-
-def _cells(col: np.ndarray, fmt: str) -> list[str]:
-    """The cells of one column as text.  Float cells are "%.12g"; in JSON
-    they are the shortest repr of that 12-digit float, with NaN, Infinity
-    and -Infinity for non-finite values.  Int cells are written as they are,
-    and the cells of an object column (mixed ints and words) as ``str`` in
-    CSV and ``json.dumps`` in JSON."""
+def _cells(col: np.ndarray, fmt: str) -> tuple[list, int | np.ndarray]:
+    """The cells of a column as the line template takes them, and which are
+    text (1), not raw floats (0): one int for the column or one per cell.
+    A float is "%.12g"; in JSON the shortest repr of that 12-digit float (or
+    NaN, Infinity, -Infinity).  An int is written as it is, an object column
+    (ints and words) as ``str`` in CSV and ``json.dumps`` in JSON."""
     if col.dtype.kind != "f":
         plain = fmt == "csv" or col.dtype.kind in "iu"
-        return list(map(str if plain else json.dumps, col.tolist()))
-    # each run of equal values is formatted once (a grid's t column is one
-    # run per t); equal means equal bits, so 0.0 and -0.0 stay apart
-    bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
-    first = np.ones(col.size, dtype=bool)
-    first[1:] = bits[1:] != bits[:-1]
-    cells = list(map(_FMT.__mod__, col[first].tolist()))
-    if fmt == "json":
-        # A decimal of at most 15 digits is the shortest repr of the normal
-        # float it rounds to, so there the 12 "%.12g" digits are repr's
-        # digits and only the layout can differ: repr writes integral values
-        # with ".0" and values in [1e12, 1e16) without an exponent.
-        # Subnormal, non-finite and large values go through json.dumps.
-        r = np.fromiter(map(float, cells), float, len(cells))
-        a = np.abs(r)
-        plain = (a < 1e12) & ((a >= _TINY) | (r == 0.0))
-        for i in np.flatnonzero(plain & (r == np.trunc(r))).tolist():
-            cells[i] += ".0"
-        for i in np.flatnonzero(~plain).tolist():
-            cells[i] = json.dumps(r[i].item())
-    if len(cells) == col.size:
-        return cells
-    return np.array(cells, dtype=object)[np.cumsum(first) - 1].tolist()
+        return list(map(str if plain else json.dumps, col.tolist())), 1
+    x = np.ascontiguousarray(col, dtype=np.float64)
+    # a column of runs of equal bits (t, one run per t) is formatted per run
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = x.view(np.int64)[1:] != x.view(np.int64)[:-1]
+    if 2 * np.count_nonzero(first) < x.size:
+        vals, as_text = _cells(x[first], fmt)
+        cells = [("%s" if t else _FMT) % v
+                 for t, v in zip(np.broadcast_to(as_text, len(vals)).tolist(), vals)]
+        return np.array(cells, dtype=object)[np.cumsum(first) - 1].tolist(), 1
+    if fmt == "csv":
+        return x.tolist(), 0
+    # A decimal of at most 15 digits is the shortest repr of the normal float
+    # it rounds to, so JSON writes the "%.12g" text but for layout (integral
+    # values get ".0", [1e12, 1e16) no exponent): only zero, subnormal,
+    # non-finite, large and near-integral cells are checked, each value once.
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near = np.abs(x - np.rint(x)) <= 1e-11 * a
+    cand = np.flatnonzero(near | ~((a >= _TINY) & (a < 1e11)))
+    bits, which = np.unique(x[cand].view(np.int64), return_inverse=True)
+    texts = np.array([_FMT % v for v in bits.view(np.float64).tolist()], dtype=object)
+    dumps = np.array([repr(r) if math.isfinite(r) else json.dumps(r)  # repr is faster
+                      for r in map(float, texts)], dtype=object)
+    rows = (dumps != texts)[which]
+    cells, as_text = x.astype(object), np.zeros(x.size, dtype=np.int64)
+    cells[cand[rows]], as_text[cand[rows]] = dumps[which[rows]], 1
+    return cells.tolist(), (as_text if rows.any() else 0)
 
 
 def _write_table(table: dict[str, np.ndarray], meta: dict, args) -> None:
     """Write a table, an ordered mapping from column name to column, as CSV
-    or as JSON laid out as ``json.dumps(..., indent=2)`` lays it out.  Each
-    column is formatted once; the rows are filled into one line template."""
-    names = list(table)
-    cols = [_cells(table[k], args.format) for k in names]
-    if args.format == "csv":
-        text = "\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n"
-    else:
-        head = json.dumps({"metadata": meta, "rows": []}, indent=2)
-        line = "    {\n" + ",\n".join(
-            f"      {json.dumps(k).replace('%', '%%')}: %s" for k in names) + "\n    }"
-        # one % over the whole body is faster than one per row
-        body = ",\n".join([line] * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
-        text = head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
+    or as JSON laid out as ``json.dumps(..., indent=2)`` lays it out.  The
+    body is one ``%`` over a line template per row: raw floats go in under
+    "%.12g", so CPython formats each once, and only the cells ``_cells``
+    makes text (runs, ints, words, JSON cells that "%.12g" does not write)
+    under "%s"; a row with a text float cell has a template of its own."""
+    names, csv = list(table), args.format == "csv"
+    cols, as_text = zip(*(_cells(table[k], args.format) for k in names))
+    code = sum(t << j for j, t in enumerate(as_text))  # bit j: cell j is text
+    keys = [""] * len(names) if csv else [
+        f"      {json.dumps(k).replace('%', '%%')}: " for k in names]
+
+    def line(c: int) -> str:
+        cells = [k + ("%s" if c >> j & 1 else _FMT) for j, k in enumerate(keys)]
+        return ",".join(cells) if csv else "    {\n" + ",\n".join(cells) + "\n    }"
+
+    used, which = np.unique(code, return_inverse=True)
+    lines = np.array(list(map(line, used.tolist())), dtype=object)[
+        np.broadcast_to(which, len(cols[0]))].tolist()
+    body = ("\n" if csv else ",\n").join(lines) % tuple(chain.from_iterable(zip(*cols)))
+    head = ",".join(names) + "\n" if csv else json.dumps(
+        {"metadata": meta, "rows": []}, indent=2)[:-len("[]\n}")] + "[\n"
+    text = head + body + ("\n" if csv else "\n  ]\n}\n")
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -143,7 +159,7 @@ def _cat(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _cmd_pmf(args) -> dict[str, np.ndarray]:
-    law = IteratedLaw(_model(args), _ctl(args))
+    law = _law(args)
     ts = parse_range(args.t, args.t_step)
     if args.n is None:
         ps = [law.pmf_vector(float(t)) for t in ts]
@@ -156,44 +172,37 @@ def _cmd_pmf(args) -> dict[str, np.ndarray]:
 
 
 def _cmd_cdf(args) -> dict[str, np.ndarray]:
-    params, ctl = _model(args), _ctl(args)
-    jumps = _jump_spec(args)
+    law, jumps = _law(args), _jump_spec(args)
     ts = parse_range(args.t, args.t_step)
     if jumps.kind == "degenerate_unit":
-        law = IteratedLaw(params, ctl)
         ns = parse_range(args.n or "0..10", 1.0).astype(int)
         vals = [law.cdf(ns, t) for t in ts.tolist()]
         return {"t": np.repeat(ts, ns.size), "n": np.tile(ns, ts.size), "cdf": _cat(vals)}
     zs = parse_range(args.z, args.step)
-    vals = [cpp.cpp_cdf_Z_grid(zs, float(t), params, jumps, ctl) for t in ts]
+    vals = [cpp.cpp_cdf_Z_grid(zs, float(t), law.params, jumps, law.ctl) for t in ts]
     return {"t": np.repeat(ts, zs.size), "z": np.tile(zs, ts.size), "cdf": _cat(vals)}
 
 
 def _cmd_density(args) -> dict[str, np.ndarray]:
-    params, ctl = _model(args), _ctl(args)
-    jumps = _jump_spec(args)
+    law, jumps = _law(args), _jump_spec(args)
     ts = parse_range(args.t, args.t_step)
     zs = parse_range(args.z, args.step)
     zs = zs[zs != 0.0]
-    vals = [cpp.cpp_density_Z_grid(zs, float(t), params, jumps, ctl) for t in ts]
+    vals = [cpp.cpp_density_Z_grid(zs, float(t), law.params, jumps, law.ctl) for t in ts]
     return {"t": np.repeat(ts, zs.size), "z": np.tile(zs, ts.size),
             "density": _cat(vals)}
 
 
 def _cmd_moments(args) -> dict[str, np.ndarray]:
-    params = _model(args)
-    jumps = _jump_spec(args)
+    params, jumps = ModelParams(args.lam, args.mu), _jump_spec(args)
     ts = parse_range(args.t, args.t_step)
     ms = [cpp.moments_Z(float(t), params, jumps) for t in ts]
-    return {"t": ts,
-            "mean": np.array([m.mean for m in ms], dtype=float),
-            "variance": np.array([m.variance for m in ms], dtype=float),
-            "dispersion_index": np.array([m.dispersion_index for m in ms],
-                                         dtype=float)}
+    return {"t": ts, **{k: np.array([getattr(m, k) for m in ms], dtype=float)
+                        for k in ("mean", "variance", "dispersion_index")}}
 
 
 def _cmd_crossing(args) -> dict[str, np.ndarray]:
-    law = IteratedLaw(_model(args), _ctl(args))
+    law = _law(args)
     k = args.k
     if args.quantity == "mean":
         if args.boundary != "constant":
@@ -225,7 +234,7 @@ def _cmd_hitting(args) -> dict[str, np.ndarray]:
                 for k in ks.tolist() for mu in mus.tolist()]
         return {"k": np.repeat(ks, mus.size), "mu": np.tile(mus, ks.size),
                 "prob": np.array(vals, dtype=float)}
-    law = IteratedLaw(_model(args), _ctl(args))
+    law = _law(args)
     ts = parse_range(args.t, args.t_step)
     pos = ts > 0  # the density cell at t = 0 is written as 0
     cdf, density = np.zeros((2, ks.size, ts.size))
@@ -237,7 +246,7 @@ def _cmd_hitting(args) -> dict[str, np.ndarray]:
 
 
 def _cmd_avoiding(args) -> dict[str, np.ndarray]:
-    law = IteratedLaw(_model(args), _ctl(args))
+    law = _law(args)
     table = crossing.avoiding_table(args.k, args.horizon, law)
     n, j, g = [], [], []
     for i, row in enumerate(table.rows):
@@ -248,14 +257,16 @@ def _cmd_avoiding(args) -> dict[str, np.ndarray]:
 
 
 def _cmd_simulate(args) -> dict[str, np.ndarray]:
-    params = _model(args)
-    jumps = _jump_spec(args)
+    params, jumps = ModelParams(args.lam, args.mu), _jump_spec(args)
     rng = mc.make_rng(args.seed)
     zs = mc.sample_Z(params, jumps, args.horizon, args.replicates, rng)
     return {"replicate": np.arange(zs.size), "z": np.asarray(zs, dtype=float)}
 
 
-def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
+def _add_command(sub, name: str, fn, about: str, seed: bool = False):
+    """Add a table command: its subparser, with the common flags, runs fn."""
+    p = sub.add_parser(name, help=about)
+    p.set_defaults(fn=fn)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="intensity of the subordinator N(t)")
     p.add_argument("--mu", type=float, default=1.0,
@@ -274,80 +285,69 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
                    help="step for z/mu ranges (default 0.01)")
     if seed:
         p.add_argument("--seed", type=int, default=0)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="poissonsub")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pmf", help="iterated-process pmf table")
-    _add_common(p)
+    p = _add_command(sub, "pmf", _cmd_pmf, "iterated-process pmf table")
     p.add_argument("--t", required=True, help="time or range a..b")
     p.add_argument("--n", help="state range a..b (default: until tail mass)")
-    p.set_defaults(fn=_cmd_pmf)
 
-    p = sub.add_parser("cdf", help="CDF table of Z(t)")
-    _add_common(p)
+    p = _add_command(sub, "cdf", _cmd_cdf, "CDF table of Z(t)")
     p.add_argument("--t", required=True)
     p.add_argument("--n", help="state range for unit jumps")
     p.add_argument("--z", default="0..10", help="z range for continuous jumps")
-    p.set_defaults(fn=_cmd_cdf)
 
-    p = sub.add_parser("density", help="density table of Z(t), continuous jumps")
-    _add_common(p)
+    p = _add_command(sub, "density", _cmd_density,
+                     "density table of Z(t), continuous jumps")
     p.add_argument("--t", required=True)
     p.add_argument("--z", default="0..10")
-    p.set_defaults(fn=_cmd_density)
 
-    p = sub.add_parser("moments", help="mean/variance of Z(t)")
-    _add_common(p)
+    p = _add_command(sub, "moments", _cmd_moments, "mean/variance of Z(t)")
     p.add_argument("--t", required=True)
-    p.set_defaults(fn=_cmd_moments)
 
-    p = sub.add_parser("crossing", help="first-crossing quantities")
-    _add_common(p)
-    p.add_argument("--boundary", choices=("constant", "linear-decreasing",
-                                          "linear-increasing"),
-                   default="constant")
+    p = _add_command(sub, "crossing", _cmd_crossing, "first-crossing quantities")
+    p.add_argument("--boundary", default="constant", choices=(
+        "constant", "linear-decreasing", "linear-increasing"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", default="0..5")
     p.add_argument("--quantity", choices=("survival", "density", "mean"),
                    default="survival")
-    p.set_defaults(fn=_cmd_crossing)
 
-    p = sub.add_parser("hitting", help="first-hitting quantities")
-    _add_common(p)
+    p = _add_command(sub, "hitting", _cmd_hitting, "first-hitting quantities")
     p.add_argument("--k", default="1", help="state or range a..b")
     p.add_argument("--t", default="0..5")
     p.add_argument("--prob", action="store_true",
                    help="tabulate the hitting probability over a mu grid")
     p.add_argument("--mu-grid", dest="mu_grid",
                    help="mu range a..b for --prob (default: the single --mu)")
-    p.set_defaults(fn=_cmd_hitting)
 
-    p = sub.add_parser("avoiding", help="avoiding-probability table, boundary k+t")
-    _add_common(p)
+    p = _add_command(sub, "avoiding", _cmd_avoiding,
+                     "avoiding-probability table, boundary k+t")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--horizon", type=int, default=5)
-    p.set_defaults(fn=_cmd_avoiding)
 
-    p = sub.add_parser("simulate", help="Monte Carlo draws of Z(horizon)")
-    _add_common(p, seed=True)
+    p = _add_command(sub, "simulate", _cmd_simulate, "Monte Carlo draws of Z(horizon)",
+                     seed=True)
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--replicates", type=int, default=1000)
-    p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=VERIFY_SUITES)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--replicates", type=int, default=100_000)
-    p.set_defaults(fn=None)
     return parser
 
 
+# one parser per process: building one takes about as long as a small query
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     if args.command == "verify":
         from . import verify  # loads scipy.stats, which no other command needs

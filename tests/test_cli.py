@@ -39,6 +39,14 @@ class TestParseRange:
         with pytest.raises(ValueError):
             parse_range("0..1", -1.0)
 
+    @pytest.mark.parametrize("spec,step", [
+        ("0..inf", 1.0), ("-inf..0", 1.0), ("1..nan", 1.0), ("0..1:nan", 1.0),
+        ("0..1", math.nan), ("0..1:inf", 1.0), ("0..1e300:1e-300", 1.0),
+        ("-1e308..1e308", 1.0)])
+    def test_non_finite_range(self, spec, step):
+        with pytest.raises(ValueError, match=f"range {re.escape(repr(spec))}"):
+            parse_range(spec, step)
+
 
 class TestPmfCommand:
     def test_csv_sums_to_one(self, capsys):
@@ -111,9 +119,14 @@ class TestExitCodes:
         "avoiding --k 2 --mu inf",
         "simulate --horizon inf",
         "simulate --horizon nan",
+        "pmf --t 0..inf",
+        "cdf --t 1 --jumps exp --zeta 1 --z=0..1e300:1e-300",
+        "pmf --t 1..nan",
+        "pmf --t 0..1:nan",
     ])
     def test_non_finite_input(self, line, capsys):
         # each used to print a table of inf, nan or 1, or end in a traceback
+        # (an OverflowError, or "cannot convert float NaN to integer")
         code, out, err = run_cli(line.split(), capsys)
         assert code == 1 and out == ""
         assert err.startswith("poissonsub: validation error:") and "finite" in err
@@ -350,13 +363,14 @@ BYTE_CASES = [
     "crossing --k 4 --quantity density --t 0..3:0.5",
     "hitting --prob --k 1..4 --mu-grid 0.25..3:0.25",
     "hitting --k 1..3 --lambda 1.5 --t 0..4:0.5",
+    "cdf --t 0.5..1:0.5 --jumps exp --zeta 2 --z=-6..2:0.5",  # runs of 0 in cdf
     "avoiding --k 2 --horizon 4",
     "simulate --seed 7 --replicates 40 --jumps normal --eta -1 --sigma 2",
 ]
 
 
 class TestByteIdentity:
-    """The columnar writer gives the same bytes as a row-by-row renderer."""
+    """The template writer gives the same bytes as a row-by-row renderer."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("line", BYTE_CASES)
@@ -370,6 +384,21 @@ class TestByteIdentity:
         code, out, _ = run_cli(argv + ["--output", str(target)], capsys)
         assert code == 0 and out == ""
         assert target.read_bytes() == want.encode()
+
+    def test_reused_parser(self, capsys):
+        # main builds its parser once per process; no run may leak into the
+        # next, be it a usage error, an option left out or another format
+        with pytest.raises(SystemExit) as exc:
+            main(["pmf"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        for line in ["cdf --t 1 --n 0..3", "cdf --t 1", "cdf --t 1 --n 0..2 --format json",
+                     "cdf --t 0.5..1:0.5 --format csv"]:
+            argv = shlex.split(line)
+            args = build_parser().parse_args(argv)
+            want = reference_text(args.fn(args), _meta(args, jumps=args.jumps), args.format)
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "") and out == want, line
 
     def test_cases_cover_every_command(self):
         assert {line.split()[0] for line in BYTE_CASES} == {
@@ -391,12 +420,22 @@ class TestByteIdentity:
         special = [0.0, -0.0, -0.0, 3.0, 3.0, -7.0, 1e11, 999999999999.5, 1e12,
                    123456789012345.6, 1e16, 1.7976931348623157e308, 1e-4, 1e-5,
                    0.99999999999995, tiny, 5e-324, -2.5e-310, math.nan,
-                   math.inf, -math.inf]
+                   math.inf, -math.inf,
+                   # not integral, but "%.12g" prints them as integers
+                   2.9999999999999, 1 - 1e-13, 1 - 2**-53, -4.00000000000002,
+                   1 + 4.9e-12, 12345.000000002,
+                   # about 1e11 and 1e12
+                   999999999999.6, 99999999999.5, float(np.nextafter(1e11, 0)),
+                   float(np.nextafter(1e11, 2e11)), 100000000000.5, -99999999999.4,
+                   # just outside the 1e-11 candidate band, and inside it but
+                   # not printed as an integer
+                   1 + 1.5e-11, 3 + 4e-11, -250 * (1 - 2e-11), 7 - 3e-11]
         x = np.concatenate([special, rng.random(2000) * 40.0,
                             rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000),
                             tiny * (1.0 + rng.random(500) * 1e-3),
                             np.repeat(rng.random(20), 25)])
-        table = {"x": x, "i": np.arange(x.size),
+        # r: the same values in runs of 4, which are formatted once per run
+        table = {"x": x, "i": np.arange(x.size), "r": np.repeat(x, 4)[:x.size],
                  "w": np.array(["word" if i % 3 else i for i in range(x.size)], dtype=object)}
         meta = {"command": "test", "lam": 1.0}
         args = argparse.Namespace(format=fmt, output=None)
