@@ -23,7 +23,7 @@ def analytic(boundary: str, k: int, ts: np.ndarray, law: IteratedLaw) -> np.ndar
     if boundary == "increasing":
         return survival_linear_increasing(k, ts, law)
     b = Boundary.constant(k) if boundary == "constant" else Boundary.linear_decreasing(k)
-    return np.array([survival_nonincreasing(b, float(t), law) for t in ts])
+    return survival_nonincreasing(b, ts, law)
 
 
 def mc_boundary(boundary: str, k: int) -> Boundary:

@@ -24,6 +24,7 @@ from .special import SeriesControl
 
 _FMT = "%.12g"
 _TINY = np.finfo(float).tiny  # smallest normal float
+_MAX_POINTS = 10**7  # per range: a table of that many rows is already ~200 MB of text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,7 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_range(spec: str, step: float) -> np.ndarray:
     """Parse 'a..b' (inclusive, given step), 'a..b:step', or a single value.
-    The ends, the step and the number of steps of a range must be finite."""
+    The ends, the step and the number of steps of a range must be finite,
+    and a range holds at most _MAX_POINTS points."""
     text = spec
     if ":" in spec:
         spec, s = spec.split(":", 1)
@@ -46,6 +48,9 @@ def parse_range(spec: str, step: float) -> np.ndarray:
         n = (b - a) / step
         if not all(map(math.isfinite, (a, b, step, n))):
             raise ValueError(f"range {text!r}: ends, step and count must be finite")
+        if round(n) >= _MAX_POINTS:
+            raise ValueError(f"range {text!r} has {round(n) + 1} points; "
+                             f"at most {_MAX_POINTS} are allowed")
         grid = a + step * np.arange(round(n) + 1)
         return grid[grid <= b + 1e-12 * max(1.0, abs(b))]
     return np.array([float(spec)])
@@ -222,8 +227,8 @@ def _cmd_crossing(args) -> dict[str, np.ndarray]:
     else:
         b = (crossing.Boundary.constant(k) if args.boundary == "constant"
              else crossing.Boundary.linear_decreasing(k))
-        vals = [crossing.survival_nonincreasing(b, t, law) for t in ts.tolist()]
-    return {"t": ts, "k": np.full(ts.size, k), args.quantity: np.array(vals, dtype=float)}
+        vals = crossing.survival_nonincreasing(b, ts, law)
+    return {"t": ts, "k": np.full(ts.size, k), args.quantity: vals}
 
 
 def _cmd_hitting(args) -> dict[str, np.ndarray]:

@@ -1,22 +1,22 @@
 """First-crossing and first-hitting machinery for the iterated Poisson process.
 
-Covers nonincreasing boundaries (survival in closed form), the constant
+Covers nonincreasing boundaries (survival), the constant
 boundary (crossing density and mean), the first-hitting time of a state
 (density, CDF, hitting probability) and the linearly increasing boundary
 (iterative avoiding-probability table and piecewise survival).
 
 The passage laws of a level k are mixtures over the jump index m (the m-th
-nonzero jump comes at a Gamma(m, rate) time), read from one cached table of
-the embedded jump chain.  The densities, the hitting CDF and the increasing-
-boundary survival take one time or an array of times.  Every quantity is a
-sum of nonnegative terms; the paper's Stirling and Bell forms and the flux
-sums over the law weights are reference forms in ``verify``."""
+nonzero jump comes at a Gamma(m, rate) time), read from one cached record of
+the embedded jump chain per (k, mu).  The survivals, the densities and the
+hitting CDF take one time or an array of times.  Every quantity is a sum of
+nonnegative terms; the paper's Stirling and Bell forms and the flux sums over
+the law weights are reference forms in ``verify``."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -115,45 +115,98 @@ def _strict_floor(x: float) -> int:
     return math.ceil(x) - 1
 
 
-def survival_nonincreasing(boundary: Boundary, t: float, law: IteratedLaw) -> float:
-    """P{T > t} for a nonincreasing boundary: the CDF of Z(t) just below
-    the boundary level.  Reports 0 once the boundary has reached 0."""
+def survival_nonincreasing(boundary: Boundary, t, law: IteratedLaw):
+    """P{T > t} for a nonincreasing boundary at one time or an array of
+    times.  T > t exactly when Z(t) <= L, the strict floor of beta(t); with
+    S_m the jump chain after m nonzero jumps, summing by parts gives
+    P{Z(t) <= L} = sum_{m<=L} P{S_m <= L < S_{m+1}} P{Poisson(rate t) <= m},
+    a sum of nonnegative terms over the exit table of one level,
+    max(k, ceil(beta(0))), fixed per boundary.  1 at t = 0; 0 once the
+    boundary has reached 0."""
     if not boundary.is_nonincreasing:
         raise ValueError("survival_nonincreasing handles nonincreasing boundaries; "
                          "use survival_linear_increasing for the increasing case")
     check_time(t)
-    b = boundary.value(t)
-    if b <= 0:
-        return 0.0
-    return law.cdf(_strict_floor(b), t)
+    t = np.asarray(t, dtype=float)
+    # row L + 1 of the exit table, with L = -1 (row 0, all zero) once b <= 0
+    rows = [_strict_floor(max(boundary.value(s), 0.0)) + 1 for s in t.flat]
+    level = max(boundary.k, math.ceil(boundary.value(0.0)))
+    if max(rows, default=0) > level:
+        raise ValueError(f"boundary rises above its start value {boundary.value(0.0)}")
+    exits = _chain(level, law.params.mu).exits
+    # one row per time, summed along it: a time's value does not depend on the grid
+    s = (sc.gammaincc(np.arange(1.0, level + 1), law.rate * t.reshape(-1, 1))
+         * exits[rows]).sum(axis=1)
+    np.minimum(s, 1.0, out=s)
+    # at t = 0 every Poisson factor is 1, so s sums a row: 1 up to rounding, or 0 on row 0
+    s[(t.ravel() == 0.0) & (s > 0.0)] = 1.0
+    return _float_if_scalar(s.reshape(t.shape))
 
 
-@lru_cache(maxsize=16)  # one (k, mu) serves a whole t-grid
-def _chain_visits(k: int, mu: float) -> np.ndarray:
-    """h[m, j] = P{the embedded jump chain is at j after m nonzero jumps},
-    0 <= m, j <= k >= 1, with zero-truncated Poisson(mu) steps.  Every
-    passage law of the level reads it, so it is cached and read-only."""
-    if k < 1:
-        raise ValueError(f"level must be >= 1, got {k}")
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be finite and positive, got {mu}")
-    r = np.exp(log_poisson_pmf(np.arange(1, k + 1), mu)) / -math.expm1(-mu)  # steps 1..k
-    h = np.zeros((k + 1, k + 1))
-    h[0, 0] = 1.0
-    for m in range(1, k + 1):
-        h[m, m:] = np.convolve(h[m - 1, m - 1:], r[:k + 1 - m])[: k + 1 - m]
-    h.flags.writeable = False
-    return h
+class _Chain:
+    """Coefficients of one level k >= 1 of the embedded jump chain (steps
+    zero-truncated Poisson(mu), S_m the level after m nonzero jumps), each
+    built on first use and read-only:
+    ``visits[m, j] = P{S_m = j}`` for m, j <= k;
+    ``exits[L + 1, m] = P{S_m <= L < S_{m+1}}`` for -1 <= L < k, m < k
+    (row 0, L = -1, is zero);
+    ``flux[m] = sum_{j<k} visits[m, j] P{Poisson(mu) >= k - j}`` for m < k;
+    ``log_fact[m] = log m!`` for m <= k."""
+
+    def __init__(self, k: int, mu: float):
+        if k < 1:
+            raise ValueError(f"level must be >= 1, got {k}")
+        if not 0 < mu < math.inf:
+            raise ValueError(f"mu must be finite and positive, got {mu}")
+        self.k, self.mu = k, mu
+
+    @cached_property
+    def visits(self) -> np.ndarray:
+        k, mu = self.k, self.mu
+        r = np.exp(log_poisson_pmf(np.arange(1, k + 1), mu)) / -math.expm1(-mu)  # steps 1..k
+        h = np.zeros((k + 1, k + 1))
+        h[0, 0] = 1.0
+        for m in range(1, k + 1):
+            h[m, m:] = np.convolve(h[m - 1, m - 1:], r[:k + 1 - m])[: k + 1 - m]
+        return _read_only(h)
+
+    @cached_property
+    def exits(self) -> np.ndarray:
+        # visits times the Toeplitz matrix of P{step > L - j}, L >= j
+        k, mu = self.k, self.mu
+        step_sf = sc.pdtrc(np.arange(k), mu) / -math.expm1(-mu)  # P{step > i}
+        tails = np.tril(step_sf[np.subtract.outer(np.arange(k), np.arange(k))])
+        return _read_only(np.vstack((np.zeros(k), tails @ self.visits[:k, :k].T)))
+
+    @cached_property
+    def flux(self) -> np.ndarray:
+        k = self.k  # P{Poisson(mu) > k-1-j} for j < k
+        return _read_only(self.visits[:k, :k] @ sc.pdtrc(np.arange(k - 1, -1, -1), self.mu))
+
+    @cached_property
+    def log_fact(self) -> np.ndarray:
+        return _read_only(sc.gammaln(np.arange(self.k + 1) + 1))
 
 
-def _chain_mixture(t, law: IteratedLaw, c: np.ndarray):
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# the per-level coefficients every passage law of a level reads, kept per
+# (k, mu): one (k, mu) serves a whole t-grid
+_chain = lru_cache(maxsize=16)(_Chain)
+
+
+def _chain_mixture(t, law: IteratedLaw, c: np.ndarray, log_fact: np.ndarray):
     """sum_m Pois(rate t; m) c_m over m < len(c), at one time or an array of
-    times t > 0: a passage law mixed over the number of nonzero jumps by t."""
+    times t > 0: a passage law mixed over the number of nonzero jumps by t.
+    ``log_fact`` holds log m! for at least those m."""
     check_time(t, positive=True)
     t = np.asarray(t, dtype=float)
     m = np.arange(c.size)
     x = law.rate * t[..., None]
-    return _float_if_scalar(np.exp(sc.xlogy(m, x) - x - sc.gammaln(m + 1)) @ c)
+    return _float_if_scalar(np.exp(sc.xlogy(m, x) - x - log_fact[:c.size]) @ c)
 
 
 def crossing_density_constant(k: int, t, law: IteratedLaw):
@@ -161,29 +214,29 @@ def crossing_density_constant(k: int, t, law: IteratedLaw):
     an array of times.  A path crosses only by a jump out of some state
     j < k, so psi_k(t) = lam sum_{j<k} p_j(t) P{Poisson(mu) >= k - j}, with
     p_j(t) = sum_m Pois(rate t; m) h[m, j]."""
-    h = _chain_visits(k, law.params.mu)[:k, :k]
-    up = sc.pdtrc(np.arange(k - 1, -1, -1), law.params.mu)  # P{Poisson(mu) > k-1-j}
-    return _chain_mixture(t, law, law.params.lam * (h @ up))
+    ch = _chain(k, law.params.mu)
+    return _chain_mixture(t, law, law.params.lam * ch.flux, ch.log_fact)
 
 
 def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
     """E(T) for the constant boundary k: each state j < k the chain visits
     is held for an exponential(rate) time, so E(T) = sum_{j<k} pi_j / rate."""
-    return float(_chain_visits(k, law.params.mu)[:, :k].sum()) / law.rate
+    return float(_chain(k, law.params.mu).visits[:, :k].sum()) / law.rate
 
 
 def hitting_density(k: int, t, law: IteratedLaw):
     """Density of the first-hitting time of state k at one time or an array
     of times (defective: integrates to pi_k < 1).  After m jumps the next
     comes at rate ``rate`` and lands on k with probability h[m + 1, k]."""
-    return _chain_mixture(t, law, law.rate * _chain_visits(k, law.params.mu)[1:, k])
+    ch = _chain(k, law.params.mu)
+    return _chain_mixture(t, law, law.rate * ch.visits[1:, k], ch.log_fact)
 
 
 def hitting_cdf(k: int, t, law: IteratedLaw):
     """CDF of the first-hitting time of state k at one time or an array of
     times; tends to pi_k as t -> inf.  The chain reaches k at its m-th jump
     with probability h[m, k], and m jumps take a Gamma(m, rate) time."""
-    h = _chain_visits(k, law.params.mu)[1:, k]
+    h = _chain(k, law.params.mu).visits[1:, k]
     check_time(t)
     t = np.asarray(t, dtype=float)
     m = np.arange(1, k + 1)
@@ -191,8 +244,13 @@ def hitting_cdf(k: int, t, law: IteratedLaw):
 
 
 def hitting_probability(k: int, mu: float) -> float:
-    """pi_k = P{state k is ever visited}; independent of lam and in (0, 1]."""
-    return min(1.0, float(_chain_visits(k, mu)[:, k].sum()))
+    """pi_k = P{state k is ever visited}; independent of lam and in (0, 1].
+    Read from column k of the table at level max(16, the next power of two
+    >= k), so a sweep over k builds one table per mu."""
+    if k < 1:
+        raise ValueError(f"state must be >= 1, got {k}")
+    level = max(16, 1 << int(k - 1).bit_length())
+    return min(1.0, float(_chain(level, mu).visits[:, k].sum()))
 
 
 @dataclass(frozen=True)
@@ -230,14 +288,21 @@ def avoiding_table(k: int, horizon: int, law: IteratedLaw) -> AvoidingTable:
 def survival_linear_increasing(k: int, t, law: IteratedLaw):
     """P{T > t} for the boundary beta(t) = k + t at one time or an array of
     times: one avoiding table up to n = floor(max t) serves every time, and
-    each adds one convolution step over its fractional part."""
+    each adds one convolution step over its fractional part, read from the
+    prefix sums of one engine run per distinct fractional part."""
     check_time(t)
     t = np.asarray(t, dtype=float)
-    table = avoiding_table(k, math.floor(np.max(t, initial=0.0)), law)
+    times = t.ravel().tolist()
+    table = avoiding_table(k, math.floor(max(times, default=0.0)), law)
+    top = {}  # fractional part -> the largest whole part that comes with it
+    for ti in times:
+        n = math.floor(ti)
+        top[ti - n] = max(top.get(ti - n, 0), n)
+    cdf = {f: law.cdf(np.arange(k + n + 1), f) for f, n in top.items() if f}  # P{Z(f) <= i}
     out = []
-    for ti in t.ravel().tolist():
+    for ti in times:
         n = math.floor(ti)
         g = table.rows[n]  # entries j = 0..k+n-1; g(k+n; n) == 0 by construction
         out.append(table.survival_at_integer(n) if ti == n else
-                   math.fsum(g * law.cdf(k + n - np.arange(g.size), ti - n)))
+                   math.fsum(g * cdf[ti - n][k + n - np.arange(g.size)]))
     return _float_if_scalar(np.reshape(out, t.shape))

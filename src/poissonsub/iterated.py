@@ -9,7 +9,6 @@ reference forms in ``verify``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -128,13 +127,14 @@ class IteratedLaw:
 
     def cdf(self, n, t: float):
         """P_n(t), the partial sum of the pmf, at one state or an array of
-        states; each partial sum is exactly rounded (fsum)."""
+        states: one prefix sum over the engine's weights.  The weights are
+        nonnegative, so the partial sum to state n is within (n + 1) 2^-53
+        relative of the exactly rounded sum."""
         n = np.asarray(n)
         if np.min(n, initial=0) < 0:
             raise ValueError(f"state must be nonnegative, got {np.min(n)}")
-        w = np.exp(self._log_weights(t, int(np.max(n, initial=0)))).tolist()
-        out = [min(1.0, math.fsum(w[:i + 1])) for i in n.ravel().tolist()]
-        return _float_if_scalar(np.reshape(out, n.shape))
+        w = np.exp(self._log_weights(t, int(np.max(n, initial=0))))
+        return _float_if_scalar(np.minimum(1.0, np.cumsum(w)[n]))
 
     # -- conditional law, moments, sojourn -----------------------------------
 
@@ -160,14 +160,20 @@ class IteratedLaw:
             # geometric series sum_{k>=0} e^{-mu k}
             return 1.0 / (lam * (1.0 - math.exp(-mu)))
         log_tol = math.log(self.ctl.tolerance)
-        total = -math.inf
-        for k in itertools.count(1):
-            lt = n * math.log(k) - mu * k
-            total = np.logaddexp(total, lt)
+        total, start, size = -math.inf, 1, 64
+        while True:
+            # running log-sums of the terms k^n e^{-mu k}, a block at a time
+            k = np.arange(start, start + size, dtype=float)
+            lt = n * np.log(k) - mu * k
+            acc = np.logaddexp.accumulate(np.append(total, lt))[1:]
             # past the mode k ~ n/mu the terms decay at least geometrically
-            if k > n / mu and lt < total + log_tol:
+            stop = np.flatnonzero((k > n / mu) & (lt < acc + log_tol))
+            if stop.size:
+                total = float(acc[stop[0]])
                 break
-        return math.exp(n * math.log(mu) - math.lgamma(n + 1) + float(total)) / lam
+            # blocks double up to 2^20 terms, so memory stays bounded wherever the mode lies
+            total, start, size = float(acc[-1]), start + size, min(2 * size, 1 << 20)
+        return math.exp(n * math.log(mu) - math.lgamma(n + 1) + total) / lam
 
 
 def dispersion_index(params: ModelParams) -> float:

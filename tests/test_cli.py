@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poissonsub import IteratedLaw, ModelParams, survival_linear_increasing, verify
+from poissonsub import IteratedLaw, ModelParams, cli, survival_linear_increasing, verify
 from poissonsub.cli import _meta, _write_table, build_parser, main, parse_range
 
 
@@ -46,6 +46,20 @@ class TestParseRange:
     def test_non_finite_range(self, spec, step):
         with pytest.raises(ValueError, match=f"range {re.escape(repr(spec))}"):
             parse_range(spec, step)
+
+    @pytest.mark.parametrize("spec,step", [
+        ("0..1e9", 1.0), ("0..1:1e-7", 1.0), ("-5e6..5e6", 1.0), ("0..1e7", 1.0),
+        ("0..1e18", 1.0), ("0..1e300", 1.0)])
+    def test_too_many_points(self, spec, step):
+        # refused before any array is allocated; the CLI exits 1 on it
+        with pytest.raises(ValueError, match=f"range {re.escape(repr(spec))} has"):
+            parse_range(spec, step)
+
+    def test_largest_allowed_range(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_POINTS", 100)
+        assert parse_range("0..99", 1.0).size == 100
+        with pytest.raises(ValueError, match="has 101 points; at most 100"):
+            parse_range("0..100", 1.0)
 
 
 class TestPmfCommand:
@@ -280,6 +294,10 @@ class TestOtherCommands:
     @pytest.mark.parametrize("line,runs", [
         ("pmf --t 1..3 --n 0..40", 3), ("cdf --t 0.5..5:0.5 --n 0..60", 10),
         ("crossing --k 4 --quantity density --t 0..3:0.25", 0),
+        ("crossing --k 3 --t 0..5:0.25", 0),
+        ("crossing --k 3 --boundary linear-decreasing --t 0..5:0.25", 0),
+        # the avoiding table's unit-time run, then one per fractional part
+        ("crossing --k 2 --boundary linear-increasing --t 0..5:0.25", 4),
         ("hitting --k 1..3 --t 0..4:0.5", 0)])
     def test_weight_engine_runs_once_per_t(self, capsys, monkeypatch, line, runs):
         # a law table runs the weight engine once per t, not once per cell,
@@ -360,6 +378,8 @@ BYTE_CASES = [
     "moments --jumps normal --eta 0 --sigma 1 --t 0..2",
     "crossing --k 3 --quantity mean",
     "crossing --k 2 --boundary linear-increasing --t 0..5:0.25",
+    "crossing --k 3 --t 0..5:0.25",
+    "crossing --k 3 --boundary linear-decreasing --t 0..5:0.25",
     "crossing --k 4 --quantity density --t 0..3:0.5",
     "hitting --prob --k 1..4 --mu-grid 0.25..3:0.25",
     "hitting --k 1..3 --lambda 1.5 --t 0..4:0.5",

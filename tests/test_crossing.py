@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy import special as sc
 
 from poissonsub import (
     Boundary,
@@ -23,7 +24,7 @@ from poissonsub import (
     survival_nonincreasing,
 )
 from poissonsub import mc
-from poissonsub.crossing import _chain_visits, _strict_floor
+from poissonsub.crossing import _chain, _strict_floor
 from poissonsub.verify import crossing_density_constant_stirling
 
 LAW = IteratedLaw(ModelParams(2.0, 1.0))
@@ -111,11 +112,12 @@ class TestSurvivalNonincreasing:
             survival_nonincreasing(Boundary.linear_increasing(2), 1.0, LAW)
 
     def test_constant_equals_cdf(self):
-        # integer boundary k: survival is the law's CDF at k - 1
+        # integer boundary k: survival is the law's CDF at k - 1 (the chain
+        # table and the weight engine sum it in different orders)
         for k in (1, 2, 5):
             for t in (0.2, 1.0, 3.0):
-                assert survival_nonincreasing(Boundary.constant(k), t, LAW) == \
-                    LAW.cdf(k - 1, t)
+                got = survival_nonincreasing(Boundary.constant(k), t, LAW)
+                assert abs(got - LAW.cdf(k - 1, t)) <= 1e-14 * LAW.cdf(k - 1, t)
 
     def test_zero_after_boundary_hits_floor(self):
         b = Boundary.linear_decreasing(2)
@@ -126,7 +128,8 @@ class TestSurvivalNonincreasing:
     def test_fractional_level_uses_strict_floor(self):
         # at level 1.5 the process survives only while it stays <= 1
         b = Boundary.nonincreasing(2, lambda t: 1.5)
-        assert survival_nonincreasing(b, 1.0, LAW) == LAW.cdf(1, 1.0)
+        got = survival_nonincreasing(b, 1.0, LAW)
+        assert abs(got - LAW.cdf(1, 1.0)) <= 1e-14 * LAW.cdf(1, 1.0)
 
     @given(t=st.floats(0.0, 5.0))
     @settings(max_examples=40, deadline=None)
@@ -138,6 +141,36 @@ class TestSurvivalNonincreasing:
 
     def test_initial_value(self):
         assert survival_nonincreasing(Boundary.constant(4), 0.0, LAW) == 1.0
+
+    @pytest.mark.parametrize("b", [
+        Boundary.constant(3), Boundary.linear_decreasing(3),
+        Boundary.nonincreasing(3, lambda s: 3.0 / (1.0 + s)),
+        Boundary.nonincreasing(2, lambda s: 3.5 - s)])  # starts above k
+    def test_grid_equals_scalar_calls(self, b):
+        ts = np.r_[0.0, np.linspace(0.05, 4.0, 41), 6.0]
+        grid = survival_nonincreasing(b, ts, LAW)
+        scalar = np.array([survival_nonincreasing(b, float(t), LAW) for t in ts])
+        assert isinstance(survival_nonincreasing(b, 1.3, LAW), float)
+        assert grid.tobytes() == scalar.tobytes()
+        assert grid[0] == 1.0 and np.all(grid[1:] <= 1.0)
+        assert survival_nonincreasing(b, ts[:42].reshape(6, 7), LAW).tobytes() == \
+            grid[:42].tobytes()
+        assert survival_nonincreasing(b, np.empty(0), LAW).shape == (0,)
+        with pytest.raises(ValueError):
+            survival_nonincreasing(b, np.array([1.0, -1.0]), LAW)
+
+    def test_boundary_below_zero(self):
+        # beta(t) < 0, and a boundary that falls to -inf, give 0
+        b = Boundary.nonincreasing(2, lambda s: 2.0 - s if s < 3 else -math.inf)
+        assert survival_nonincreasing(b, np.array([2.5, 3.0, 9.0]), LAW).tolist() == \
+            [0.0, 0.0, 0.0]
+        below = Boundary.nonincreasing(2, lambda s: -1.0)  # crossed at once
+        assert survival_nonincreasing(below, np.array([0.0, 1.0]), LAW).tolist() == [0.0, 0.0]
+
+    def test_rising_boundary_rejected(self):
+        b = Boundary.nonincreasing(2, lambda s: 2.0 + s)
+        with pytest.raises(ValueError, match="rises"):
+            survival_nonincreasing(b, np.array([0.5, 1.5]), LAW)
 
 
 class TestCrossingDensityConstant:
@@ -378,6 +411,31 @@ def mp_weights(lam, mu, t, n):
     return out
 
 
+def mp_cdf_below(level, t, lam, mu):
+    """P{Z(t) <= level} = sum_m P{N(t) = m} P{Poisson(m mu) <= level}, summed
+    term by term: the terms are unimodal in m, so the sum walks out from the
+    largest (located in floats) and stops each way at a term below 1e-30 of
+    the total."""
+    a, mu = lam * mpmath.mpf(t), mpmath.mpf(mu)
+
+    def term(m):
+        return (mpmath.exp(m * mpmath.log(a) - a - mpmath.loggamma(m + 1))
+                * mpmath.gammainc(level + 1, m * mu, regularized=True))
+
+    m = np.arange(int(lam * t + 20 * math.sqrt(lam * t) + 40))
+    with np.errstate(divide="ignore"):
+        est = sc.xlogy(m, lam * t) - sc.gammaln(m + 1) + np.log(sc.pdtr(level, m * float(mu)))
+    top = int(np.argmax(est))
+    total = mpmath.mpf(0)
+    for start, step in ((top, 1), (top - 1, -1)):
+        for i in range(start, -1 if step < 0 else m.size, step):
+            x = term(i)
+            total += x
+            if x < 1e-30 * total:
+                break
+    return total
+
+
 def mp_stirling_row(n):
     """Exact S2(n, j), j = 0..n, from the additive recurrence."""
     row = [1]
@@ -466,6 +524,19 @@ class TestLargeLevels:
                 assert mp_rel(hitting_cdf(k, t, law),
                               mp_hitting_cdf(k, mt, lam, mu)) < 1e-12
 
+    @pytest.mark.parametrize("kind,k,ts", [
+        ("constant", 24, (2.0, 10.0, 20.0, 120.0)),  # 1 - 4.8e-6 .. 4.4e-43
+        ("linear_decreasing", 24, (5.0, 10.0, 20.0, 23.5)),  # .. 1.3e-13
+        ("constant", 400, (200.0, 400.0, 600.0)),  # 0.50 .. 1.3e-87
+        ("linear_decreasing", 400, (100.0, 200.0, 300.0))])  # 1 - 2.4e-6 .. 1.4e-81
+    def test_survival_nonincreasing_against_mpmath(self, kind, k, ts):
+        b = getattr(Boundary, kind)(k)
+        got = survival_nonincreasing(b, np.array(ts), LAW)
+        with mpmath.workdps(40):
+            want = [mp_cdf_below(math.ceil(b.value(t)) - 1, t, 2.0, 1.0) for t in ts]
+        for g, w in zip(got.tolist(), want):
+            assert mp_rel(g, w) < 1e-13
+
     @pytest.mark.parametrize("k", [50, 100])
     def test_densities_at_small_time(self, k):
         # a flux sum over engine weights whose batch sizes were cut at
@@ -496,18 +567,48 @@ class TestChainTable:
         def values():
             return [f(12, ts, law) for f in (crossing_density_constant,
                                              hitting_density, hitting_cdf)] + [
+                survival_nonincreasing(b(12), ts, law)
+                for b in (Boundary.constant, Boundary.linear_decreasing)] + [
                 np.array([hitting_probability(12, 0.8),
                           mean_crossing_time_constant(12, law)])]
 
-        h = _chain_visits(12, 0.8)
-        assert _chain_visits(12, 0.8) is h
+        ch = _chain(12, 0.8)
+        assert _chain(12, 0.8) is ch
+        for a in (ch.visits, ch.exits, ch.flux, ch.log_fact):
+            with pytest.raises(ValueError):
+                a[1] = 0.5
         with pytest.raises(ValueError):
-            h[1, 1] = 0.5
-        with pytest.raises(ValueError):
-            h[1:, 12] *= 2.0
+            ch.visits[1:, 12] *= 2.0
         cached = values()
-        _chain_visits.cache_clear()
+        _chain.cache_clear()
         fresh = values()
-        assert _chain_visits(12, 0.8) is not h
+        assert _chain(12, 0.8) is not ch
         for a, b in zip(cached, fresh):
             assert a.tobytes() == b.tobytes()
+
+    def test_exit_table(self):
+        # exits[L + 1, m] = P{S_m <= L < S_{m+1}} = sum_{j<=L} P{S_m = j}
+        # P{step > L - j}, also the visits to j <= L after m jumps less those
+        # after m + 1; row L + 1 sums to 1 over m, and row 0 (L = -1) is zero
+        k, mu = 30, 1.3
+        ch = _chain(k, mu)
+        step_sf = [float(mpmath.gammainc(i + 1, 0, mu, regularized=True))
+                   / -math.expm1(-mu) for i in range(k)]  # P{step > i}
+        direct = [[math.fsum(ch.visits[m, j] * step_sf[L - j] for j in range(L + 1))
+                   for m in range(k)] for L in range(k)]
+        assert ch.exits.shape == (k + 1, k) and not ch.exits[0].any()
+        np.testing.assert_allclose(ch.exits[1:], direct, rtol=1e-13, atol=0.0)  # pdtrc tails
+        below = np.cumsum(ch.visits[:, :k], axis=1)  # P{S_m <= L}, cancels
+        np.testing.assert_allclose(ch.exits[1:], (below[:-1] - below[1:]).T,
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(ch.exits[1:].sum(axis=1), 1.0, rtol=1e-14)
+        assert np.all(ch.exits >= 0.0) and np.all(np.triu(ch.exits) == 0.0)
+
+    def test_hitting_probability_shares_one_table_per_mu(self):
+        # k = 1..16 read one table at level 16, k = 17..32 one at level 32
+        _chain.cache_clear()
+        probs = [hitting_probability(k, 0.9) for k in range(1, 33)]
+        assert _chain.cache_info().currsize == 2
+        for k in (1, 5, 16, 17, 32):
+            own = min(1.0, float(_chain(k, 0.9).visits[:, k].sum()))
+            assert probs[k - 1] == pytest.approx(own, rel=1e-14)

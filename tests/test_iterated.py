@@ -1,6 +1,8 @@
 """Tests for the iterated Poisson process law."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -179,6 +181,19 @@ class TestCdf:
         direct = math.fsum(law.pmf(j, 1.0) for j in range(4))
         assert abs(law.cdf(3, 1.0) - direct) < 1e-12
 
+    @pytest.mark.parametrize("lam,mu,t,n", [
+        (2.0, 1.0, 1.0, 30), (50.0, 2.0, 40.0, 6000), (0.3, 0.2, 0.1, 10)])
+    def test_prefix_sum_bound(self, lam, mu, t, n):
+        # the docstring's bound: within (n + 1) 2^-53 of the exactly rounded sum
+        law = IteratedLaw(ModelParams(lam, mu))
+        w = law.pmf(np.arange(n + 1), t).tolist()
+        # exactly rounded partial sums (what math.fsum gives), in linear time
+        exact = np.minimum(1.0, [float(s) for s in itertools.accumulate(map(Fraction, w))])
+        assert exact[n // 2] == min(1.0, math.fsum(w[:n // 2 + 1]))
+        got = law.cdf(np.arange(n + 1), t)
+        assert np.all(np.abs(got - exact) <= np.arange(1, n + 2) * 2.0**-53 * exact)
+        assert law.cdf(n, t) == got[-1]
+
     @given(t=st.floats(0.1, 4.0))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_state(self, t):
@@ -255,6 +270,15 @@ class TestDispersionAndSojourn:
         law = IteratedLaw(ModelParams(1.0, 1.0))
         q, _ = integrate.quad(lambda t: law.pmf(2, t), 0, np.inf, limit=200)
         assert abs(law.mean_sojourn(2) - q) < 1e-8
+
+    @pytest.mark.parametrize("lam,n,mu,want", [
+        (1.0, 1, 1.0, 0.9206735942075449), (1.5, 7, 0.8, 0.833333390861012),
+        (2.0, 40, 3.0, 0.16666666666664573), (0.5, 300, 0.2, 9.999999999837883),
+        (1.0, 2000, 0.01, 99.99999988565187)])
+    def test_sojourn_matches_term_by_term_loop(self, lam, n, mu, want):
+        # values of the one-term-at-a-time running log-sum, same stop rule
+        got = IteratedLaw(ModelParams(lam, mu)).mean_sojourn(n)
+        assert abs(got - want) <= 1e-13 * want
 
     def test_sojourn_finite_positive(self):
         law = IteratedLaw(ModelParams(1.5, 0.8))
