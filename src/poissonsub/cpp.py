@@ -8,7 +8,10 @@ over its z-grid in blocks of about 2**19 (orders x points) cells.  For
 exponential jumps the CDF is the paper's alternative series: a block of
 Poisson(zeta z) pmfs over the cumulative weights, one ``gammainc`` per point
 rather than per cell; ``conv_cdf``'s gammainc block and the direct series
-are its oracles in ``verify``.
+are its oracles in ``verify``.  For unit jumps the n-fold CDF is the step
+[z >= n], so the CDF is one prefix sum of the weights read at floor(z),
+with no block at all; ``conv_cdf``'s step block is its oracle in the tests.
+A NaN point gives NaN for every jump law and every time.
 """
 
 from __future__ import annotations
@@ -99,14 +102,27 @@ def _poisson_block(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _step(z: np.ndarray) -> np.ndarray:
+    """The CDF of the point mass at 0, [z >= 0], with NaN kept as NaN."""
+    return np.where(np.isnan(z), z, z >= 0)
+
+
 def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
     """The mixture CDF: the atom w[0] at 0 plus the n-fold jump CDFs.
+
+    For unit jumps F(z) = w_0 + .. + w_m with m = min(floor z, N - 1), and 0
+    below z = 0: the prefix sums are read at floor(z) clipped to [-1, N - 1],
+    with a 0 appended for index -1.
 
     For exponential(zeta) jumps P(n, x) = P{Poisson(x) >= n}, x = zeta z,
     so with W_m = w_1 + .. + w_m the jump part is the nonnegative sum
     sum_{m=1..N} Pois(x; m) W_m + W_N P{Poisson(x) > N}: one Poisson pmf
     per cell and one gammainc per point, not one per cell."""
     z = np.asarray(z, dtype=float)
+    if jumps.kind == "degenerate_unit":
+        cum = np.append(np.cumsum(w), 0.0)
+        m = np.nan_to_num(np.floor(np.clip(z, -1.0, w.size - 1)), nan=-1.0)
+        return np.minimum(1.0, np.where(np.isnan(z), z, cum[m.astype(np.intp)]))
     if jumps.kind == "exponential":
         # past 1e300 every pmf cell is 0 and gammainc is 1, as at z = inf
         x = jumps.zeta * np.clip(z, 0.0, 1e300 / jumps.zeta)
@@ -114,7 +130,7 @@ def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
                 + w[1:].sum() * sc.gammainc(w.size, x))
     else:
         jump = _mixture(w[1:], z, jumps.conv_cdf)
-    return np.minimum(1.0, w[0] * (z >= 0) + jump)
+    return np.minimum(1.0, w[0] * _step(z) + jump)
 
 
 def cpp_cdf_Y(y: float, t: float, params: ModelParams, jumps: JumpSpec,
@@ -122,7 +138,7 @@ def cpp_cdf_Y(y: float, t: float, params: ModelParams, jumps: JumpSpec,
     """CDF of the plain compound Poisson process Y(t) driven by M(t)."""
     check_time(t)
     if t == 0.0:
-        return 1.0 if y >= 0 else 0.0
+        return float(_step(np.float64(y)))
     return float(_cdf_mixture(_poisson_weights(params.mu * t, ctl.tolerance), y, jumps))
 
 
@@ -134,7 +150,7 @@ def cpp_cdf_Z_grid(z: np.ndarray, t: float, params: ModelParams, jumps: JumpSpec
     z = np.asarray(z, dtype=float)
     check_time(t)
     if t == 0.0:
-        return np.where(z >= 0, 1.0, 0.0)
+        return _step(z)
     return _cdf_mixture(IteratedLaw(params, ctl).pmf_vector(t), z, jumps)
 
 

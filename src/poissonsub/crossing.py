@@ -218,10 +218,20 @@ def crossing_density_constant(k: int, t, law: IteratedLaw):
     return _chain_mixture(t, law, law.params.lam * ch.flux, ch.log_fact)
 
 
+def _shared_level(k: int) -> int:
+    """The level whose table serves every state up to k: max(16, the next
+    power of two >= k), so a sweep over k builds one table per mu."""
+    if k < 1:
+        raise ValueError(f"state must be >= 1, got {k}")
+    return max(16, 1 << int(k - 1).bit_length())
+
+
 def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
     """E(T) for the constant boundary k: each state j < k the chain visits
-    is held for an exponential(rate) time, so E(T) = sum_{j<k} pi_j / rate."""
-    return float(_chain(k, law.params.mu).visits[:, :k].sum()) / law.rate
+    is held for an exponential(rate) time, so E(T) = sum_{j<k} pi_j / rate,
+    read from the table shared by every level up to ``_shared_level(k)``."""
+    visits = _chain(_shared_level(k), law.params.mu).visits
+    return float(visits[:, :k].sum()) / law.rate
 
 
 def hitting_density(k: int, t, law: IteratedLaw):
@@ -245,12 +255,8 @@ def hitting_cdf(k: int, t, law: IteratedLaw):
 
 def hitting_probability(k: int, mu: float) -> float:
     """pi_k = P{state k is ever visited}; independent of lam and in (0, 1].
-    Read from column k of the table at level max(16, the next power of two
-    >= k), so a sweep over k builds one table per mu."""
-    if k < 1:
-        raise ValueError(f"state must be >= 1, got {k}")
-    level = max(16, 1 << int(k - 1).bit_length())
-    return min(1.0, float(_chain(level, mu).visits[:, k].sum()))
+    Read from column k of the table at ``_shared_level(k)``."""
+    return min(1.0, float(_chain(_shared_level(k), mu).visits[:, k].sum()))
 
 
 @dataclass(frozen=True)

@@ -58,36 +58,45 @@ class IteratedLaw:
         p_i = (lam t / i) sum_j j q_j p_{i-j}, p_0 = exp(-lam t (1 - e^{-mu})).
 
         The recursion runs on rescaled values and carries the log of the
-        scale, so it works where p_0 or the tail underflows."""
+        scale, so it works where p_0 or the tail underflows.  The values sit
+        behind J = len(jq) zeros in one buffer, and row i of a strided view
+        of it holds p_{i+1-J} .. p_i: the values that feed state i + 1 and
+        the ones a rescale at state i touches.  So each state is one dot
+        product over a full row, with no slicing.  The view is built with the
+        ndarray constructor, which costs a tenth of ``sliding_window_view``'s
+        set-up on the short runs of the passage laws.  The recursion is
+        triangular, but a blocked solve through ``scipy.linalg`` is not used:
+        importing that module alone adds about 6 MB to the resident size."""
         check_time(t)
         jq = self._severity
         nj = jq.size
         lt = self.params.lam * t
-        p = np.zeros(n + 1)
+        buf = np.zeros(nj + n)
+        p = buf[nj - 1:]  # p[i] = buf[nj - 1 + i]
         p[0] = 1.0
+        win = np.ndarray((n + 1, nj), buffer=buf, strides=(buf.itemsize, buf.itemsize))
         out = np.empty(n + 1)
         shift = -self.rate * t  # true weight = scaled weight * e^shift
         done = 0  # p[:done] are already logged into out
         with np.errstate(divide="ignore"):
-            for i in range(1, n + 1):
-                m = min(i, nj)
-                p[i] = v = lt / i * float(np.dot(jq[nj - m:], p[i - m:i]))
+            for i, feed in enumerate(win[:n], 1):
+                p[i] = v = lt / i * float(jq.dot(feed))
                 if _TINY < v < _HUGE:
                     continue
                 # only the last nj values feed later states; rescale them to a
                 # maximum of 1 as they rise, and of _HUGE as they fall
-                lo = max(0, i - nj + 1)
-                top = float(p[lo:i + 1].max())
+                last = win[i]
+                top = float(last.max())
                 if v <= _TINY and top == _HUGE:
                     continue
                 out[done:i + 1] = np.log(p[done:i + 1]) + shift
                 done = i + 1
                 if top == 0.0:
                     break  # every later weight is zero too
-                p[lo:i + 1] /= top
+                last /= top
                 shift += math.log(top)
                 if v <= _TINY:
-                    p[lo:i + 1] *= _HUGE
+                    last *= _HUGE
                     shift -= math.log(_HUGE)
             out[done:] = np.log(p[done:]) + shift
         return out

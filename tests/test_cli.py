@@ -180,6 +180,22 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_law_paths_do_not_load_scipy_linalg(self):
+        # importing scipy.linalg alone adds about 6 MB to the resident size
+        code = "\n".join([
+            "import sys, poissonsub.cli",
+            "from poissonsub import (IteratedLaw, JumpSpec, ModelParams,",
+            "                        cpp_cdf_Z_grid, survival_linear_increasing)",
+            "law = IteratedLaw(ModelParams(2.0, 1.0))",
+            "law.pmf_vector(300.0)",
+            "cpp_cdf_Z_grid([-1.0, 0.5, 40.0], 20.0, law.params, JumpSpec.normal(0.5, 1.0))",
+            "survival_linear_increasing(3, [0.5, 2.5, 4.0], law)",
+            "print('scipy.linalg' in sys.modules)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_parser_accepts_every_verify_suite(self):
         parser = build_parser()
         for name in verify.SUITES:

@@ -340,6 +340,58 @@ class TestExponentialCdfKernel:
         assert math.isnan(got[-1])
 
 
+UNIT = JumpSpec.degenerate_unit()
+
+
+def _unit_block_mixture(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The unit-jump CDF as the atom plus the conv_cdf step block over the
+    orders 1..N-1, each point's column summed with fsum."""
+    block = UNIT.conv_cdf(np.arange(1, w.size)[:, None], z)
+    return np.array([min(1.0, math.fsum(np.append(w[0] * (zi >= 0), w[1:] * col)))
+                     for zi, col in zip(z, block.T)])
+
+
+class TestUnitCdf:
+    @staticmethod
+    def _points(n_orders):
+        top = n_orders - 1
+        whole = np.arange(0.0, n_orders + 2)
+        return np.concatenate(([-np.inf, -1.0, -0.5, -0.0, 0.0], whole, whole + 0.5,
+                               [top - 1e-9, top, n_orders, 1e300, np.inf]))
+
+    @pytest.mark.parametrize("t", [0.4, 3.0, 60.0])
+    def test_grid_against_the_block_mixture(self, t):
+        w = IteratedLaw(PARAMS).pmf_vector(t)
+        z = self._points(w.size)
+        got = cpp_cdf_Z_grid(z, t, PARAMS, UNIT)
+        np.testing.assert_allclose(got, _unit_block_mixture(w, z), rtol=1e-14, atol=0.0)
+        assert got[3] == got[4] == pytest.approx(w[0], rel=1e-15)  # -0.0 is 0
+
+    @pytest.mark.parametrize("t", [0.4, 3.0, 60.0])
+    def test_cdf_Y_against_the_block_mixture(self, t):
+        w = _poisson_weights(PARAMS.mu * t, 1e-12)
+        z = self._points(w.size)
+        got = [cpp_cdf_Y(y, t, PARAMS, UNIT) for y in z]
+        np.testing.assert_allclose(got, _unit_block_mixture(w, z), rtol=1e-14, atol=0.0)
+
+
+class TestNan:
+    def test_unit_grid(self):
+        got = cpp_cdf_Z_grid([math.nan, 1.0], 1.0, PARAMS, UNIT)
+        assert math.isnan(got[0]) and got[1] > 0.0
+        assert math.isnan(cpp_cdf_Z_grid(math.nan, 1.0, PARAMS, UNIT))
+
+    @pytest.mark.parametrize("jumps", [UNIT, EXP, NORM])
+    def test_time_zero_grid(self, jumps):
+        got = cpp_cdf_Z_grid([-1.0, math.nan, 0.0], 0.0, PARAMS, jumps)
+        assert got[0] == 0.0 and math.isnan(got[1]) and got[2] == 1.0
+
+    @pytest.mark.parametrize("jumps", [UNIT, EXP, NORM])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_cdf_Y(self, jumps, t):
+        assert math.isnan(cpp_cdf_Y(math.nan, t, PARAMS, jumps))
+
+
 class TestNormalSpecialization:
     def test_symmetric_split_at_zero(self):
         p0 = atom_mass_Z(1.0, PARAMS)

@@ -24,7 +24,7 @@ from poissonsub import (
     survival_nonincreasing,
 )
 from poissonsub import mc
-from poissonsub.crossing import _chain, _strict_floor
+from poissonsub.crossing import _Chain, _chain, _strict_floor
 from poissonsub.verify import crossing_density_constant_stirling
 
 LAW = IteratedLaw(ModelParams(2.0, 1.0))
@@ -612,3 +612,17 @@ class TestChainTable:
         for k in (1, 5, 16, 17, 32):
             own = min(1.0, float(_chain(k, 0.9).visits[:, k].sum()))
             assert probs[k - 1] == pytest.approx(own, rel=1e-14)
+
+    def test_mean_crossing_sweep_shares_one_table_per_mu(self):
+        # E(T_k) for k = 1..16 reads the level-16 table of its mu
+        mus = (0.3, 0.7, 1.0, 1.4, 3.0)
+        _chain.cache_clear()
+        means = {mu: [mean_crossing_time_constant(k, IteratedLaw(ModelParams(1.5, mu)))
+                      for k in range(1, 17)] for mu in mus}
+        assert _chain.cache_info().misses == len(mus)
+        for mu in mus:
+            rate = IteratedLaw(ModelParams(1.5, mu)).rate
+            own = [float(_Chain(k, mu).visits[:, :k].sum()) / rate for k in range(1, 17)]
+            np.testing.assert_allclose(means[mu], own, rtol=1e-15, atol=0.0)
+        with pytest.raises(ValueError):
+            mean_crossing_time_constant(0, LAW)

@@ -131,6 +131,45 @@ def mp_weight_explicit(lam, mu, t, n, m_hi=200):
             for m in range(1, m_hi + 1))
 
 
+def mp_weight_60(lam, mu, t, n):
+    """p_n(t) at 60 digits, summed term by term over every m within
+    25 sqrt(lam t) + 30 of lam t: given N(t) = m, Z(t) is Poisson(m mu)."""
+    with mpmath.workdps(60):
+        lt, mu = mpmath.mpf(lam) * mpmath.mpf(t), mpmath.mpf(mu)
+        half = int(25 * math.sqrt(lam * t) + 30)
+        total = mpmath.exp(-lt) if n == 0 else mpmath.mpf(0)  # m = 0
+        return total + mpmath.fsum(
+            mpmath.exp(-lt + m * mpmath.log(lt) - mpmath.loggamma(m + 1)
+                       - m * mu + n * mpmath.log(m * mu) - mpmath.loggamma(n + 1))
+            for m in range(max(1, int(lam * t) - half), int(lam * t) + half + 1))
+
+
+class TestEngine:
+    @pytest.mark.parametrize("lam,mu,t,n", [
+        (2.0, 1.0, 0.7, 40), (1.0, 1.0, 800.0, 1300), (2.0, 1.0, 2000.0, 4600),
+        (1.0, 0.3, 1e-9, 300), (1.0, 4.0, 40.0, 700)])
+    def test_prefix_of_a_longer_run_is_bit_for_bit(self, lam, mu, t, n):
+        # a state's weight depends only on the states before it, rescales and
+        # lifts included, so a shorter run is a prefix of a longer one
+        law = IteratedLaw(ModelParams(lam, mu))
+        full = law._log_weights(t, n)
+        nj = law._severity.size
+        for m in sorted({0, 1, nj - 1, nj, n // 2, n - 1} & set(range(n))):
+            assert np.array_equal(full[:m + 1], law._log_weights(t, m)), m
+
+    @pytest.mark.parametrize("lt", [100.0, 1000.0])
+    @pytest.mark.parametrize("mu", [0.5, 2.0])
+    def test_weights_against_explicit_mpmath(self, lt, mu):
+        # at the mean and 7 sd either side of it (clipped at state 0)
+        lam = 2.0
+        law = IteratedLaw(ModelParams(lam, mu))
+        mean, sd = lt * mu, math.sqrt(lt * mu * (1 + mu))
+        ns = [max(0, round(mean + c * sd)) for c in (-7, 0, 7)]
+        got = np.exp(law._log_weights(lt / lam, max(ns)))
+        for n in ns:
+            assert rel(got[n], float(mp_weight_60(lam, mu, lt / lam, n))) < 1e-12, n
+
+
 class TestSmallTime:
     @pytest.mark.parametrize("n", [60, 100])
     @pytest.mark.parametrize("t", [1e-9, 1e-6, 1e-3])
