@@ -6,11 +6,11 @@ iterated Poisson pmf from ``IteratedLaw.pmf_vector``, so truncation follows
 the same tail-mass rule everywhere.  Each quantity has one path, vectorised
 over its z-grid in blocks of about 2**19 (orders x points) cells.  For
 exponential jumps the CDF is the paper's alternative series: a block of
-Poisson(zeta z) pmfs over the cumulative weights, one ``gammainc`` per point
-rather than per cell; ``conv_cdf``'s gammainc block and the direct series
-are its oracles in ``verify``.  For unit jumps the n-fold CDF is the step
-[z >= n], so the CDF is one prefix sum of the weights read at floor(z),
-with no block at all; ``conv_cdf``'s step block is its oracle in the tests.
+``special.poisson_pmf`` cells Pois(zeta z; m) over the cumulative weights,
+one ``gammainc`` per point; ``conv_cdf``'s gammainc block and the direct
+series are its oracles in ``verify``.  For unit jumps the n-fold CDF is the
+step [z >= n], so the CDF is one prefix sum of the weights read at floor(z);
+``conv_cdf``'s step block is its oracle in the tests.
 A NaN point gives NaN for every jump law and every time.
 """
 
@@ -23,21 +23,11 @@ from scipy import special as sc
 
 from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams, MomentSummary, check_time
-from .special import SeriesControl, log_poisson_pmf
+from .special import SeriesControl, poisson_pmf
 
 _DEFAULT_CTL = SeriesControl()
 # cells in one (orders x points) block of a mixture
 _BLOCK_CELLS = 2**19
-# Loader's stirlerr(m) = log m! - (m + 1/2) log m + m - log(2 pi)/2 for
-# m = 1..15; from 16 on, five terms of its Stirling series are exact to
-# about 1e-16 absolute
-_STIRLERR = np.array([
-    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
 
 
 def atom_mass_Z(t: float, params: ModelParams) -> float:
@@ -49,12 +39,10 @@ def atom_mass_Z(t: float, params: ModelParams) -> float:
 
 def _poisson_weights(a: float, tol: float) -> np.ndarray:
     """pmf vector of Poisson(a) through the point where tail mass < tol."""
-    if a == 0.0:
-        return np.array([1.0])
     n_hi = int(a + 12.0 * math.sqrt(a) + 30.0)
     while sc.pdtrc(n_hi, a) >= tol:  # P{Poisson(a) > n_hi}
         n_hi *= 2
-    return np.exp(log_poisson_pmf(np.arange(n_hi + 1), a))
+    return poisson_pmf(range(n_hi + 1), a)
 
 
 def _mixture(c: np.ndarray, z: np.ndarray, kernel) -> np.ndarray:
@@ -67,39 +55,6 @@ def _mixture(c: np.ndarray, z: np.ndarray, kernel) -> np.ndarray:
     for lo in range(0, flat.size, width):
         out[lo:lo + width] = c @ kernel(ns, flat[lo:lo + width])
     return out.reshape(z.shape)
-
-
-def _stirlerr(m: np.ndarray) -> np.ndarray:
-    """log m! - log(sqrt(2 pi m) (m/e)^m) for integers m >= 1."""
-    m = np.asarray(m, dtype=float)
-    mm = m * m
-    series = (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188 * mm)) / mm) / mm) / mm) / m
-    return np.where(m < 16, _STIRLERR[np.clip(m, 1, 15).astype(int) - 1], series)
-
-
-def _poisson_block(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Pois(x; m) = x^m e^{-x} / m! for an (N, 1) array of counts m >= 1 at
-    points x >= 0, as one (N x Z) block: Loader's split (as in R's dpois)
-    exp(-stirlerr(m) - log(2 pi m)/2 - m (d - log(1 + d))), d = x/m - 1.
-    No piece is much larger than the log-pmf itself, whereas
-    exp(m log x - x - log m!) cancels log m! and loses about that many ulps.
-    d = r - 1 for the rounded ratio r = x/m is exact for r >= 1/2, where
-    log1p(d) is taken; below 1/2, log(1 + d) is taken as log r, which keeps
-    the bits r - 1 drops (the CDF held 6e-15 against 40-digit mpmath at
-    lam t <= 1000, and 2.1e-14 with d = (x - m)/m and log1p(d) everywhere)."""
-    head = -_stirlerr(m) - 0.5 * np.log(2 * math.pi * m)
-    out = np.empty(np.broadcast_shapes(m.shape, x.shape))
-    lg = np.empty_like(out)  # the one temporary of block size
-    np.divide(x, m, out=lg)
-    np.subtract(lg, 1.0, out=out)
-    low = lg < 0.5
-    with np.errstate(divide="ignore"):  # log 0 = -inf at x = 0: Pois(0; m) = 0
-        np.log(lg, out=lg, where=low)
-    np.log1p(out, out=lg, where=np.logical_not(low, out=low))
-    out -= lg
-    out *= m
-    np.subtract(head, out, out=out)
-    return np.exp(out, out=out)
 
 
 def _step(z: np.ndarray) -> np.ndarray:
@@ -126,7 +81,7 @@ def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
     if jumps.kind == "exponential":
         # past 1e300 every pmf cell is 0 and gammainc is 1, as at z = inf
         x = jumps.zeta * np.clip(z, 0.0, 1e300 / jumps.zeta)
-        jump = (_mixture(np.cumsum(w[1:]), x, _poisson_block)
+        jump = (_mixture(np.cumsum(w[1:]), x, lambda n, x: poisson_pmf(range(1, w.size), x))
                 + w[1:].sum() * sc.gammainc(w.size, x))
     else:
         jump = _mixture(w[1:], z, jumps.conv_cdf)

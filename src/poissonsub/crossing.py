@@ -6,11 +6,12 @@ boundary (crossing density and mean), the first-hitting time of a state
 (iterative avoiding-probability table and piecewise survival).
 
 The passage laws of a level k are mixtures over the jump index m (the m-th
-nonzero jump comes at a Gamma(m, rate) time), read from one cached record of
-the embedded jump chain per (k, mu).  The survivals, the densities and the
-hitting CDF take one time or an array of times.  Every quantity is a sum of
-nonnegative terms; the paper's Stirling and Bell forms and the flux sums over
-the law weights are reference forms in ``verify``."""
+nonzero jump comes at a Gamma(m, rate) time, and the densities mix over
+``special.poisson_pmf``), read from one cached record per (k, mu) of the
+embedded jump chain.  The survivals, the densities and the hitting CDF take
+one time or an array of times.  Every quantity is a sum of nonnegative
+terms; the paper's Stirling and Bell forms and the flux sums over the law
+weights are reference forms in ``verify``."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from scipy import special as sc
 
 from .iterated import IteratedLaw, _float_if_scalar
 from .params import check_time
-from .special import log_poisson_pmf
+from .special import poisson_pmf
 
 _NONINCREASING = ("constant", "linear_decreasing", "general_nonincreasing")
 
@@ -150,8 +151,7 @@ class _Chain:
     ``visits[m, j] = P{S_m = j}`` for m, j <= k;
     ``exits[L + 1, m] = P{S_m <= L < S_{m+1}}`` for -1 <= L < k, m < k
     (row 0, L = -1, is zero);
-    ``flux[m] = sum_{j<k} visits[m, j] P{Poisson(mu) >= k - j}`` for m < k;
-    ``log_fact[m] = log m!`` for m <= k."""
+    ``flux[m] = sum_{j<k} visits[m, j] P{Poisson(mu) >= k - j}`` for m < k."""
 
     def __init__(self, k: int, mu: float):
         if k < 1:
@@ -163,7 +163,7 @@ class _Chain:
     @cached_property
     def visits(self) -> np.ndarray:
         k, mu = self.k, self.mu
-        r = np.exp(log_poisson_pmf(np.arange(1, k + 1), mu)) / -math.expm1(-mu)  # steps 1..k
+        r = poisson_pmf(range(1, k + 1), mu) / -math.expm1(-mu)  # steps 1..k
         h = np.zeros((k + 1, k + 1))
         h[0, 0] = 1.0
         for m in range(1, k + 1):
@@ -183,10 +183,6 @@ class _Chain:
         k = self.k  # P{Poisson(mu) > k-1-j} for j < k
         return _read_only(self.visits[:k, :k] @ sc.pdtrc(np.arange(k - 1, -1, -1), self.mu))
 
-    @cached_property
-    def log_fact(self) -> np.ndarray:
-        return _read_only(sc.gammaln(np.arange(self.k + 1) + 1))
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -198,15 +194,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _chain = lru_cache(maxsize=16)(_Chain)
 
 
-def _chain_mixture(t, law: IteratedLaw, c: np.ndarray, log_fact: np.ndarray):
-    """sum_m Pois(rate t; m) c_m over m < len(c), at one time or an array of
-    times t > 0: a passage law mixed over the number of nonzero jumps by t.
-    ``log_fact`` holds log m! for at least those m."""
+def _chain_mixture(t, law: IteratedLaw, c: np.ndarray, scale: float):
+    """scale sum_m Pois(rate t; m) c_m over m < len(c), at one time or an
+    array of times t > 0 of any shape: a passage law mixed over the number of
+    nonzero jumps by t.  The transposes put the counts of the pmf block last."""
     check_time(t, positive=True)
-    t = np.asarray(t, dtype=float)
-    m = np.arange(c.size)
-    x = law.rate * t[..., None]
-    return _float_if_scalar(np.exp(sc.xlogy(m, x) - x - log_fact[:c.size]) @ c)
+    x = law.rate * np.asarray(t, dtype=float)
+    return _float_if_scalar(scale * (poisson_pmf(range(c.size), x).T @ c).T)
 
 
 def crossing_density_constant(k: int, t, law: IteratedLaw):
@@ -214,8 +208,7 @@ def crossing_density_constant(k: int, t, law: IteratedLaw):
     an array of times.  A path crosses only by a jump out of some state
     j < k, so psi_k(t) = lam sum_{j<k} p_j(t) P{Poisson(mu) >= k - j}, with
     p_j(t) = sum_m Pois(rate t; m) h[m, j]."""
-    ch = _chain(k, law.params.mu)
-    return _chain_mixture(t, law, law.params.lam * ch.flux, ch.log_fact)
+    return _chain_mixture(t, law, _chain(k, law.params.mu).flux, law.params.lam)
 
 
 def _shared_level(k: int) -> int:
@@ -238,8 +231,7 @@ def hitting_density(k: int, t, law: IteratedLaw):
     """Density of the first-hitting time of state k at one time or an array
     of times (defective: integrates to pi_k < 1).  After m jumps the next
     comes at rate ``rate`` and lands on k with probability h[m + 1, k]."""
-    ch = _chain(k, law.params.mu)
-    return _chain_mixture(t, law, law.rate * ch.visits[1:, k], ch.log_fact)
+    return _chain_mixture(t, law, _chain(k, law.params.mu).visits[1:, k], law.rate)
 
 
 def hitting_cdf(k: int, t, law: IteratedLaw):

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .params import ModelParams, check_time
-from .special import SeriesControl, log_poisson_pmf
+from .special import SeriesControl, poisson_pmf
 
 # scaled weights are renormalised once they leave [_TINY, _HUGE]
 _TINY, _HUGE = 1e-200, 1e200
@@ -48,8 +48,8 @@ class IteratedLaw:
         q_j = P{Poisson(mu) = j}, up to the last q_J that is not 0 as a float
         (log q_J >= -745, well inside the range below): no term is lost at small t."""
         mu = self.params.mu
-        j = np.arange(1, int(mu + 45.0 * math.sqrt(mu) + 250.0))
-        return np.trim_zeros(j * np.exp(log_poisson_pmf(j, mu)), "b")[::-1].copy()
+        n = int(mu + 45.0 * math.sqrt(mu) + 250.0)
+        return np.trim_zeros(np.arange(1, n) * poisson_pmf(range(1, n), mu), "b")[::-1].copy()
 
     # -- the weight engine ---------------------------------------------------
 

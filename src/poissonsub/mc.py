@@ -7,11 +7,11 @@ The per-path samplers are the unthinned reference: they step through every
 jump of N, zero jumps included, each a Poisson(mu) count.  The batch
 first-crossing and hitting samplers step through the nonzero jumps only:
 those arrive at rate lam (1 - e^{-mu}), and their sizes are iid
-zero-truncated Poisson(mu), drawn by inverse-CDF lookup in one table per
-call.  This thinning is exact for first passage, since a zero jump leaves
-the level unchanged and so can neither cross a boundary nor land on a state
-that the level before it did not already cross or hit (a nonincreasing
-boundary reaches the level between jumps at the level's own time).
+zero-truncated Poisson(mu), drawn by inverse-CDF lookup in one table of
+``special.poisson_pmf`` per call.  This thinning is exact for first
+passage: a zero jump leaves the level unchanged, so it can neither cross a
+boundary nor land on a state not already crossed or hit (a nonincreasing
+boundary reaches a level between jumps at the level's own time).
 
 All randomness flows through numpy Generators seeded from a SeedSequence;
 replicates get independent spawned substreams so results are reproducible
@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, pdtr
+from scipy.special import pdtr
 
 from .crossing import Boundary
 from .params import JumpSpec, ModelParams, check_time
+from .special import poisson_pmf
 
 _MAX_ROUNDS = 100_000  # jump rounds before a batch sampler gives up
 
@@ -142,9 +143,8 @@ def _ztp_cdf(mu: float) -> tuple[int, np.ndarray]:
     and c stops at its first entry that rounds to 1."""
     spread = 10.0 * math.sqrt(mu) + 20.0
     lo = max(1, math.floor(mu - spread))
-    j = np.arange(lo, math.ceil(mu + spread) + 1)
     nonzero = -math.expm1(-mu)
-    pmf = np.exp(j * math.log(mu) - mu - gammaln(j + 1)) / nonzero
+    pmf = poisson_pmf(range(lo, math.ceil(mu + spread) + 1), mu) / nonzero
     below = (pdtr(lo - 1, mu) - math.exp(-mu)) / nonzero if lo > 1 else 0.0
     c = np.concatenate(([below], below + np.cumsum(pmf)))
     return lo, c[:np.searchsorted(c, 1.0) + 1]

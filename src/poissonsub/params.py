@@ -121,14 +121,14 @@ class JumpSpec:
             raise ValueError("degenerate_unit jumps have no density")
         n, z, out = _conv_block(n, z)
         if self.kind == "exponential":
-            pos = z > 0
-            zz = np.where(pos, self.zeta * z, 1.0)  # log(1) = 0 off the support
+            off = z <= 0  # False at NaN, which stays NaN
+            zz = np.where(off, 1.0, self.zeta * z)  # log(1) = 0 off the support
             np.multiply(n - 1, np.log(zz), out=out)
             out += math.log(self.zeta)
             out -= zz
             out -= sc.gammaln(n)
             np.exp(out, out=out)
-            np.copyto(out, 0.0, where=~pos)
+            np.copyto(out, 0.0, where=off)
             np.copyto(out, self.zeta, where=(z == 0) & (n == 1))
         else:
             s = self.sigma * np.sqrt(n)

@@ -27,7 +27,7 @@ from scipy import stats
 from . import VERIFY_SUITES as SUITES, cpp, crossing, mc
 from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams
-from .special import SeriesControl, log_poisson_pmf
+from .special import SeriesControl
 
 # per-time continuous-part masses 1 - e^{-lam t (1-e^{-mu})} at mu = 1,
 # rounded to 4 decimals, for lam = 1 and lam = 2, t = 1..5
@@ -332,7 +332,7 @@ def _hitting_density_flux(k: int, t: float, law: IteratedLaw) -> float:
     """Hitting density from the law weights of the weight engine:
     lam sum_{j<k} p_j(t) P{Poisson(mu) = k - j}."""
     w = np.exp(law._log_weights(t, k - 1))
-    q = np.exp(log_poisson_pmf(np.arange(k, 0, -1), law.params.mu))
+    q = np.array([poisson_pmf(i, law.params.mu) for i in range(k, 0, -1)])
     return law.params.lam * float(w @ q)
 
 

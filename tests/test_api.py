@@ -34,8 +34,24 @@ def test_special_holds_only_production_helpers():
     tree = ast.parse((SRC / "special.py").read_text())
     defined = {node.name for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert defined == {"SeriesControl", "log_poisson_pmf"}
-    assert callable(special.log_poisson_pmf)
+    assert defined == {"SeriesControl", "poisson_pmf", "_count_part"}
+    assert callable(special.poisson_pmf)
+
+
+def test_log_factorial_forms_only_in_the_oracles_and_conv_pdf():
+    # every production Poisson pmf goes through special.poisson_pmf; a
+    # hand-written exp(m log x - x - gammaln(m + 1)) cancels log m!
+    for path in SRC.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        if names & {"gammaln", "xlogy"}:
+            assert path.name in ("verify.py", "params.py"), path.name
 
 
 def test_only_the_cli_verify_branch_imports_verify():

@@ -287,7 +287,7 @@ class TestExponentialCdfKernel:
         for z, g in zip(zs, got):
             ref = _mp_mixture_cdf(w, zeta * z)
             if ref >= 1e-280:
-                assert abs(g - ref) <= 2e-14 * ref, (z, g, ref)
+                assert abs(g - ref) <= 1e-14 * ref, (z, g, ref)
             else:
                 assert g <= 1e-280
 
@@ -390,6 +390,14 @@ class TestNan:
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_cdf_Y(self, jumps, t):
         assert math.isnan(cpp_cdf_Y(math.nan, t, PARAMS, jumps))
+
+    @pytest.mark.parametrize("jumps", [EXP, NORM])
+    def test_density(self, jumps):
+        # the exponential n-fold density once read NaN as off its support
+        got = cpp_density_Z_grid([math.nan, -1.0, 0.0, 1.0], 1.0, PARAMS, jumps)
+        assert math.isnan(got[0]) and np.all(np.isfinite(got[1:])) and got[3] > 0.0
+        assert np.all(np.isnan(jumps.conv_pdf(np.arange(1, 5)[:, None], [math.nan])))
+        assert math.isnan(jumps.conv_pdf(1, math.nan))
 
 
 class TestNormalSpecialization:

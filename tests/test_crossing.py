@@ -550,6 +550,23 @@ class TestLargeLevels:
         assert mp_rel(crossing_density_constant(k, t, law), cross) < 1e-12
         assert mp_rel(hitting_density(k, t, law), hit) < 1e-12
 
+    @pytest.mark.parametrize("k", [50, 400])
+    def test_chain_mixtures_against_mpmath(self, k):
+        # the densities mix the chain's coefficients over Poisson(rate t)
+        # weights; the reference sums the stored coefficients at 40 digits at
+        # x = fl(rate t), the point the kernel sees, so that it measures the
+        # mixture alone.  exp(m log x - x - log m!) weights were 1.05e-13 off
+        ch = _chain(k, LAW.params.mu)
+        for t in (0.05 * k, 0.25 * k, k, 2.0 * k):  # 7e-18 down to 5e-158 at k = 400
+            x = LAW.rate * t
+            with mpmath.workdps(40):
+                pois = [mpmath.exp(m * mpmath.log(x) - x - mpmath.loggamma(m + 1))
+                        for m in range(k)]
+                cross = LAW.params.lam * mpmath.fsum(p * c for p, c in zip(pois, ch.flux))
+                hit = LAW.rate * mpmath.fsum(p * c for p, c in zip(pois, ch.visits[1:, k]))
+            assert mp_rel(crossing_density_constant(k, t, LAW), cross) < 2e-14
+            assert mp_rel(hitting_density(k, t, LAW), hit) < 2e-14
+
     def test_hitting_probability_k30_against_simulation(self):
         k, params, n = 30, ModelParams(2.0, 1.0), 20_000
         hs = mc.batch_hitting(k, params, 10 * mean_crossing_time_constant(
@@ -574,7 +591,7 @@ class TestChainTable:
 
         ch = _chain(12, 0.8)
         assert _chain(12, 0.8) is ch
-        for a in (ch.visits, ch.exits, ch.flux, ch.log_fact):
+        for a in (ch.visits, ch.exits, ch.flux):
             with pytest.raises(ValueError):
                 a[1] = 0.5
         with pytest.raises(ValueError):

@@ -1,13 +1,19 @@
-"""Oracle-backed tests for the special functions: the truncation policy of
-``special`` and the reference forms that ``verify`` keeps as oracles."""
+"""Oracle-backed tests for the special functions: the truncation policy and
+the Poisson pmf of ``special``, and the reference forms that ``verify`` keeps
+as oracles."""
 
 import math
+import warnings
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
+from poissonsub import mc
+from poissonsub import special
 from poissonsub.special import SeriesControl
 from poissonsub.verify import (
     N_MAX,
@@ -66,6 +72,103 @@ class TestPoissonKernels:
         tail = math.fsum(poisson_pmf(i, 1.0) for i in range(11, 40))
         assert 1.0 - poisson_cdf(10, 1.0) == pytest.approx(tail, rel=1e-7)
         assert 1.0 - poisson_cdf(10, 1.0) < 2e-8
+
+
+EPS = np.finfo(float).eps
+
+
+def mp_pois(m, x):
+    """Pois(x; m) at 50 digits, at the double x as given."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(x))
+        if x == 0:
+            return mpmath.mpf(int(m == 0))
+        return mpmath.exp(m * mpmath.log(x) - x - mpmath.loggamma(m + 1))
+
+
+def tail_points(m, log_p=math.log(1e-300)):
+    """The x below and above m where log Pois(x; m) = log_p."""
+    def f(x):
+        return m * math.log(x) - x - math.lgamma(m + 1) - log_p
+    lo = optimize.brentq(f, 1e-320, m) if m else None
+    return [x for x in (lo, optimize.brentq(f, m + 1e-9, m + 800.0 + 60 * math.sqrt(m)))
+            if x is not None]
+
+
+class TestPoissonPmf:
+    """``special.poisson_pmf``, the one Poisson pmf of the package (not the
+    scalar oracle ``verify.poisson_pmf``)."""
+
+    @staticmethod
+    def assert_cells(counts, x, got):
+        # the pmf is the exp of its log, so an ulp of the log is worth |log p|
+        # ulps of p, and a relative change d of x moves p by (m - x) d, so the
+        # rounding of r = x/m is worth |x - m| ulps: a few of each
+        for m, row in zip(counts, np.atleast_2d(got.T).T):
+            for xi, g in zip(np.atleast_1d(x), np.atleast_1d(row)):
+                want = mp_pois(m, xi)
+                scale = 1 + abs(float(mpmath.log(want))) + abs(xi - m) if want else 1
+                assert abs(g - want) <= 4 * EPS * scale * want, (m, xi, g, want)
+
+    def test_zero_count_and_zero_point(self):
+        x = np.array([0.0, 1e-300, 0.5, 3.0, 700.0, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(special.poisson_pmf(range(1), x)[0], np.exp(-x))
+            assert special.poisson_pmf(range(4), 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+            assert not special.poisson_pmf(range(3, 7), [0.0, 0.0]).any()
+            # a point below the smallest normal: x/m underflows to 0 for large m
+            tiny = special.poisson_pmf(range(1, 50), 5e-324)
+        assert tiny[0] == 5e-324 and not tiny[1:].any()
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 15, 16, 17, 50, 400, 1000, 10**4, 10**5])
+    def test_cells_against_mpmath(self, m):
+        # on the diagonal, about one sd off it, across r = 1/2, and in both
+        # tails down to 1e-300; exp(m log x - x - log m!) is up to 7e-11 off at 1e5
+        s = math.sqrt(m)
+        xs = [m * (1 - 1e-9), m * (1 + 1e-9), m - s, m + s, 0.49 * m, 0.5 * m,
+              2 * m, *tail_points(m)]
+        got = special.poisson_pmf(range(m, m + 1), xs)[0]
+        self.assert_cells([m], xs, got)
+        assert min(mp_pois(m, x) for x in xs) < 1e-299
+
+    def test_block_of_counts(self):
+        x = np.array([1e-3, 0.7, 9.5, 40.0, 333.3])
+        block = special.poisson_pmf(range(60), x)
+        assert block.shape == (60, 5)
+        self.assert_cells(range(60), x, block)
+        for m in (0, 1, 17, 59):
+            assert np.array_equal(special.poisson_pmf(range(m, m + 1), x)[0], block[m])
+
+    def test_range_from_above_zero(self):
+        # the sampler's table at mu = 300 starts near mu - 10 sqrt(mu); its
+        # cells are the rows of the range from 0, and its entries are the
+        # partial sums of the zero-truncated law
+        mu = 300.0
+        lo, c = mc._ztp_cdf(mu)
+        counts = range(lo, lo + c.size - 1)
+        block = special.poisson_pmf(counts, mu)
+        assert lo > 100
+        assert np.array_equal(block, special.poisson_pmf(range(counts.stop), mu)[lo:])
+        self.assert_cells(counts, mu, block)
+        with mpmath.workdps(40):
+            nonzero = -mpmath.expm1(-mu)
+            below = mpmath.fsum(mp_pois(j, mu) for j in range(1, lo)) / nonzero
+            for i in (0, 50, 100, c.size - 1):
+                want = below + mpmath.fsum(mp_pois(j, mu) for j in range(lo, lo + i)) / nonzero
+                assert abs(c[i] - want) < 1e-14
+
+    def test_shapes(self):
+        assert special.poisson_pmf(range(5), 2.0).shape == (5,)
+        assert special.poisson_pmf(range(2, 5), np.ones((2, 3))).shape == (3, 2, 3)
+        assert special.poisson_pmf(range(3, 3), [1.0, 2.0]).shape == (0, 2)
+        assert special.poisson_pmf(range(0, 1), np.ones((2, 3))).shape == (1, 2, 3)
+        zero, m, head = special._count_part(range(0, 4))
+        assert zero and m.tolist() == [1.0, 2.0, 3.0] and head.size == 4 and head[0] == 0.0
+        assert not (m.flags.writeable or head.flags.writeable)
+        special._count_part.cache_clear()  # a long range is not kept
+        special.poisson_pmf(range(special._CACHED_COUNTS + 1), 1e4)
+        assert special._count_part.cache_info().currsize == 0
 
 
 def brute_force_partitions(n, k):
