@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .params import JumpSpec, ModelParams
 from .special import SeriesControl
 
 _FMT = "%.12g"
-_TINY = np.finfo(float).tiny  # smallest normal float
 _MAX_POINTS = 10**7  # per range: a table of that many rows is already ~200 MB of text
 
 
@@ -72,77 +70,135 @@ def _law(args) -> IteratedLaw:
     return IteratedLaw(ModelParams(args.lam, args.mu), SeriesControl(args.tolerance))
 
 
-def _cells(col: np.ndarray, fmt: str) -> tuple[list, int | np.ndarray]:
-    """The cells of a column as the line template takes them, and which are
-    text (1), not raw floats (0): one int for the column or one per cell.
-    A float is "%.12g"; in JSON the shortest repr of that 12-digit float (or
-    NaN, Infinity, -Infinity).  An int is written as it is, an object column
-    (ints and words) as ``str`` in CSV and ``json.dumps`` in JSON."""
+_BLOCK = 4096  # rows formatted and joined at a time: the work stays in cache
+_P10 = -300  # the tables cover the exponents _P10 to -_P10
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The float cell tables, built on first use.  A float cell is five
+    8-byte words: sign and "0.000" lead; twelve digits, four to a word at
+    the even bytes, the odd ones NUL or the point; "e+XX" or ".0" tail.
+    ``digits[g + 10**4 * later]`` is the word of the four-digit group g, its
+    trailing zeros NUL unless a later group is nonzero; ``cells[json, X -
+    _P10, frac, neg]`` is the cell of exponent X, with digits after the
+    point or not and of that sign, with no digits but an integer's zeros."""
+    g = np.arange(10_000)
+    text = g[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
+    kept = np.arange(4) < 4 - np.sum([g % 10**k == 0 for k in range(1, 5)], axis=0)[:, None]
+    digits = np.zeros((2, 10_000, 8), np.uint8)
+    digits[:, :, ::2] = text * kept, text
+    put = np.zeros((13, 13, 24), np.uint8)  # [digits before the point, point after digit]
+    for k in range(13):
+        put[k, :, :2 * k:2] = ord("0")
+        put[:, k, 2 * k + 1:2 * k + 2] = ord(".")  # none after digit 12
+    words = lambda texts: np.array([t.encode() for t in texts], "S8").view(np.uint64)
+    lead = words([s + "0." + "0" * (k - 1) if k else s for s in ("", "-") for k in range(5)])
+    tail = words([f"e{k:+03d}" for k in range(_P10, -_P10 + 1)] + [".0", ""])
+    x, frac = np.arange(_P10, -_P10 + 1)[:, None, None], np.arange(2)[:, None]
+    fixed, small = (x >= -4) & (x < 12), (x >= -4) & (x < 0)
+    whole = np.where(fixed & ~small, x + 1, 0)
+    cells = np.empty((2, x.size, 2, 2, 5), np.uint64)
+    cells[..., 0] = lead[5 * np.arange(2) + np.where(small, -x, 0)]
+    at = whole * 13 + np.where(frac & ~small, np.maximum(whole - 1, 0), 12)
+    cells[..., 1:4] = put.reshape(169, 3, 8).view(np.uint64)[at, :, 0]
+    ints = np.arange(2)[:, None, None, None] & ~frac & (whole > 0)  # JSON writes "3.0"
+    cells[..., 4] = tail[np.where(fixed, np.where(ints, -2, -1), x - _P10)]
+    p10 = np.array([float(f"1e{k}") for k in range(_P10, -_P10 + 1)])
+    return digits.view(np.uint64).ravel(), cells.reshape(2, -1, 5), p10
+
+
+def _cells(col: np.ndarray, fmt: str) -> np.ndarray:
+    """The cells of a column as a bytes array of one width, with NUL bytes
+    among or after each text.  An int is written as it is, an object column
+    (ints and words) as ``str`` in CSV and ``json.dumps`` in JSON, a column
+    of runs of equal floats (t, one run per t) once per run.
+
+    A float is "%.12g" % v, in JSON the shortest repr of that 12-digit float
+    (NaN, Infinity).  Its exponent X is floor(log10|v|), one more where the
+    scaled value rounds up to 10**12; its digits are rint(|v| * 10**(11 -
+    X)), a product under 2**40 rounded twice, so within 2.5e-4 of exact.
+    The cell is the template of X, sign and whether digits follow the point,
+    ORed with the digit words.  Zero, NaN, inf, |v| outside [1e-280, 1e280]
+    (subnormals too), a product within 2e-3 of a rounding half, and in JSON
+    a 12-digit value in [1e12, 1e16), which JSON writes without exponent,
+    are handed to Python's "%" instead, once per distinct value."""
+    if col.dtype.kind in "iu":
+        return col.astype("S")
     if col.dtype.kind != "f":
-        plain = fmt == "csv" or col.dtype.kind in "iu"
-        return list(map(str if plain else json.dumps, col.tolist())), 1
+        cells = map(str if fmt == "csv" else json.dumps, col.tolist())
+        return np.array([c.encode() for c in cells], dtype="S")
     x = np.ascontiguousarray(col, dtype=np.float64)
-    # a column of runs of equal bits (t, one run per t) is formatted per run
     first = np.ones(x.size, dtype=bool)
     first[1:] = x.view(np.int64)[1:] != x.view(np.int64)[:-1]
     if 2 * np.count_nonzero(first) < x.size:
-        vals, as_text = _cells(x[first], fmt)
-        cells = [("%s" if t else _FMT) % v
-                 for t, v in zip(np.broadcast_to(as_text, len(vals)).tolist(), vals)]
-        return np.array(cells, dtype=object)[np.cumsum(first) - 1].tolist(), 1
-    if fmt == "csv":
-        return x.tolist(), 0
-    # A decimal of at most 15 digits is the shortest repr of the normal float
-    # it rounds to, so JSON writes the "%.12g" text but for layout (integral
-    # values get ".0", [1e12, 1e16) no exponent): only zero, subnormal,
-    # non-finite, large and near-integral cells are checked, each value once.
+        heads = [c.translate(None, b"\0") for c in _cells(x[first], fmt).tolist()]
+        return np.array(heads)[np.cumsum(first) - 1]
+    digits, cells, p10 = _tables()
     a = np.abs(x)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        near = np.abs(x - np.rint(x)) <= 1e-11 * a
-    cand = np.flatnonzero(near | ~((a >= _TINY) & (a < 1e11)))
-    bits, which = np.unique(x[cand].view(np.int64), return_inverse=True)
-    texts = np.array([_FMT % v for v in bits.view(np.float64).tolist()], dtype=object)
-    dumps = np.array([repr(r) if math.isfinite(r) else json.dumps(r)  # repr is faster
-                      for r in map(float, texts)], dtype=object)
-    rows = (dumps != texts)[which]
-    cells, as_text = x.astype(object), np.zeros(x.size, dtype=np.int64)
-    cells[cand[rows]], as_text[cand[rows]] = dumps[which[rows]], 1
-    return cells.tolist(), (as_text if rows.any() else 0)
+    ok = (a >= 1e-280) & (a <= 1e280)  # False for NaN
+    a[~ok] = 1.0
+    ex = np.floor(np.log10(a)).astype(np.intp)
+    s = a * p10[11 - ex - _P10]
+    py = ~ok | (np.abs(s - np.floor(s) - 0.5) < 2e-3)
+    up = s >= 1e12 - 0.5  # rounds up to 10**(X + 1), or log10 was one low
+    ex += up
+    if fmt == "json":
+        py |= (ex >= 12) & (ex < 16)
+    n = np.rint(np.where(up, s / 10, s))  # an integer under 2**40: the ops below are exact
+    g0 = np.floor(n / 1e8)
+    rest = n - g0 * 1e8
+    g1 = np.floor(rest / 1e4)
+    g2 = rest - g1 * 1e4
+    after = p10[11 - ex * ((ex >= 0) & (ex < 12)) - _P10]  # 10**(digits after the point)
+    frac = np.floor(n / after) != n / after
+    cells = cells[int(fmt == "json")].take(((ex - _P10) * 2 + frac) * 2 + (x < 0), axis=0)
+    cells[:, 1] |= digits[(g0 + 1e4 * (rest != 0)).astype(np.intp)]
+    cells[:, 2] |= digits[(g1 + 1e4 * (g2 != 0)).astype(np.intp)]
+    cells[:, 3] |= digits[g2.astype(np.intp)]
+    cells = cells.view("S40")[:, 0]
+    if py.any():
+        bits, inv = np.unique(x[py].view(np.int64), return_inverse=True)
+        texts = [_FMT % v for v in bits.view(np.float64).tolist()]
+        if fmt == "json":
+            texts = [repr(r) if math.isfinite(r) else json.dumps(r) for r in map(float, texts)]
+        cells[py] = np.array(texts, dtype="S40")[inv]
+    return cells
 
 
 def _write_table(table: dict[str, np.ndarray], meta: dict, args) -> None:
     """Write a table, an ordered mapping from column name to column, as CSV
-    or as JSON laid out as ``json.dumps(..., indent=2)`` lays it out.  The
-    body is one ``%`` over a line template per row: raw floats go in under
-    "%.12g", so CPython formats each once, and only the cells ``_cells``
-    makes text (runs, ints, words, JSON cells that "%.12g" does not write)
-    under "%s"; a row with a text float cell has a template of its own."""
+    or as JSON laid out as ``json.dumps(..., indent=2)`` lays it out.  Rows
+    are built ``_BLOCK`` at a time as one byte array: the separators, as
+    constant bytes, between the fixed-width cells of each column that
+    ``_cells`` gives; one ``translate`` per block then drops the NUL bytes.
+    A file gets the bytes, standard output a ``str``."""
     names, csv = list(table), args.format == "csv"
-    cols, as_text = zip(*(_cells(table[k], args.format) for k in names))
-    code = sum(t << j for j, t in enumerate(as_text))  # bit j: cell j is text
-    keys = [""] * len(names) if csv else [
-        f"      {json.dumps(k).replace('%', '%%')}: " for k in names]
-
-    def line(c: int) -> str:
-        cells = [k + ("%s" if c >> j & 1 else _FMT) for j, k in enumerate(keys)]
-        return ",".join(cells) if csv else "    {\n" + ",\n".join(cells) + "\n    }"
-
-    used, which = np.unique(code, return_inverse=True)
-    lines = np.array(list(map(line, used.tolist())), dtype=object)[
-        np.broadcast_to(which, len(cols[0]))].tolist()
-    body = ("\n" if csv else ",\n").join(lines) % tuple(chain.from_iterable(zip(*cols)))
+    keys = [",\n      " + json.dumps(k) + ": " for k in names]
+    seps = ([""] + [","] * (len(names) - 1) + ["\n"] if csv else
+            ["    {\n" + keys[0][2:]] + keys[1:] + ["\n    },\n"])
+    seps = [np.frombuffer(s.encode(), np.uint8) for s in seps]
+    blocks = []
+    for lo in range(0, len(table[names[0]]), _BLOCK):
+        cells = [_cells(table[k][lo:lo + _BLOCK], args.format) for k in names]
+        m = cells[0].size
+        parts = [np.broadcast_to(seps[0], (m, seps[0].size))]
+        for c, sep in zip(cells, seps[1:]):
+            parts += [c.view(np.uint8).reshape(m, -1), np.broadcast_to(sep, (m, sep.size))]
+        blocks.append(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
+    if not csv:
+        blocks[-1] = blocks[-1][:-2] + b"\n  ]\n}\n"  # no comma after the last row
     head = ",".join(names) + "\n" if csv else json.dumps(
         {"metadata": meta, "rows": []}, indent=2)[:-len("[]\n}")] + "[\n"
-    text = head + body + ("\n" if csv else "\n  ]\n}\n")
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.write(head + b"".join(blocks).decode())  # str: any text stream takes it
         return
     path = args.output
     outdir = os.environ.get("POISSONSUB_OUTDIR")
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.writelines([head.encode(), *blocks])
 
 
 def _meta(args, **extra) -> dict:
@@ -234,7 +290,7 @@ def _cmd_crossing(args) -> dict[str, np.ndarray]:
 def _cmd_hitting(args) -> dict[str, np.ndarray]:
     ks = parse_range(args.k, 1.0).astype(int)
     if args.prob:
-        mus = parse_range(args.mu_grid or _FMT % args.mu, args.step)
+        mus = parse_range(args.mu_grid, args.step) if args.mu_grid else np.array([args.mu])
         vals = [crossing.hitting_probability(k, mu)
                 for k in ks.tolist() for mu in mus.tolist()]
         return {"k": np.repeat(ks, mus.size), "mu": np.tile(mus, ks.size),

@@ -15,7 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poissonsub import IteratedLaw, ModelParams, cli, survival_linear_increasing, verify
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poissonsub import (IteratedLaw, ModelParams, cli, hitting_probability,
+                        survival_linear_increasing, verify)
 from poissonsub.cli import _meta, _write_table, build_parser, main, parse_range
 
 
@@ -196,6 +200,13 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_formatter_tables_built_on_first_use(self):
+        # building them at import would add to every command's start-up
+        code = "import poissonsub.cli as c; print(c._tables.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
     def test_parser_accepts_every_verify_suite(self):
         parser = build_parser()
         for name in verify.SUITES:
@@ -337,6 +348,14 @@ class TestOtherCommands:
         assert len(rows) == 6
         assert all(0 < float(r["prob"]) <= 1 for r in rows)
 
+    def test_hitting_prob_at_the_given_mu(self, capsys):
+        # a single --mu used to be rounded to 12 digits before the call,
+        # which moves this cell by one in its last digit
+        mu = 1.8395755385131807
+        code, out, _ = run_cli(["hitting", "--prob", "--k", "2", "--mu", repr(mu)], capsys)
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert code == 0 and row["prob"] == "%.12g" % hitting_probability(2, mu)
+
     def test_avoiding_table(self, capsys):
         code, out, _ = run_cli(
             ["avoiding", "--k", "2", "--horizon", "2"], capsys)
@@ -402,11 +421,13 @@ BYTE_CASES = [
     "cdf --t 0.5..1:0.5 --jumps exp --zeta 2 --z=-6..2:0.5",  # runs of 0 in cdf
     "avoiding --k 2 --horizon 4",
     "simulate --seed 7 --replicates 40 --jumps normal --eta -1 --sigma 2",
+    # 60 002 rows: many row blocks, a run of t across the block ends
+    "cdf --t 0.5..1:0.5 --jumps exp --zeta 1 --z=-1..14:0.0005",
 ]
 
 
 class TestByteIdentity:
-    """The template writer gives the same bytes as a row-by-row renderer."""
+    """The block writer gives the same bytes as a row-by-row renderer."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("line", BYTE_CASES)
@@ -478,6 +499,27 @@ class TestByteIdentity:
         _write_table(table, meta, args)
         assert capsys.readouterr().out == reference_text(table, meta, fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097])
+    def test_row_blocks(self, rows, fmt, capsys):
+        # rows are written in blocks of 4096: a table of a block and one row
+        # either side of it, runs of t across the block end
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 14, rows)
+        table = {"t": np.repeat([0.25, 1e-7, 3.0], 2048)[:rows], "i": np.arange(rows),
+                 "x": x, "w": np.array(["survival" if i % 5 else i for i in range(rows)],
+                                       dtype=object)}
+        meta = {"command": "test", "lam": 1.0}
+        _write_table(table, meta, argparse.Namespace(format=fmt, output=None))
+        assert capsys.readouterr().out == reference_text(table, meta, fmt)
+
+    def test_stdout_swapped_for_a_text_buffer(self, monkeypatch):
+        # the table goes to sys.stdout as str, so any text stream takes it
+        buf = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", buf)
+        assert main(["pmf", "--t", "1", "--n", "0..2", "--format", "json"]) == 0
+        assert len(json.loads(buf.getvalue())["rows"]) == 3
+
     @pytest.mark.parametrize("line", [
         "density --t 1 --jumps exp --zeta 1 --z 0",
         "crossing --k 2 --quantity density --t 0",
@@ -490,3 +532,66 @@ class TestByteIdentity:
                                                       str(target)], capsys)
         assert code == 1 and out == "" and not target.exists()
         assert "empty result grid" in err
+
+
+def cell_texts(x, fmt: str) -> list[str]:
+    """The texts of the column formatter's cells, NUL bytes dropped."""
+    cells = cli._cells(np.asarray(x, dtype=np.float64), fmt)
+    return b"\n".join(cells.tolist()).translate(None, b"\0").decode().split("\n")
+
+
+def want_texts(x, fmt: str) -> list[str]:
+    texts = ["%.12g" % v for v in np.asarray(x, dtype=np.float64).tolist()]
+    if fmt == "csv":
+        return texts
+    return [json.dumps(float(t)) for t in texts]
+
+
+class TestFloatCells:
+    """Every float cell of the column formatter is "%.12g" % v, and in JSON
+    the json.dumps text of the float that "%.12g" text reads back to."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_edge_cases(self, fmt):
+        tiny = np.finfo(float).tiny
+        near = [np.nextafter(v, d) for v in (1e11, 1e12, 1e16, 1e280, 1e-280)
+                for d in (0.0, np.inf)]
+        x = [1234567890125.0, 1234567890135.0, 0.5, 2.5, 1.5e-5, 999999999999.5,
+             9.999999999995e-5, 9.99999999999e-5, 1e-4, 1e-5, 0.0, -0.0, tiny,
+             np.nextafter(tiny, 0), tiny / 2, 5e-324, -2.5e-310, 1e280, 1e-280,
+             1e300, 1e-300, 1.7976931348623157e308, np.nan, np.inf, -np.inf,
+             1e11, 1e12, 1e15, 1e16, 99999999999.95, 0.99999999999995, 3.0, 1e-3,
+             *near, *np.nextafter(np.nextafter(near, 0.0), 0.0)]
+        # powers of ten and the values that round up to one, and the
+        # doubles either side of each
+        tens = 10.0 ** np.arange(-323, 309)
+        ups = (1e12 - 0.5) * 10.0 ** np.arange(-290, 280)
+        for v in (tens, ups):
+            x = np.concatenate([x, v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)])
+        x = np.concatenate([x, np.negative(x)])
+        assert cell_texts(x, fmt) == want_texts(x, fmt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=60))
+    def test_any_floats(self, xs):
+        for fmt in ("csv", "json"):
+            assert cell_texts(xs, fmt) == want_texts(xs, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_binary_exponent(self, fmt):
+        # a million doubles, random sign and mantissa, exponent field 0 (the
+        # subnormals) to 2046, plus values on and next to 12-digit halves;
+        # JSON takes every fourth
+        rng = np.random.default_rng(2024)
+        n = 1 << 20
+        bits = (rng.integers(0, 1 << 52, n, dtype=np.int64)
+                | (np.arange(n, dtype=np.int64) % 2047 << 52)
+                | (rng.integers(0, 2, n, dtype=np.int64) << 63))
+        halves = ((rng.integers(10**11, 10**12, 1 << 16) + 0.5)
+                  * 10.0 ** rng.integers(-290, 290, 1 << 16))
+        x = np.concatenate([bits.view(np.float64), halves, np.nextafter(halves, 0.0),
+                            np.nextafter(halves, np.inf)])
+        if fmt == "json":  # json.dumps is the slow part: a quarter will do
+            x = x[::4]
+        for chunk in np.array_split(x, 16):
+            assert cell_texts(chunk, fmt) == want_texts(chunk, fmt)
