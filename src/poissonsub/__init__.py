@@ -28,7 +28,7 @@ from .cpp import (
     laplace_exponent,
     moments_Z,
 )
-from .iterated import IteratedLaw, dispersion_index, levy_exponent_limit_check
+from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams, MomentSummary
 from .special import SeriesControl
 
@@ -36,8 +36,7 @@ __all__ = [
     "AvoidingTable", "Boundary", "IteratedLaw", "JumpSpec", "ModelParams",
     "MomentSummary", "SeriesControl", "atom_mass_Z", "avoiding_table",
     "cpp_cdf_Y", "cpp_cdf_Z_grid", "cpp_density_Z_grid",
-    "crossing_density_constant", "dispersion_index", "hitting_cdf",
-    "hitting_density", "hitting_probability", "laplace_exponent",
-    "levy_exponent_limit_check", "mean_crossing_time_constant", "moments_Z",
-    "survival_linear_increasing", "survival_nonincreasing",
+    "crossing_density_constant", "hitting_cdf", "hitting_density",
+    "hitting_probability", "laplace_exponent", "mean_crossing_time_constant",
+    "moments_Z", "survival_linear_increasing", "survival_nonincreasing",
 ]

@@ -324,18 +324,23 @@ def _cmd_simulate(args) -> dict[str, np.ndarray]:
     return {"replicate": np.arange(zs.size), "z": np.asarray(zs, dtype=float)}
 
 
-def _add_command(sub, name: str, fn, about: str, seed: bool = False):
-    """Add a table command: its subparser, with the common flags, runs fn."""
+def _add_command(sub, name: str, fn, about: str, seed: bool = False,
+                 jumps: bool = False):
+    """Add a table command: its subparser, with the common flags, runs fn.
+    A command without the jump flags serves the unit-jump process only."""
     p = sub.add_parser(name, help=about)
     p.set_defaults(fn=fn)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="intensity of the subordinator N(t)")
     p.add_argument("--mu", type=float, default=1.0,
                    help="intensity of the inner process M(t)")
-    p.add_argument("--jumps", choices=("unit", "exp", "normal"), default="unit")
-    p.add_argument("--zeta", type=float, help="rate of exponential jumps")
-    p.add_argument("--eta", type=float, help="mean of normal jumps")
-    p.add_argument("--sigma", type=float, help="std of normal jumps")
+    if jumps:
+        p.add_argument("--jumps", choices=("unit", "exp", "normal"), default="unit")
+        p.add_argument("--zeta", type=float, help="rate of exponential jumps")
+        p.add_argument("--eta", type=float, help="mean of normal jumps")
+        p.add_argument("--sigma", type=float, help="std of normal jumps")
+    else:
+        p.set_defaults(jumps="unit")  # for the JSON metadata
     p.add_argument("--tolerance", type=float, default=1e-12)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output file (default stdout; relative "
@@ -357,17 +362,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="time or range a..b")
     p.add_argument("--n", help="state range a..b (default: until tail mass)")
 
-    p = _add_command(sub, "cdf", _cmd_cdf, "CDF table of Z(t)")
+    p = _add_command(sub, "cdf", _cmd_cdf, "CDF table of Z(t)", jumps=True)
     p.add_argument("--t", required=True)
     p.add_argument("--n", help="state range for unit jumps")
     p.add_argument("--z", default="0..10", help="z range for continuous jumps")
 
     p = _add_command(sub, "density", _cmd_density,
-                     "density table of Z(t), continuous jumps")
+                     "density table of Z(t), continuous jumps", jumps=True)
     p.add_argument("--t", required=True)
     p.add_argument("--z", default="0..10")
 
-    p = _add_command(sub, "moments", _cmd_moments, "mean/variance of Z(t)")
+    p = _add_command(sub, "moments", _cmd_moments, "mean/variance of Z(t)",
+                     jumps=True)
     p.add_argument("--t", required=True)
 
     p = _add_command(sub, "crossing", _cmd_crossing, "first-crossing quantities")
@@ -392,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=5)
 
     p = _add_command(sub, "simulate", _cmd_simulate, "Monte Carlo draws of Z(horizon)",
-                     seed=True)
+                     seed=True, jumps=True)
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--replicates", type=int, default=1000)
 

@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy import special as sc
 
-from .iterated import IteratedLaw
+from .iterated import IteratedLaw, _float_if_scalar
 from .params import JumpSpec, ModelParams, MomentSummary, check_time
 from .special import SeriesControl, poisson_pmf
 
@@ -31,10 +31,10 @@ _BLOCK_CELLS = 2**19
 
 
 def atom_mass_Z(t: float, params: ModelParams) -> float:
-    """Mass of the atom at 0: P{Z(t) = 0} = e^{-lam t (1 - e^{-mu})} for
-    jump laws that are continuous at 0."""
+    """Mass of the atom at 0: P{Z(t) = 0} = e^{-rate t}, rate = lam (1 - e^{-mu}),
+    for jump laws that are continuous at 0."""
     check_time(t)
-    return math.exp(-params.lam * t * (1.0 - math.exp(-params.mu)))
+    return math.exp(-params.rate * t)
 
 
 def _poisson_weights(a: float, tol: float) -> np.ndarray:
@@ -88,13 +88,16 @@ def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
     return np.minimum(1.0, w[0] * _step(z) + jump)
 
 
-def cpp_cdf_Y(y: float, t: float, params: ModelParams, jumps: JumpSpec,
-              ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """CDF of the plain compound Poisson process Y(t) driven by M(t)."""
+def cpp_cdf_Y(y, t: float, params: ModelParams, jumps: JumpSpec,
+              ctl: SeriesControl = _DEFAULT_CTL):
+    """CDF of the plain compound Poisson process Y(t) driven by M(t) at one
+    point or an array of points y; one point gives a float."""
     check_time(t)
+    y = np.asarray(y, dtype=float)
     if t == 0.0:
-        return float(_step(np.float64(y)))
-    return float(_cdf_mixture(_poisson_weights(params.mu * t, ctl.tolerance), y, jumps))
+        return _float_if_scalar(_step(y))
+    w = _poisson_weights(params.mu * t, ctl.tolerance)
+    return _float_if_scalar(_cdf_mixture(w, y, jumps))
 
 
 def cpp_cdf_Z_grid(z: np.ndarray, t: float, params: ModelParams, jumps: JumpSpec,

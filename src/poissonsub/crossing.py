@@ -136,7 +136,7 @@ def survival_nonincreasing(boundary: Boundary, t, law: IteratedLaw):
         raise ValueError(f"boundary rises above its start value {boundary.value(0.0)}")
     exits = _chain(level, law.params.mu).exits
     # one row per time, summed along it: a time's value does not depend on the grid
-    s = (sc.gammaincc(np.arange(1.0, level + 1), law.rate * t.reshape(-1, 1))
+    s = (sc.gammaincc(np.arange(1.0, level + 1), law.params.rate * t.reshape(-1, 1))
          * exits[rows]).sum(axis=1)
     np.minimum(s, 1.0, out=s)
     # at t = 0 every Poisson factor is 1, so s sums a row: 1 up to rounding, or 0 on row 0
@@ -199,7 +199,7 @@ def _chain_mixture(t, law: IteratedLaw, c: np.ndarray, scale: float):
     array of times t > 0 of any shape: a passage law mixed over the number of
     nonzero jumps by t.  The transposes put the counts of the pmf block last."""
     check_time(t, positive=True)
-    x = law.rate * np.asarray(t, dtype=float)
+    x = law.params.rate * np.asarray(t, dtype=float)
     return _float_if_scalar(scale * (poisson_pmf(range(c.size), x).T @ c).T)
 
 
@@ -224,14 +224,14 @@ def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
     is held for an exponential(rate) time, so E(T) = sum_{j<k} pi_j / rate,
     read from the table shared by every level up to ``_shared_level(k)``."""
     visits = _chain(_shared_level(k), law.params.mu).visits
-    return float(visits[:, :k].sum()) / law.rate
+    return float(visits[:, :k].sum()) / law.params.rate
 
 
 def hitting_density(k: int, t, law: IteratedLaw):
     """Density of the first-hitting time of state k at one time or an array
     of times (defective: integrates to pi_k < 1).  After m jumps the next
-    comes at rate ``rate`` and lands on k with probability h[m + 1, k]."""
-    return _chain_mixture(t, law, _chain(k, law.params.mu).visits[1:, k], law.rate)
+    comes at rate ``params.rate`` and lands on k with probability h[m + 1, k]."""
+    return _chain_mixture(t, law, _chain(k, law.params.mu).visits[1:, k], law.params.rate)
 
 
 def hitting_cdf(k: int, t, law: IteratedLaw):
@@ -242,7 +242,7 @@ def hitting_cdf(k: int, t, law: IteratedLaw):
     check_time(t)
     t = np.asarray(t, dtype=float)
     m = np.arange(1, k + 1)
-    return _float_if_scalar(np.minimum(1.0, sc.gammainc(m, law.rate * t[..., None]) @ h))
+    return _float_if_scalar(np.minimum(1.0, sc.gammainc(m, law.params.rate * t[..., None]) @ h))
 
 
 def hitting_probability(k: int, mu: float) -> float:

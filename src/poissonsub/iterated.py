@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.special import pdtr
 
 from .params import ModelParams, check_time
 from .special import SeriesControl, poisson_pmf
@@ -33,14 +34,6 @@ def _float_if_scalar(x):
 class IteratedLaw:
     params: ModelParams
     ctl: SeriesControl = field(default_factory=SeriesControl)
-
-    # -- shorthand -----------------------------------------------------------
-
-    @property
-    def rate(self) -> float:
-        """Total jump rate lam*(1 - e^{-mu}): exits from any state are
-        exponential with this parameter."""
-        return self.params.lam * -math.expm1(-self.params.mu)
 
     @cached_property
     def _severity(self) -> np.ndarray:
@@ -76,7 +69,7 @@ class IteratedLaw:
         p[0] = 1.0
         win = np.ndarray((n + 1, nj), buffer=buf, strides=(buf.itemsize, buf.itemsize))
         out = np.empty(n + 1)
-        shift = -self.rate * t  # true weight = scaled weight * e^shift
+        shift = -self.params.rate * t  # true weight = scaled weight * e^shift
         done = 0  # p[:done] are already logged into out
         with np.errstate(divide="ignore"):
             for i, feed in enumerate(win[:n], 1):
@@ -160,43 +153,26 @@ class IteratedLaw:
         return math.exp(lw(s, k)[k] + lw(t - s, n - k)[n - k] - lw(t, n)[n])
 
     def mean_sojourn(self, n: int) -> float:
-        """E{S_n} = (1/lam) mu^n/n! sum_{k>=0} k^n e^{-mu k}, with 0^0 = 1
-        so that n = 0 reduces to the exponential-sojourn mean."""
+        """E{S_n} = (1/lam) mu^n/n! sum_{k>=0} k^n e^{-mu k}
+        = (1/lam) sum_{k>=0} Pois(mu k; n), with 0^0 = 1 so that n = 0 is
+        the exponential-sojourn mean 1/rate.
+
+        The terms are summed in blocks of at most 2^20 points, so memory
+        stays bounded at small mu.  Past the mode, mu (K - 1) >= n, Pois(x; n)
+        falls in x, so the terms from k = K on sum to at most
+        (1/mu) int_{mu (K-1)}^inf Pois(x; n) dx = pdtr(n, mu (K - 1)) / mu;
+        the sum stops once that is at most tolerance times the partial sum."""
         if n < 0:
             raise ValueError(f"state must be nonnegative, got {n}")
-        lam, mu = self.params.lam, self.params.mu
         if n == 0:
-            # geometric series sum_{k>=0} e^{-mu k}
-            return 1.0 / (lam * (1.0 - math.exp(-mu)))
-        log_tol = math.log(self.ctl.tolerance)
-        total, start, size = -math.inf, 1, 64
+            return 1.0 / self.params.rate
+        mu, tol = self.params.mu, self.ctl.tolerance
+        # the terms past about n + 10 sqrt(n) + 40 on the x = mu k scale are negligible
+        size = int(min(1 << 20, (n + 10.0 * math.sqrt(n) + 40.0) / mu)) + 1
+        total, k = 0.0, 1  # the term at k = 0 is Pois(0; n) = 0
         while True:
-            # running log-sums of the terms k^n e^{-mu k}, a block at a time
-            k = np.arange(start, start + size, dtype=float)
-            lt = n * np.log(k) - mu * k
-            acc = np.logaddexp.accumulate(np.append(total, lt))[1:]
-            # past the mode k ~ n/mu the terms decay at least geometrically
-            stop = np.flatnonzero((k > n / mu) & (lt < acc + log_tol))
-            if stop.size:
-                total = float(acc[stop[0]])
-                break
-            # blocks double up to 2^20 terms, so memory stays bounded wherever the mode lies
-            total, start, size = float(acc[-1]), start + size, min(2 * size, 1 << 20)
-        return math.exp(n * math.log(mu) - math.lgamma(n + 1) + total) / lam
-
-
-def dispersion_index(params: ModelParams) -> float:
-    """var/mean ratio of Z(t): 1 + mu, independent of t (overdispersed)."""
-    return 1.0 + params.mu
-
-
-def levy_exponent_limit_check(theta: float, xi: float, mu: float) -> tuple[float, float]:
-    """Exponent of Z at (lam = xi/mu, mu) next to the Poisson(xi) exponent
-    xi(1 - e^{-theta}); the two coincide as mu -> 0."""
-    if xi <= 0:
-        raise ValueError(f"xi must be positive, got {xi}")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    lam = xi / mu
-    psi = lam * (1.0 - math.exp(-mu * (1.0 - math.exp(-theta))))
-    return psi, xi * (1.0 - math.exp(-theta))
+            total += float(poisson_pmf(range(n, n + 1), mu * np.arange(k, k + size)).sum())
+            k += size
+            if mu * (k - 1) >= n and pdtr(n, mu * (k - 1)) / mu <= tol * total:
+                return total / self.params.lam
+            size = min(2 * size, 1 << 20)

@@ -1,17 +1,15 @@
 """Monte Carlo oracle: vectorized batch samplers of Z(t), of first-crossing
-times and of hitting times, used for large verification runs, and the
-per-path samplers (one jump, one first crossing, one hitting) that the tests
-check the batch samplers against.
+times and of hittings, used for large verification runs.
 
-The per-path samplers are the unthinned reference: they step through every
-jump of N, zero jumps included, each a Poisson(mu) count.  The batch
-first-crossing and hitting samplers step through the nonzero jumps only:
-those arrive at rate lam (1 - e^{-mu}), and their sizes are iid
-zero-truncated Poisson(mu), drawn by inverse-CDF lookup in one table of
-``special.poisson_pmf`` per call.  This thinning is exact for first
-passage: a zero jump leaves the level unchanged, so it can neither cross a
-boundary nor land on a state not already crossed or hit (a nonincreasing
-boundary reaches a level between jumps at the level's own time).
+The batch first-crossing and hitting samplers step through the nonzero
+jumps only: those arrive at ``ModelParams.rate`` = lam (1 - e^{-mu}), and
+their sizes are iid zero-truncated Poisson(mu), drawn by inverse-CDF lookup
+in one table of ``special.poisson_pmf`` per call.  This thinning is exact
+for first passage: a zero jump leaves the level unchanged, so it can neither
+cross a boundary nor land on a state not already crossed or hit (a
+nonincreasing boundary reaches a level between jumps at the level's own
+time).  The unthinned per-path samplers, which step through every jump of
+N, are their reference in ``verify``.
 
 All randomness flows through numpy Generators seeded from a SeedSequence;
 replicates get independent spawned substreams so results are reproducible
@@ -42,77 +40,9 @@ def substreams(seed: int, n: int) -> list[np.random.Generator]:
             for ss in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _nonzero_rate(params: ModelParams) -> float:
-    """Rate lam (1 - e^{-mu}) of the jumps of N that move Z."""
-    return params.lam * -math.expm1(-params.mu)
-
-
 def default_horizon(params: ModelParams) -> float:
     """Covers ~50 mean sojourn times, so censoring bias is negligible."""
-    return 50.0 / _nonzero_rate(params)
-
-
-def sample_W(jumps: JumpSpec, mu: float, rng: np.random.Generator) -> float:
-    """One jump of the subordinated process: a Poisson(mu) count of X draws."""
-    k = int(rng.poisson(mu))
-    if jumps.kind == "degenerate_unit":
-        return float(k)
-    if k == 0:
-        return 0.0
-    if jumps.kind == "exponential":
-        return float(rng.exponential(1.0 / jumps.zeta, k).sum())
-    return float(rng.normal(jumps.eta, jumps.sigma, k).sum())
-
-
-def first_crossing_sample(boundary: Boundary, params: ModelParams,
-                          jumps: JumpSpec, horizon: float,
-                          rng: np.random.Generator) -> float | None:
-    """First t with Z(t) >= beta(t), or None if censored at the horizon.
-
-    For nonincreasing boundaries the inter-jump descent of the boundary
-    through the current level is detected as well as jump-epoch crossings:
-    both happen at the level time ``boundary.level_time(z, horizon)``.
-    """
-    check_time(horizon, positive=True)
-    descends = boundary.is_nonincreasing
-    t, z = 0.0, 0.0
-    s = boundary.level_time(z, horizon) if descends else math.inf
-    while True:
-        e = t + rng.exponential(1.0 / params.lam)
-        if s <= min(e, horizon):
-            return s
-        if e > horizon:
-            return None
-        z += sample_W(jumps, params.mu, rng)
-        if descends:
-            s = boundary.level_time(z, horizon)
-            if e >= s:
-                return e
-        elif z >= boundary.value(e):
-            return e
-        t = e
-
-
-def hitting_sample(k: int, params: ModelParams, horizon: float,
-                   rng: np.random.Generator) -> float | None:
-    """First epoch at which the iterated process lands exactly on state k;
-    None if it jumps over k or is censored at the horizon."""
-    if k < 1:
-        raise ValueError(f"state must be >= 1, got {k}")
-    check_time(horizon, positive=True)
-    t, z = 0.0, 0
-    while True:
-        t += rng.exponential(1.0 / params.lam)
-        if t > horizon:
-            return None
-        z += int(rng.poisson(params.mu))
-        if z == k:
-            return t
-        if z > k:
-            return None
-
-
-# -- vectorized batch samplers (same laws, exact in distribution) ------------
+    return 50.0 / params.rate
 
 
 def sample_Z(params: ModelParams, jumps: JumpSpec, t: float, size: int,
@@ -193,7 +123,7 @@ def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float
     # a live path sits below top; with no finite level time there (the
     # constant boundary) no path crosses between jumps
     descent = by_level and bool(np.isfinite(level_time[:top]).any())
-    rate = _nonzero_rate(params)
+    rate = params.rate
     lo, c = _ztp_cdf(params.mu)
     out = np.full(size, np.nan)
     # live paths: index into out, level, epoch of the last nonzero jump
@@ -235,7 +165,7 @@ def batch_hitting(k: int, params: ModelParams, horizon: float, size: int,
     if k < 1:
         raise ValueError(f"state must be >= 1, got {k}")
     check_time(horizon, positive=True)
-    rate = _nonzero_rate(params)
+    rate = params.rate
     lo, c = _ztp_cdf(params.mu)
     out = np.full(size, np.nan)
     idx = np.arange(size)

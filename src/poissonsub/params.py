@@ -23,6 +23,12 @@ class ModelParams:
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be finite and positive, got {self.mu}")
 
+    @property
+    def rate(self) -> float:
+        """Rate lam (1 - e^{-mu}) of the jumps of N that move Z: the exits
+        from any state of Z are exponential with this parameter."""
+        return self.lam * -math.expm1(-self.mu)
+
 
 @dataclass(frozen=True)
 class JumpSpec:

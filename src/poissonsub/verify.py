@@ -10,8 +10,10 @@ Poisson kernels and incomplete gamma function, the Stirling and Bell closed
 forms of the law and of the first-passage quantities, the crossing and
 hitting densities as flux sums over the weight engine's law weights, the
 direct exponential-jump CDF series and density series of Z(t), and the
-exponential-jump CDF summed term by term over ``JumpSpec.conv_cdf``.  The
-paper's alternative CDF series is the production path in ``cpp``.
+exponential-jump CDF summed term by term over ``JumpSpec.conv_cdf``, and
+the per-path samplers (one jump, one first crossing, one hitting) that the
+tests check the batch samplers of ``mc`` against.  The paper's alternative
+CDF series is the production path in ``cpp``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy import stats
 
 from . import VERIFY_SUITES as SUITES, cpp, crossing, mc
 from .iterated import IteratedLaw
-from .params import JumpSpec, ModelParams
+from .params import JumpSpec, ModelParams, check_time
 from .special import SeriesControl
 
 # per-time continuous-part masses 1 - e^{-lam t (1-e^{-mu})} at mu = 1,
@@ -271,7 +273,7 @@ def cdf_closed_form(law: IteratedLaw, n: int, t: float) -> float:
     mu = law.params.mu
     ct = law.params.lam * t * math.exp(-mu)
     inner = math.fsum(ct**k * _stirling_coef(k, n + 1, mu) for k in range(1, n + 1))
-    return math.exp(-law.rate * t) * (1.0 + inner)
+    return math.exp(-law.params.rate * t) * (1.0 + inner)
 
 
 def crossing_density_constant_stirling(k: int, t: float, law: IteratedLaw) -> float:
@@ -283,7 +285,7 @@ def crossing_density_constant_stirling(k: int, t: float, law: IteratedLaw) -> fl
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     lam, mu = law.params.lam, law.params.mu
-    a = law.rate
+    a = law.params.rate
     c = lam * math.exp(-mu)
     ct = c * t
     p0 = math.exp(-a * t)
@@ -299,21 +301,21 @@ def _mean_crossing_time_stirling(k: int, law: IteratedLaw) -> float:
     em1 = math.expm1(mu)
     inner = math.fsum(math.factorial(i) / em1**i * _stirling_coef(i, k, mu)
                       for i in range(1, k))
-    return (1.0 + inner) / law.rate
+    return (1.0 + inner) / law.params.rate
 
 
 def _hitting_density_bell(k: int, t: float, law: IteratedLaw) -> float:
     lam, mu = law.params.lam, law.params.mu
     ct = lam * math.exp(-mu) * t
     return (math.exp(-mu) * mu**k / math.factorial(k) * lam
-            * math.exp(-law.rate * t) * bell_poly_derivative(k, ct))
+            * math.exp(-law.params.rate * t) * bell_poly_derivative(k, ct))
 
 
 def _hitting_cdf_stirling(k: int, t: float, law: IteratedLaw) -> float:
     """The Stirling sum formally includes j = 0, which vanishes because
     S2(k, 0) = 0 for k >= 1 (this is what makes F_H(0) = 0)."""
     lam, mu = law.params.lam, law.params.mu
-    a = law.rate
+    a = law.params.rate
     ct = lam * math.exp(-mu) * t
     em1 = math.expm1(mu)
     gam = math.fsum(stirling2(k, j) * lower_incomplete_gamma(j + 1, a * t) / em1**j
@@ -376,6 +378,73 @@ def _exp_jump_density_grid(z: np.ndarray, t: float, params: ModelParams, zeta: f
     return zeta * (w[1:] @ np.exp(lp))
 
 
+# -- the per-path samplers ---------------------------------------------------
+# The unthinned reference for the batch samplers of ``mc``: they step through
+# every jump of N, zero jumps included, each a Poisson(mu) count.
+
+
+def sample_W(jumps: JumpSpec, mu: float, rng: np.random.Generator) -> float:
+    """One jump of the subordinated process: a Poisson(mu) count of X draws."""
+    k = int(rng.poisson(mu))
+    if jumps.kind == "degenerate_unit":
+        return float(k)
+    if k == 0:
+        return 0.0
+    if jumps.kind == "exponential":
+        return float(rng.exponential(1.0 / jumps.zeta, k).sum())
+    return float(rng.normal(jumps.eta, jumps.sigma, k).sum())
+
+
+def first_crossing_sample(boundary: crossing.Boundary, params: ModelParams,
+                          jumps: JumpSpec, horizon: float,
+                          rng: np.random.Generator) -> float | None:
+    """First t with Z(t) >= beta(t), or None if censored at the horizon.
+
+    For nonincreasing boundaries the inter-jump descent of the boundary
+    through the current level is detected as well as jump-epoch crossings:
+    both happen at the level time ``boundary.level_time(z, horizon)``.
+    """
+    check_time(horizon, positive=True)
+    descends = boundary.is_nonincreasing
+    t, z = 0.0, 0.0
+    s = boundary.level_time(z, horizon) if descends else math.inf
+    while True:
+        e = t + rng.exponential(1.0 / params.lam)
+        if s <= min(e, horizon):
+            return s
+        if e > horizon:
+            return None
+        z += sample_W(jumps, params.mu, rng)
+        if descends:
+            s = boundary.level_time(z, horizon)
+            if e >= s:
+                return e
+        elif z >= boundary.value(e):
+            return e
+        t = e
+
+
+def hitting_sample(k: int, params: ModelParams, horizon: float,
+                   rng: np.random.Generator) -> float | None:
+    """First epoch at which the iterated process lands exactly on state k;
+    None if it jumps over k or is censored at the horizon."""
+    if k < 1:
+        raise ValueError(f"state must be >= 1, got {k}")
+    check_time(horizon, positive=True)
+    t, z = 0.0, 0
+    while True:
+        t += rng.exponential(1.0 / params.lam)
+        if t > horizon:
+            return None
+        z += int(rng.poisson(params.mu))
+        if z == k:
+            return t
+        if z > k:
+            return None
+
+
+
+
 # -- suites ------------------------------------------------------------------
 
 
@@ -399,7 +468,7 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
     bell_x = law.params.lam * t * math.exp(-law.params.mu)
     worst = max(
         _rel(law.pmf(n, t), math.exp(n * math.log(law.params.mu) - math.lgamma(n + 1)
-                                     - law.rate * t) * bell_series(n, bell_x, ctl))
+                                     - law.params.rate * t) * bell_series(n, bell_x, ctl))
         for n in range(21))
     out.append(CheckResult("iterated pmf: weights vs Bell series",
                            worst < 1e-10, worst, 1e-10))
@@ -458,7 +527,7 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
 
     worst = 0.0
     for k in (1, 2, 3, 4):
-        lim = crossing.hitting_cdf(k, 2000.0 / law.rate, law)
+        lim = crossing.hitting_cdf(k, 2000.0 / law.params.rate, law)
         worst = max(worst, abs(lim - crossing.hitting_probability(k, law.params.mu)))
     out.append(CheckResult("hitting cdf limit equals hitting probability",
                            worst < 1e-8, worst, 1e-8))
@@ -572,7 +641,7 @@ def analytic_vs_mc(seed: int = 42, replicates: int = 100_000,
                                  mc.default_horizon(law2.params),
                                  min(replicates, 100_000), rngs[3])
     ts = ts[~np.isnan(ts)]
-    p = stats.kstest(ts, lambda x: 1.0 - np.exp(-law2.rate * x)).pvalue
+    p = stats.kstest(ts, lambda x: 1.0 - np.exp(-law2.params.rate * x)).pvalue
     out.append(CheckResult("constant boundary k=1: exponential crossing law (KS)",
                            p > 0.05, p, 0.05))
 

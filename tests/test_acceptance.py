@@ -22,7 +22,7 @@ from poissonsub import (
     hitting_cdf,
     hitting_density,
     hitting_probability,
-    levy_exponent_limit_check,
+    laplace_exponent,
     mean_crossing_time_constant,
     survival_linear_increasing,
     survival_nonincreasing,
@@ -96,7 +96,7 @@ def test_iterated_law_identities(capsys):
                     assert abs(pv.sum() - 1.0) < 1e-10
                     for n in (1, 3, 7):
                         # Bell-series closed form mu^n/n! e^{-rate t} B_n(lam t e^{-mu})
-                        bell = (mu**n / math.factorial(n) * math.exp(-law.rate * t)
+                        bell = (mu**n / math.factorial(n) * math.exp(-law.params.rate * t)
                                 * bell_series(n, lam * t * math.exp(-mu)))
                         assert abs(bell - law.pmf(n, t)) < 1e-10
                     s = 0.4 * t
@@ -116,7 +116,7 @@ def test_constant_boundary_crossing(capsys):
     with criterion(capsys, "constant-boundary-crossing", 30.0):
         params = ModelParams(2.0, 1.0)
         law = IteratedLaw(params)
-        a = law.rate
+        a = law.params.rate
 
         ts = mc.batch_first_crossing(Boundary.constant(1), params, 50.0,
                                      100_000, mc.make_rng(42))
@@ -219,7 +219,10 @@ def test_continuous_jump_distributional_equivalence(capsys):
 def test_limit_properties(capsys):
     with criterion(capsys, "limit-properties", 5.0):
         for theta in (0.5, 1.0):
-            errs = [abs(np.subtract(*levy_exponent_limit_check(theta, 1.0, m)))
+            # the exponent at (lam = 1/mu, mu) against the Poisson(1) exponent
+            errs = [abs(laplace_exponent(theta, ModelParams(1.0 / m, m),
+                                         JumpSpec.degenerate_unit())
+                        - (1.0 - math.exp(-theta)))
                     for m in (1e-1, 1e-2, 1e-3)]
             # first-order convergence: a ten-fold smaller mu must shrink the
             # error by well over the factor two that halving would give

@@ -162,6 +162,17 @@ class TestExitCodes:
                   "--z", "1000", "--max-terms", "10"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("line", [
+        "pmf --t 1", "crossing --k 3 --t 1..2", "hitting --k 2 --t 1", "avoiding --k 2",
+    ])
+    def test_jump_flags_only_where_they_count(self, line):
+        # these commands serve the unit-jump process; they used to accept the
+        # jump flags, ignore them and print the unit-jump table
+        with pytest.raises(SystemExit) as exc:
+            main(line.split() + ["--jumps", "exp", "--zeta", "1"])
+        assert exc.value.code == 1
+        assert build_parser().parse_args(line.split()).jumps == "unit"
+
     def test_unknown_suite_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "no-such-suite"])

@@ -126,6 +126,21 @@ class TestCdfY:
         se = math.sqrt(p_hat * (1 - p_hat) / n)
         assert abs(cpp_cdf_Y(3.0, 1.0, PARAMS, EXP) - p_hat) < 3 * se
 
+    @pytest.mark.parametrize("t", [0.0, 1.0, 40.0, 300.0])
+    def test_grid_equals_pointwise_calls(self, t):
+        # unit jumps read prefix sums, bit for bit; a continuous mixture is one
+        # BLAS matrix-vector product per block, which rounds a point's sum
+        # differently at another block width: up to 4 ulps apart here
+        ys = np.array([-1.0, 0.0, 0.5, 1.0, 2.5, 7.0, 60.0, 200.0, 450.0, math.nan])
+        for jumps in (EXP, NORM, JumpSpec.degenerate_unit()):
+            grid = cpp_cdf_Y(ys, t, PARAMS, jumps)
+            points = [cpp_cdf_Y(y, t, PARAMS, jumps) for y in ys.tolist()]
+            assert all(type(p) is float for p in points)
+            if jumps.is_continuous and t > 0:
+                np.testing.assert_allclose(grid, points, rtol=2e-15, atol=0.0)
+            else:
+                np.testing.assert_array_equal(grid, points)
+
 
 class TestCdfZ:
     def test_time_zero(self):
@@ -137,6 +152,14 @@ class TestCdfZ:
         below, at = cpp_cdf_Z_grid([-1e-12, 0.0], t, PARAMS, EXP)
         assert below == pytest.approx(0.0, abs=1e-12)
         assert at - below == pytest.approx(atom_mass_Z(t, PARAMS), abs=1e-10)
+
+    def test_atom_at_small_mu(self):
+        # rate = lam (1 - e^{-mu}) cancels if 1 - e^{-mu} is taken as written
+        params, t = ModelParams(1e10, 1e-10), 1.0
+        atom = atom_mass_Z(t, params)
+        below, at = cpp_cdf_Z_grid([-1.0, 0.0], t, params, EXP)
+        assert atom == pytest.approx(IteratedLaw(params).pmf(0, t), rel=1e-15, abs=0.0)
+        assert atom == pytest.approx(at - below, rel=1e-15, abs=0.0)
 
     def test_degenerate_matches_iterated(self):
         law = IteratedLaw(PARAMS)

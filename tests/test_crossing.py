@@ -176,7 +176,7 @@ class TestSurvivalNonincreasing:
 class TestCrossingDensityConstant:
     def test_level_one_is_exponential(self):
         # the k = 1 crossing time is exponential with the thinned rate
-        a = LAW.rate
+        a = LAW.params.rate
         for t in (0.1, 1.0, 2.5):
             assert crossing_density_constant(1, t, LAW) == pytest.approx(
                 a * math.exp(-a * t), rel=1e-12)
@@ -210,7 +210,7 @@ class TestCrossingDensityConstant:
 class TestMeanCrossingTime:
     def test_level_one(self):
         assert mean_crossing_time_constant(1, LAW) == pytest.approx(
-            1.0 / LAW.rate, rel=1e-14)
+            1.0 / LAW.params.rate, rel=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_quadrature_oracle(self, k):
@@ -268,7 +268,7 @@ class TestHitting:
     @pytest.mark.parametrize("k", [3, 30, 400])
     def test_cdf_grid_matches_scalar_calls(self, k, fn):
         law = IteratedLaw(ModelParams(1.5, 1.0))
-        mean = (k + 0.5) / law.rate  # about E(T_k)
+        mean = (k + 0.5) / law.params.rate  # about E(T_k)
         ts = np.linspace(0.01 * mean, 4.0 * mean, 60)
         if fn is hitting_cdf:
             ts = np.r_[0.0, ts]
@@ -305,7 +305,7 @@ class TestHitting:
     def test_level_one_density_closed_form(self):
         lam, mu = LAW.params.lam, LAW.params.mu
         t = 0.9
-        expect = mu * math.exp(-mu) * lam * math.exp(-LAW.rate * t)
+        expect = mu * math.exp(-mu) * lam * math.exp(-LAW.params.rate * t)
         assert hitting_density(1, t, LAW) == pytest.approx(expect, rel=1e-12)
 
     def test_domain_errors(self):
@@ -558,12 +558,12 @@ class TestLargeLevels:
         # mixture alone.  exp(m log x - x - log m!) weights were 1.05e-13 off
         ch = _chain(k, LAW.params.mu)
         for t in (0.05 * k, 0.25 * k, k, 2.0 * k):  # 7e-18 down to 5e-158 at k = 400
-            x = LAW.rate * t
+            x = LAW.params.rate * t
             with mpmath.workdps(40):
                 pois = [mpmath.exp(m * mpmath.log(x) - x - mpmath.loggamma(m + 1))
                         for m in range(k)]
                 cross = LAW.params.lam * mpmath.fsum(p * c for p, c in zip(pois, ch.flux))
-                hit = LAW.rate * mpmath.fsum(p * c for p, c in zip(pois, ch.visits[1:, k]))
+                hit = LAW.params.rate * mpmath.fsum(p * c for p, c in zip(pois, ch.visits[1:, k]))
             assert mp_rel(crossing_density_constant(k, t, LAW), cross) < 2e-14
             assert mp_rel(hitting_density(k, t, LAW), hit) < 2e-14
 
@@ -638,7 +638,7 @@ class TestChainTable:
                       for k in range(1, 17)] for mu in mus}
         assert _chain.cache_info().misses == len(mus)
         for mu in mus:
-            rate = IteratedLaw(ModelParams(1.5, mu)).rate
+            rate = ModelParams(1.5, mu).rate
             own = [float(_Chain(k, mu).visits[:, :k].sum()) / rate for k in range(1, 17)]
             np.testing.assert_allclose(means[mu], own, rtol=1e-15, atol=0.0)
         with pytest.raises(ValueError):

@@ -13,10 +13,12 @@ from scipy import integrate, stats
 
 from poissonsub import (
     IteratedLaw,
+    JumpSpec,
     ModelParams,
     SeriesControl,
-    dispersion_index,
-    levy_exponent_limit_check,
+    hitting_probability,
+    laplace_exponent,
+    moments_Z,
 )
 from poissonsub.verify import bell_series, cdf_closed_form
 
@@ -62,7 +64,7 @@ class TestPmf:
         law = IteratedLaw(ModelParams(2.0, 1.0))
         t = 1.5
         for n in (1, 2, 5, 12):
-            bell = math.exp(-law.rate * t) / math.factorial(n) * bell_series(
+            bell = math.exp(-law.params.rate * t) / math.factorial(n) * bell_series(
                 n, 2.0 * t * math.exp(-1.0))
             assert rel(law.pmf(n, t), bell) < 1e-10
 
@@ -284,10 +286,37 @@ class TestConditionalPmf:
             law.conditional_pmf(1, 1.0, 1.0, 2)
 
 
+UNIT = JumpSpec.degenerate_unit()
+
+
+def renewal_sojourns(lam, mu, top):
+    """E{S_n} = pi_n / rate for n = 0..top at 30 digits, from the renewal
+    equation pi_n = sum_j P{X = j} pi_{n-j}, pi_0 = 1, of the jump chain with
+    zero-truncated Poisson(mu) steps X; steps of probability below 1e-40
+    are dropped."""
+    with mpmath.workdps(30):
+        mu = mpmath.mpf(mu)
+        nonzero = -mpmath.expm1(-mu)
+        q, j = [], 1
+        while j <= top:
+            qj = mpmath.exp(-mu) * mu**j / mpmath.factorial(j) / nonzero
+            if j > mu and qj < mpmath.mpf("1e-40"):
+                break
+            q.append(qj)
+            j += 1
+        pi = [mpmath.mpf(1)]
+        for n in range(1, top + 1):
+            m = min(n, len(q))
+            pi.append(mpmath.fdot(q[:m], pi[n - 1::-1][:m]))
+        return [p / (lam * nonzero) for p in pi]
+
+
 class TestDispersionAndSojourn:
     def test_dispersion_values(self):
-        assert dispersion_index(ModelParams(3.0, 1.0)) == 2.0
-        assert dispersion_index(ModelParams(1.0, 1e-9)) == pytest.approx(1.0)
+        for t in (0.5, 1.0):
+            assert moments_Z(t, ModelParams(3.0, 1.0), UNIT).dispersion_index == 2.0
+            assert moments_Z(t, ModelParams(1.0, 1e-9), UNIT).dispersion_index == (
+                pytest.approx(1.0))
 
     def test_dispersion_from_pmf(self):
         law = IteratedLaw(ModelParams(2.0, 3.0), SeriesControl(tolerance=1e-14))
@@ -311,13 +340,28 @@ class TestDispersionAndSojourn:
         assert abs(law.mean_sojourn(2) - q) < 1e-8
 
     @pytest.mark.parametrize("lam,n,mu,want", [
-        (1.0, 1, 1.0, 0.9206735942075449), (1.5, 7, 0.8, 0.833333390861012),
-        (2.0, 40, 3.0, 0.16666666666664573), (0.5, 300, 0.2, 9.999999999837883),
-        (1.0, 2000, 0.01, 99.99999988565187)])
-    def test_sojourn_matches_term_by_term_loop(self, lam, n, mu, want):
-        # values of the one-term-at-a-time running log-sum, same stop rule
+        (1.0, 1, 1.0, 0.9206735942077923), (1.5, 7, 0.8, 0.8333333908614562),
+        (2.0, 40, 3.0, 0.1666666666666665), (0.5, 300, 0.2, 10.0),
+        (1.0, 2000, 0.01, 100.0)])
+    def test_sojourn_matches_renewal_values(self, lam, n, mu, want):
+        # ``renewal_sojourns`` at 30 digits, rounded to the nearest float
         got = IteratedLaw(ModelParams(lam, mu)).mean_sojourn(n)
-        assert abs(got - want) <= 1e-13 * want
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.05, 1.0, 8.0])
+    def test_sojourn_against_renewal_sums(self, mu):
+        law = IteratedLaw(ModelParams(1.5, mu))
+        want = renewal_sojourns(1.5, mu, 2000)
+        for n in (0, 1, 2, 3, 7, 30, 100, 400, 2000):
+            assert rel(law.mean_sojourn(n), float(want[n])) < 1e-14, n
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0, 8.0])
+    def test_sojourn_times_rate_is_hitting_probability(self, mu):
+        # state n is held for an exponential(rate) time once it is visited
+        law = IteratedLaw(ModelParams(1.5, mu))
+        for n in range(1, 31):
+            assert abs(law.mean_sojourn(n) * law.params.rate
+                       - hitting_probability(n, mu)) < 1e-14, n
 
     def test_sojourn_finite_positive(self):
         law = IteratedLaw(ModelParams(1.5, 0.8))
@@ -326,15 +370,22 @@ class TestDispersionAndSojourn:
             assert 0 < s < math.inf
 
 
+def levy_limit(theta, xi, mu):
+    """The exponent of Z at (lam = xi/mu, mu) next to the Poisson(xi)
+    exponent xi (1 - e^{-theta}); the two coincide as mu -> 0."""
+    psi = laplace_exponent(theta, ModelParams(xi / mu, mu), UNIT)
+    return psi, xi * (1.0 - math.exp(-theta))
+
+
 class TestLevyLimit:
     def test_zero_theta(self):
-        assert levy_exponent_limit_check(0.0, 1.0, 0.1) == (0.0, 0.0)
+        assert levy_limit(0.0, 1.0, 0.1) == (0.0, 0.0)
 
     def test_small_mu_error(self):
-        psi, target = levy_exponent_limit_check(1.0, 1.0, 1e-3)
+        psi, target = levy_limit(1.0, 1.0, 1e-3)
         assert abs(psi - target) < 1e-3
 
     def test_first_order_rate(self):
-        e1 = abs(np.subtract(*levy_exponent_limit_check(0.5, 2.0, 0.02)))
-        e2 = abs(np.subtract(*levy_exponent_limit_check(0.5, 2.0, 0.01)))
+        e1 = abs(np.subtract(*levy_limit(0.5, 2.0, 0.02)))
+        e2 = abs(np.subtract(*levy_limit(0.5, 2.0, 0.01)))
         assert e2 < 0.6 * e1

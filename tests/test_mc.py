@@ -1,6 +1,6 @@
 """Tests for the Monte Carlo simulator: reproducibility, and agreement of
-the vectorized batch samplers with the path-level ones and the analytic
-laws."""
+the vectorized batch samplers with the path-level ones of ``verify`` and
+the analytic laws."""
 
 import math
 
@@ -17,6 +17,7 @@ from poissonsub import (
     survival_nonincreasing,
 )
 from poissonsub import mc
+from poissonsub.verify import first_crossing_sample, hitting_sample, sample_W
 
 PARAMS = ModelParams(2.0, 1.0)
 UNIT = JumpSpec.degenerate_unit()
@@ -51,13 +52,13 @@ class TestConfigAndStreams:
 class TestSampleW:
     def test_degenerate_is_integer(self):
         rng = mc.make_rng(0)
-        ws = [mc.sample_W(UNIT, 1.0, rng) for _ in range(200)]
+        ws = [sample_W(UNIT, 1.0, rng) for _ in range(200)]
         assert all(w == int(w) and w >= 0 for w in ws)
 
     def test_mean_and_atom(self):
         rng = mc.make_rng(3)
         n = 100_000
-        ws = np.array([mc.sample_W(EXP, 1.0, rng) for _ in range(n)])
+        ws = np.array([sample_W(EXP, 1.0, rng) for _ in range(n)])
         se = float(ws.std(ddof=1)) / math.sqrt(n)
         assert abs(float(ws.mean()) - 1.0) < 3 * se  # E W = mu * xi
         p0 = float(np.mean(ws == 0.0))
@@ -72,7 +73,7 @@ class TestFirstCrossingSampler:
         rng = mc.make_rng(4)
         params = ModelParams(1.0, 1e-12)
         b = Boundary.linear_decreasing(2)
-        ts = [mc.first_crossing_sample(b, params, UNIT, 10.0, rng)
+        ts = [first_crossing_sample(b, params, UNIT, 10.0, rng)
               for _ in range(50)]
         assert all(t == pytest.approx(2.0, abs=1e-9) for t in ts)
 
@@ -83,9 +84,9 @@ class TestFirstCrossingSampler:
         n = 4000
         lin = Boundary.linear_decreasing(3)
         gen = Boundary.nonincreasing(3, lambda t: 3.0 - t)
-        f1 = np.array([mc.first_crossing_sample(lin, PARAMS, UNIT, 5.0, rng1)
+        f1 = np.array([first_crossing_sample(lin, PARAMS, UNIT, 5.0, rng1)
                        for _ in range(n)], dtype=float)
-        f2 = np.array([mc.first_crossing_sample(gen, PARAMS, UNIT, 5.0, rng2)
+        f2 = np.array([first_crossing_sample(gen, PARAMS, UNIT, 5.0, rng2)
                        for _ in range(n)], dtype=float)
         m1, m2 = np.nanmean(f1), np.nanmean(f2)
         s = math.sqrt(np.nanvar(f1) / n + np.nanvar(f2) / n)
@@ -94,8 +95,7 @@ class TestFirstCrossingSampler:
     def test_crossing_time_positive_and_capped(self):
         rng = mc.make_rng(6)
         for _ in range(100):
-            t = mc.first_crossing_sample(Boundary.constant(1), PARAMS, UNIT,
-                                         50.0, rng)
+            t = first_crossing_sample(Boundary.constant(1), PARAMS, UNIT, 50.0, rng)
             assert t is None or 0 < t <= 50.0
 
 
@@ -115,7 +115,7 @@ class TestBatchSamplers:
         b = Boundary.constant(3)
         rng1, rng2 = mc.substreams(13, 2)
         batch = mc.batch_first_crossing(b, PARAMS, 50.0, n, rng1)
-        paths = np.array([mc.first_crossing_sample(b, PARAMS, UNIT, 50.0, rng2)
+        paths = np.array([first_crossing_sample(b, PARAMS, UNIT, 50.0, rng2)
                           for _ in range(n // 10)], dtype=float)
         m1, m2 = np.nanmean(batch), np.nanmean(paths)
         s = math.sqrt(np.nanvar(batch) / n + np.nanvar(paths) / (n // 10))
@@ -142,7 +142,7 @@ class TestBatchSamplers:
         n = 30_000
         h = mc.default_horizon(PARAMS)
         batch = mc.batch_hitting(1, PARAMS, h, n, rng1)
-        paths = np.array([mc.hitting_sample(1, PARAMS, h, rng2)
+        paths = np.array([hitting_sample(1, PARAMS, h, rng2)
                           for _ in range(n // 10)], dtype=float)
         f1 = float(np.mean(~np.isnan(batch)))
         f2 = float(np.mean(~np.isnan(paths)))
@@ -181,7 +181,7 @@ class TestBatchAgainstPathSamplers:
         horizon = horizon or mc.default_horizon(params)
         rng1, rng2 = mc.substreams(seed, 2)
         batch = mc.batch_first_crossing(boundary, params, horizon, self.N_BATCH, rng1)
-        paths = np.array([mc.first_crossing_sample(boundary, params, UNIT, horizon, rng2)
+        paths = np.array([first_crossing_sample(boundary, params, UNIT, horizon, rng2)
                           for _ in range(self.N_PATHS)], dtype=float)
         d, crit = ks_censored(batch, paths)
         assert d < crit, (d, crit)
@@ -191,7 +191,7 @@ class TestBatchAgainstPathSamplers:
         horizon = mc.default_horizon(params)
         rng1, rng2 = mc.substreams(44, 2)
         batch = mc.batch_hitting(k, params, horizon, self.N_BATCH, rng1)
-        paths = np.array([mc.hitting_sample(k, params, horizon, rng2)
+        paths = np.array([hitting_sample(k, params, horizon, rng2)
                           for _ in range(self.N_PATHS)], dtype=float)
         d, crit = ks_censored(batch, paths)
         assert d < crit, (d, crit)
@@ -268,8 +268,8 @@ class TestTimeChecks:
     def test_horizon(self, horizon):
         b, rng = Boundary.constant(2), mc.make_rng(0)
         for call in (
-            lambda: mc.first_crossing_sample(b, PARAMS, UNIT, horizon, rng),
-            lambda: mc.hitting_sample(2, PARAMS, horizon, rng),
+            lambda: first_crossing_sample(b, PARAMS, UNIT, horizon, rng),
+            lambda: hitting_sample(2, PARAMS, horizon, rng),
             lambda: mc.batch_first_crossing(b, PARAMS, horizon, 10, rng),
             lambda: mc.batch_hitting(2, PARAMS, horizon, 10, rng),
         ):
