@@ -32,13 +32,15 @@ def main() -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["k", "mu", "pi_k", "hit_freq_mc", "half_life_t"])
     mus = np.linspace(args.mu_min, args.mu_max, args.mu_points)
+    # pis[j, i] = pi_k for k = args.k[i] at mus[j]: one call per mu
+    pis = np.array([hitting_probability(args.k, float(mu)) for mu in mus])
     streams = mc.substreams(args.seed, len(args.k) * len(mus))
     si = 0
-    for k in args.k:
-        for mu in mus:
+    for i, k in enumerate(args.k):
+        for j, mu in enumerate(mus):
             params = ModelParams(args.lam, float(mu))
             law = IteratedLaw(params)
-            pi = hitting_probability(k, float(mu))
+            pi = float(pis[j, i])
             times = mc.batch_hitting(k, params, mc.default_horizon(params),
                                      args.replicates, streams[si])
             si += 1

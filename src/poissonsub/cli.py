@@ -291,10 +291,9 @@ def _cmd_hitting(args) -> dict[str, np.ndarray]:
     ks = parse_range(args.k, 1.0).astype(int)
     if args.prob:
         mus = parse_range(args.mu_grid, args.step) if args.mu_grid else np.array([args.mu])
-        vals = [crossing.hitting_probability(k, mu)
-                for k in ks.tolist() for mu in mus.tolist()]
+        vals = [crossing.hitting_probability(ks, mu) for mu in mus.tolist()]
         return {"k": np.repeat(ks, mus.size), "mu": np.tile(mus, ks.size),
-                "prob": np.array(vals, dtype=float)}
+                "prob": np.array(vals, dtype=float).T.ravel()}
     law = _law(args)
     ts = parse_range(args.t, args.t_step)
     pos = ts > 0  # the density cell at t = 0 is written as 0

@@ -8,7 +8,9 @@ boundary (crossing density and mean), the first-hitting time of a state
 The passage laws of a level k are mixtures over the jump index m (the m-th
 nonzero jump comes at a Gamma(m, rate) time, and the densities mix over
 ``special.poisson_pmf``), read from one cached record per (k, mu) of the
-embedded jump chain.  The survivals, the densities and the hitting CDF take
+embedded jump chain.  The hitting probability and the constant-boundary
+mean are marginals of the chain over m, read from the renewal record of mu
+in ``iterated``.  The survivals, the densities and the hitting CDF take
 one time or an array of times.  Every quantity is a sum of nonnegative
 terms; the paper's Stirling and Bell forms and the flux sums over the law
 weights are reference forms in ``verify``."""
@@ -23,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as sc
 
-from .iterated import IteratedLaw, _float_if_scalar
+from .iterated import IteratedLaw, _float_if_scalar, _read_only, _renewal
 from .params import check_time
 from .special import poisson_pmf
 
@@ -156,8 +158,6 @@ class _Chain:
     def __init__(self, k: int, mu: float):
         if k < 1:
             raise ValueError(f"level must be >= 1, got {k}")
-        if not 0 < mu < math.inf:
-            raise ValueError(f"mu must be finite and positive, got {mu}")
         self.k, self.mu = k, mu
 
     @cached_property
@@ -184,11 +184,6 @@ class _Chain:
         return _read_only(self.visits[:k, :k] @ sc.pdtrc(np.arange(k - 1, -1, -1), self.mu))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 # the per-level coefficients every passage law of a level reads, kept per
 # (k, mu): one (k, mu) serves a whole t-grid
 _chain = lru_cache(maxsize=16)(_Chain)
@@ -211,20 +206,13 @@ def crossing_density_constant(k: int, t, law: IteratedLaw):
     return _chain_mixture(t, law, _chain(k, law.params.mu).flux, law.params.lam)
 
 
-def _shared_level(k: int) -> int:
-    """The level whose table serves every state up to k: max(16, the next
-    power of two >= k), so a sweep over k builds one table per mu."""
-    if k < 1:
-        raise ValueError(f"state must be >= 1, got {k}")
-    return max(16, 1 << int(k - 1).bit_length())
-
-
 def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
     """E(T) for the constant boundary k: each state j < k the chain visits
     is held for an exponential(rate) time, so E(T) = sum_{j<k} pi_j / rate,
-    read from the table shared by every level up to ``_shared_level(k)``."""
-    visits = _chain(_shared_level(k), law.params.mu).visits
-    return float(visits[:, :k].sum()) / law.params.rate
+    a prefix sum over the renewal record of mu."""
+    if k < 1:
+        raise ValueError(f"state must be >= 1, got {k}")
+    return float(_renewal(law.params.mu).upto(k - 1)[:k].sum()) / law.params.rate
 
 
 def hitting_density(k: int, t, law: IteratedLaw):
@@ -245,10 +233,14 @@ def hitting_cdf(k: int, t, law: IteratedLaw):
     return _float_if_scalar(np.minimum(1.0, sc.gammainc(m, law.params.rate * t[..., None]) @ h))
 
 
-def hitting_probability(k: int, mu: float) -> float:
-    """pi_k = P{state k is ever visited}; independent of lam and in (0, 1].
-    Read from column k of the table at ``_shared_level(k)``."""
-    return min(1.0, float(_chain(_shared_level(k), mu).visits[:, k].sum()))
+def hitting_probability(k, mu: float):
+    """pi_k = P{state k is ever visited} at one state or an array of states
+    k >= 1; independent of lam and in (0, 1].  Read from the renewal record
+    of mu; one state gives a float."""
+    k = np.asarray(k)
+    if np.min(k, initial=1) < 1:
+        raise ValueError(f"state must be >= 1, got {np.min(k)}")
+    return _float_if_scalar(_renewal(mu).upto(int(np.max(k, initial=0)))[k])
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,18 @@
 Z is a compound Poisson process with rate lam and Poisson(mu) batches, so
 its weights p_n(t) follow the compound-Poisson (Panjer) recursion; one
 private engine runs it and every quantity of the law is read off its
-output.  The paper's Bell-polynomial and Stirling forms are kept as
-reference forms in ``verify``.
+output.  One renewal record per mu, of the chance that the jump chain ever
+visits each state, serves the mean sojourn time and ``crossing``.  The
+paper's Bell-polynomial and Stirling forms are reference forms in ``verify``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import pdtr
 
 from .params import ModelParams, check_time
 from .special import SeriesControl, poisson_pmf
@@ -30,6 +30,63 @@ def _float_if_scalar(x):
     return x if np.ndim(x) else float(x)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def _poisson_batches(mu: float) -> np.ndarray:
+    """q_j = P{Poisson(mu) = j} for j = 0..J, read-only, with q_J the last
+    that is not 0 as a float (log q_J >= -745, and J is well inside
+    mu + 45 sqrt(mu) + 250): no batch size of positive probability is lost."""
+    n = int(mu + 45.0 * math.sqrt(mu) + 250.0)
+    return _read_only(np.trim_zeros(poisson_pmf(range(n), mu), "b"))
+
+
+class _Renewal:
+    """pi_n = P{state n is ever visited} by the jump chain of one mu, from
+    the renewal equation pi_n = sum_{j>=1} r_j pi_{n-j}, pi_0 = 1, with r the
+    zero-truncated Poisson(mu) step law on the support of ``_poisson_batches``,
+    scaled to unit mass by its exactly rounded sum.  ``upto(n)`` gives the
+    read-only pi_0 .. pi_N, N >= n, rebuilt at about twice the length when n
+    is past it; a longer record starts with the same bytes as a shorter one.
+
+    Run on pi, every term is nonnegative, but the recursion is neutrally
+    stable: near its limit (1 - e^{-mu})/mu the roundings pile up (at
+    n = 5000, 5.6e-13 for mu = 1e-5 and 1.0e-14 for mu = 44.29).  Run on
+    pi - limit they scale with the deviations, so that run serves wherever
+    pi_n >= limit/2, and adding the limit back loses at most one bit."""
+
+    def __init__(self, mu: float):
+        if not 0 < mu < math.inf:
+            raise ValueError(f"mu must be finite and positive, got {mu}")
+        q = _poisson_batches(mu)[1:]
+        self.step = (q / math.fsum(q))[::-1].copy()  # r_J .. r_1
+        self.limit = -math.expm1(-mu) / mu
+        self.pi = _read_only(np.ones(1))
+
+    def upto(self, n: int) -> np.ndarray:
+        if n >= self.pi.size:
+            size, nj = max(n + 1, 2 * self.pi.size), self.step.size
+            # buf[0] runs on pi, buf[1] on pi - limit; as in _log_weights, row i
+            # of a strided window holds states i+1-J .. i, behind J - 1 states < 0
+            buf = np.zeros((2, nj - 1 + size))
+            buf[1] = -self.limit
+            v = buf[:, nj - 1:]
+            v[:, 0] += 1.0
+            for run, b in zip(v, buf):
+                for i, feed in enumerate(np.ndarray((size - 1, nj), buffer=b, strides=(8, 8)), 1):
+                    run[i] = self.step.dot(feed)
+            pi = np.where(v[0] < 0.5 * self.limit, v[0], v[1] + self.limit)
+            self.pi = _read_only(np.minimum(pi, 1.0))
+        return self.pi
+
+
+# one renewal record per mu: a sweep over states reads one recursion
+_renewal = lru_cache(maxsize=16)(_Renewal)
+
+
 @dataclass(frozen=True)
 class IteratedLaw:
     params: ModelParams
@@ -38,11 +95,10 @@ class IteratedLaw:
     @cached_property
     def _severity(self) -> np.ndarray:
         """j q_j for j = J..1 (reversed for the recursion's dot product),
-        q_j = P{Poisson(mu) = j}, up to the last q_J that is not 0 as a float
-        (log q_J >= -745, well inside the range below): no term is lost at small t."""
-        mu = self.params.mu
-        n = int(mu + 45.0 * math.sqrt(mu) + 250.0)
-        return np.trim_zeros(np.arange(1, n) * poisson_pmf(range(1, n), mu), "b")[::-1].copy()
+        q_j = P{Poisson(mu) = j} from ``_poisson_batches``: no term is lost
+        at small t."""
+        q = _poisson_batches(self.params.mu)
+        return (np.arange(1, q.size) * q[1:])[::-1].copy()
 
     # -- the weight engine ---------------------------------------------------
 
@@ -153,26 +209,10 @@ class IteratedLaw:
         return math.exp(lw(s, k)[k] + lw(t - s, n - k)[n - k] - lw(t, n)[n])
 
     def mean_sojourn(self, n: int) -> float:
-        """E{S_n} = (1/lam) mu^n/n! sum_{k>=0} k^n e^{-mu k}
-        = (1/lam) sum_{k>=0} Pois(mu k; n), with 0^0 = 1 so that n = 0 is
-        the exponential-sojourn mean 1/rate.
-
-        The terms are summed in blocks of at most 2^20 points, so memory
-        stays bounded at small mu.  Past the mode, mu (K - 1) >= n, Pois(x; n)
-        falls in x, so the terms from k = K on sum to at most
-        (1/mu) int_{mu (K-1)}^inf Pois(x; n) dx = pdtr(n, mu (K - 1)) / mu;
-        the sum stops once that is at most tolerance times the partial sum."""
+        """E{S_n} = (1/lam) mu^n/n! sum_{k>=0} k^n e^{-mu k} = pi_n / rate:
+        state n is held for an exponential(rate) time once the jump chain
+        visits it, which it does with probability pi_n, read from the
+        renewal record of mu.  n = 0 gives 1/rate."""
         if n < 0:
             raise ValueError(f"state must be nonnegative, got {n}")
-        if n == 0:
-            return 1.0 / self.params.rate
-        mu, tol = self.params.mu, self.ctl.tolerance
-        # the terms past about n + 10 sqrt(n) + 40 on the x = mu k scale are negligible
-        size = int(min(1 << 20, (n + 10.0 * math.sqrt(n) + 40.0) / mu)) + 1
-        total, k = 0.0, 1  # the term at k = 0 is Pois(0; n) = 0
-        while True:
-            total += float(poisson_pmf(range(n, n + 1), mu * np.arange(k, k + size)).sum())
-            k += size
-            if mu * (k - 1) >= n and pdtr(n, mu * (k - 1)) / mu <= tol * total:
-                return total / self.params.lam
-            size = min(2 * size, 1 << 20)
+        return float(_renewal(self.params.mu).upto(n)[n]) / self.params.rate

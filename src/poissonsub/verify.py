@@ -532,6 +532,16 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
     out.append(CheckResult("hitting cdf limit equals hitting probability",
                            worst < 1e-8, worst, 1e-8))
 
+    # pi_k from the renewal record against the column sums of the chain's
+    # visit table (7.4e-15 apart at mu = 0.05), and at k = 2000 against the
+    # renewal limit (1 - e^{-mu})/mu, reached there to double precision
+    worst = max(max(*map(_rel, crossing.hitting_probability(np.arange(1, 65), mu),
+                         crossing._Chain(64, mu).visits.sum(axis=0)[1:]),
+                    _rel(crossing.hitting_probability(2000, mu), -math.expm1(-mu) / mu))
+                for mu in (0.05, 0.5, 1.0, 3.0, 8.0))
+    out.append(CheckResult("hitting probability: renewal record vs chain column sums "
+                           "and renewal limit", worst < 1e-13, worst, 1e-13))
+
     worst = max(
         abs(crossing.crossing_density_constant(k, t, law)
             - crossing_density_constant_stirling(k, t, law))

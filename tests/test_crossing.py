@@ -25,6 +25,7 @@ from poissonsub import (
 )
 from poissonsub import mc
 from poissonsub.crossing import _Chain, _chain, _strict_floor
+from poissonsub.iterated import _Renewal, _renewal
 from poissonsub.verify import crossing_density_constant_stirling
 
 LAW = IteratedLaw(ModelParams(2.0, 1.0))
@@ -621,25 +622,73 @@ class TestChainTable:
         np.testing.assert_allclose(ch.exits[1:].sum(axis=1), 1.0, rtol=1e-14)
         assert np.all(ch.exits >= 0.0) and np.all(np.triu(ch.exits) == 0.0)
 
-    def test_hitting_probability_shares_one_table_per_mu(self):
-        # k = 1..16 read one table at level 16, k = 17..32 one at level 32
+    def test_hitting_probability_reads_one_record_per_mu(self):
+        # pi_k for k = 1..32 from the renewal record of mu, against the
+        # column sums of each level's own table
         _chain.cache_clear()
         probs = [hitting_probability(k, 0.9) for k in range(1, 33)]
-        assert _chain.cache_info().currsize == 2
+        assert _chain.cache_info().currsize == 0
         for k in (1, 5, 16, 17, 32):
             own = min(1.0, float(_chain(k, 0.9).visits[:, k].sum()))
             assert probs[k - 1] == pytest.approx(own, rel=1e-14)
 
-    def test_mean_crossing_sweep_shares_one_table_per_mu(self):
-        # E(T_k) for k = 1..16 reads the level-16 table of its mu
+    def test_mean_crossing_sweep_reads_one_record_per_mu(self):
         mus = (0.3, 0.7, 1.0, 1.4, 3.0)
         _chain.cache_clear()
         means = {mu: [mean_crossing_time_constant(k, IteratedLaw(ModelParams(1.5, mu)))
                       for k in range(1, 17)] for mu in mus}
-        assert _chain.cache_info().misses == len(mus)
+        assert _chain.cache_info().currsize == 0
         for mu in mus:
             rate = ModelParams(1.5, mu).rate
             own = [float(_Chain(k, mu).visits[:, :k].sum()) / rate for k in range(1, 17)]
-            np.testing.assert_allclose(means[mu], own, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(means[mu], own, rtol=1e-14, atol=0.0)
         with pytest.raises(ValueError):
             mean_crossing_time_constant(0, LAW)
+
+
+class TestRenewalRecord:
+    def test_scalar_call_is_the_array_call(self):
+        ks = np.arange(1, 300)
+        for mu in (1e-10, 0.37, 5.0, 50.0):
+            probs = hitting_probability(ks, mu)
+            assert probs.shape == ks.shape
+            scalars = [hitting_probability(int(k), mu) for k in ks]
+            assert all(type(p) is float for p in scalars)
+            assert np.array(scalars).tobytes() == probs.tobytes()
+            with pytest.raises(ValueError, match="state must be >= 1"):
+                hitting_probability(np.array([3, 0]), mu)
+
+    @pytest.mark.parametrize("mu", [1e-10, 0.37, 5.0, 50.0])
+    def test_grown_record_starts_with_a_fresh_record(self, mu):
+        grown = _Renewal(mu)
+        for n in (3, 40, 7000):
+            grown.upto(n)
+        long = grown.upto(7000)
+        for n in (1, 2, 30, 41, 500):
+            short = _Renewal(mu).upto(n)
+            assert long[:short.size].tobytes() == short.tobytes()
+
+    def test_read_only(self):
+        pi = _renewal(0.8).upto(40)
+        with pytest.raises(ValueError):
+            pi[1] = 0.5
+        with pytest.raises(ValueError):
+            _renewal(0.8).upto(40)[2:5] *= 2.0
+
+    def test_sweep_builds_no_chain_table(self):
+        _chain.cache_clear()
+        for mu in (0.25, 1.0, 4.0):
+            law = IteratedLaw(ModelParams(1.5, mu))
+            hitting_probability(np.arange(1, 61), mu)
+            for k in range(1, 61):
+                hitting_probability(k, mu)
+                mean_crossing_time_constant(k, law)
+                law.mean_sojourn(k)
+        assert _chain.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("mu", [1e-5, 0.5])
+    def test_renewal_limit(self, mu):
+        # pi_k -> (1 - e^{-mu})/mu, reached at k = 2000 to double precision;
+        # the visit table at level 2048 was 1.5e-13 off at mu = 0.5
+        limit = -math.expm1(-mu) / mu
+        assert abs(hitting_probability(2000, mu) - limit) <= 1e-14 * limit

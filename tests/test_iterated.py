@@ -18,6 +18,7 @@ from poissonsub import (
     SeriesControl,
     hitting_probability,
     laplace_exponent,
+    mean_crossing_time_constant,
     moments_Z,
 )
 from poissonsub.verify import bell_series, cdf_closed_form
@@ -290,17 +291,17 @@ UNIT = JumpSpec.degenerate_unit()
 
 
 def renewal_sojourns(lam, mu, top):
-    """E{S_n} = pi_n / rate for n = 0..top at 30 digits, from the renewal
+    """E{S_n} = pi_n / rate for n = 0..top at 40 digits, from the renewal
     equation pi_n = sum_j P{X = j} pi_{n-j}, pi_0 = 1, of the jump chain with
-    zero-truncated Poisson(mu) steps X; steps of probability below 1e-40
+    zero-truncated Poisson(mu) steps X; steps of probability below 1e-45
     are dropped."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(40):
         mu = mpmath.mpf(mu)
         nonzero = -mpmath.expm1(-mu)
         q, j = [], 1
         while j <= top:
             qj = mpmath.exp(-mu) * mu**j / mpmath.factorial(j) / nonzero
-            if j > mu and qj < mpmath.mpf("1e-40"):
+            if j > mu and qj < mpmath.mpf("1e-45"):
                 break
             q.append(qj)
             j += 1
@@ -344,16 +345,41 @@ class TestDispersionAndSojourn:
         (2.0, 40, 3.0, 0.1666666666666665), (0.5, 300, 0.2, 10.0),
         (1.0, 2000, 0.01, 100.0)])
     def test_sojourn_matches_renewal_values(self, lam, n, mu, want):
-        # ``renewal_sojourns`` at 30 digits, rounded to the nearest float
+        # ``renewal_sojourns``, rounded to the nearest float
         got = IteratedLaw(ModelParams(lam, mu)).mean_sojourn(n)
         assert abs(got - want) <= 1e-14 * want
 
-    @pytest.mark.parametrize("mu", [1e-3, 0.05, 1.0, 8.0])
-    def test_sojourn_against_renewal_sums(self, mu):
-        law = IteratedLaw(ModelParams(1.5, mu))
-        want = renewal_sojourns(1.5, mu, 2000)
-        for n in (0, 1, 2, 3, 7, 30, 100, 400, 2000):
-            assert rel(law.mean_sojourn(n), float(want[n])) < 1e-14, n
+    @pytest.mark.parametrize("mu", [1e-10, 1e-5, 1e-3, 0.05, 1.0, 8.0, 44.2923, 50.0])
+    def test_renewal_quantities_against_renewal_sums(self, mu):
+        # the sojourn mean, the hitting probability and the mean crossing time
+        # read one renewal record; run on pi alone, without the centred run,
+        # the recursion drifted 5.6e-13 at mu = 1e-5 and 1.0e-14 at mu = 44.2923
+        lam = 1.5
+        law = IteratedLaw(ModelParams(lam, mu))
+        want = renewal_sojourns(lam, mu, 5000)
+        with mpmath.workdps(40):
+            rate = lam * -mpmath.expm1(-mpmath.mpf(mu))
+            for n in (0, 1, 2, 3, 7, 30, 100, 400, 2000, 3001, 4999, 5000):
+                assert rel(law.mean_sojourn(n), float(want[n])) < 1e-14, n
+                if n:
+                    assert rel(hitting_probability(n, mu), float(want[n] * rate)) < 1e-14, n
+                    assert rel(mean_crossing_time_constant(n, law),
+                               float(mpmath.fsum(want[:n]))) < 1e-14, n
+
+    @pytest.mark.parametrize("mu", [1e-10, 1e-8])
+    def test_sojourn_closed_forms_at_small_mu(self, mu):
+        # E{S_1} = mu e^{-mu} / (lam (1 - e^{-mu})^2) and
+        # E{S_2} = mu^2 e^{-mu} (1 + e^{-mu}) / (2 lam (1 - e^{-mu})^3); the
+        # sum over k of Pois(mu k; n) needs about n/mu terms here
+        lam = 2.0
+        law = IteratedLaw(ModelParams(lam, mu))
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mu)
+            e, a = mpmath.exp(-m), -mpmath.expm1(-m)
+            s1 = m * e / (lam * a**2)
+            s2 = m**2 * e * (1 + e) / (2 * lam * a**3)
+        assert rel(law.mean_sojourn(1), float(s1)) < 1e-14
+        assert rel(law.mean_sojourn(2), float(s2)) < 1e-14
 
     @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0, 8.0])
     def test_sojourn_times_rate_is_hitting_probability(self, mu):
