@@ -7,10 +7,10 @@ boundary (crossing density and mean), the first-hitting time of a state
 
 The passage laws of a level k are mixtures over the jump index m (the m-th
 nonzero jump comes at a Gamma(m, rate) time, and the densities mix over
-``special.poisson_pmf``), read from one cached record per (k, mu) of the
-embedded jump chain.  The hitting probability and the constant-boundary
-mean are marginals of the chain over m, read from the renewal record of mu
-in ``iterated``.  The survivals, the densities and the hitting CDF take
+``special.poisson_pmf``) of the visit and exit tables of the embedded jump
+chain; the hitting probability and the constant-boundary mean are its
+marginals over m.  All read one record per mu in ``iterated``, grown to the
+largest level asked.  The survivals, the densities and the hitting CDF take
 one time or an array of times.  Every quantity is a sum of nonnegative
 terms; the paper's Stirling and Bell forms and the flux sums over the law
 weights are reference forms in ``verify``."""
@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy import special as sc
 
-from .iterated import IteratedLaw, _float_if_scalar, _read_only, _renewal
+from .iterated import IteratedLaw, _float_if_scalar, _jump_chain
 from .params import check_time
 from .special import poisson_pmf
 
@@ -136,57 +135,14 @@ def survival_nonincreasing(boundary: Boundary, t, law: IteratedLaw):
     level = max(boundary.k, math.ceil(boundary.value(0.0)))
     if max(rows, default=0) > level:
         raise ValueError(f"boundary rises above its start value {boundary.value(0.0)}")
-    exits = _chain(level, law.params.mu).exits
+    exits = _jump_chain(law.params.mu).tables(level)[1]
     # one row per time, summed along it: a time's value does not depend on the grid
     s = (sc.gammaincc(np.arange(1.0, level + 1), law.params.rate * t.reshape(-1, 1))
-         * exits[rows]).sum(axis=1)
+         * exits[rows, :level]).sum(axis=1)
     np.minimum(s, 1.0, out=s)
     # at t = 0 every Poisson factor is 1, so s sums a row: 1 up to rounding, or 0 on row 0
     s[(t.ravel() == 0.0) & (s > 0.0)] = 1.0
     return _float_if_scalar(s.reshape(t.shape))
-
-
-class _Chain:
-    """Coefficients of one level k >= 1 of the embedded jump chain (steps
-    zero-truncated Poisson(mu), S_m the level after m nonzero jumps), each
-    built on first use and read-only:
-    ``visits[m, j] = P{S_m = j}`` for m, j <= k;
-    ``exits[L + 1, m] = P{S_m <= L < S_{m+1}}`` for -1 <= L < k, m < k
-    (row 0, L = -1, is zero);
-    ``flux[m] = sum_{j<k} visits[m, j] P{Poisson(mu) >= k - j}`` for m < k."""
-
-    def __init__(self, k: int, mu: float):
-        if k < 1:
-            raise ValueError(f"level must be >= 1, got {k}")
-        self.k, self.mu = k, mu
-
-    @cached_property
-    def visits(self) -> np.ndarray:
-        k, mu = self.k, self.mu
-        r = poisson_pmf(range(1, k + 1), mu) / -math.expm1(-mu)  # steps 1..k
-        h = np.zeros((k + 1, k + 1))
-        h[0, 0] = 1.0
-        for m in range(1, k + 1):
-            h[m, m:] = np.convolve(h[m - 1, m - 1:], r[:k + 1 - m])[: k + 1 - m]
-        return _read_only(h)
-
-    @cached_property
-    def exits(self) -> np.ndarray:
-        # visits times the Toeplitz matrix of P{step > L - j}, L >= j
-        k, mu = self.k, self.mu
-        step_sf = sc.pdtrc(np.arange(k), mu) / -math.expm1(-mu)  # P{step > i}
-        tails = np.tril(step_sf[np.subtract.outer(np.arange(k), np.arange(k))])
-        return _read_only(np.vstack((np.zeros(k), tails @ self.visits[:k, :k].T)))
-
-    @cached_property
-    def flux(self) -> np.ndarray:
-        k = self.k  # P{Poisson(mu) > k-1-j} for j < k
-        return _read_only(self.visits[:k, :k] @ sc.pdtrc(np.arange(k - 1, -1, -1), self.mu))
-
-
-# the per-level coefficients every passage law of a level reads, kept per
-# (k, mu): one (k, mu) serves a whole t-grid
-_chain = lru_cache(maxsize=16)(_Chain)
 
 
 def _chain_mixture(t, law: IteratedLaw, c: np.ndarray, scale: float):
@@ -202,8 +158,10 @@ def crossing_density_constant(k: int, t, law: IteratedLaw):
     """First-crossing density through the constant boundary k at one time or
     an array of times.  A path crosses only by a jump out of some state
     j < k, so psi_k(t) = lam sum_{j<k} p_j(t) P{Poisson(mu) >= k - j}, with
-    p_j(t) = sum_m Pois(rate t; m) h[m, j]."""
-    return _chain_mixture(t, law, _chain(k, law.params.mu).flux, law.params.lam)
+    p_j(t) = sum_m Pois(rate t; m) h[m, j].  As lam P{Poisson(mu) >= i} =
+    rate P{step >= i}, the sum over j is rate P{S_m <= k - 1 < S_{m+1}}."""
+    exits = _jump_chain(law.params.mu).tables(k)[1]
+    return _chain_mixture(t, law, exits[k, :k], law.params.rate)
 
 
 def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
@@ -212,21 +170,22 @@ def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
     a prefix sum over the renewal record of mu."""
     if k < 1:
         raise ValueError(f"state must be >= 1, got {k}")
-    return float(_renewal(law.params.mu).upto(k - 1)[:k].sum()) / law.params.rate
+    return float(_jump_chain(law.params.mu).upto(k - 1)[:k].sum()) / law.params.rate
 
 
 def hitting_density(k: int, t, law: IteratedLaw):
     """Density of the first-hitting time of state k at one time or an array
     of times (defective: integrates to pi_k < 1).  After m jumps the next
     comes at rate ``params.rate`` and lands on k with probability h[m + 1, k]."""
-    return _chain_mixture(t, law, _chain(k, law.params.mu).visits[1:, k], law.params.rate)
+    h = _jump_chain(law.params.mu).tables(k)[0][1:k + 1, k]
+    return _chain_mixture(t, law, h, law.params.rate)
 
 
 def hitting_cdf(k: int, t, law: IteratedLaw):
     """CDF of the first-hitting time of state k at one time or an array of
     times; tends to pi_k as t -> inf.  The chain reaches k at its m-th jump
     with probability h[m, k], and m jumps take a Gamma(m, rate) time."""
-    h = _chain(k, law.params.mu).visits[1:, k]
+    h = _jump_chain(law.params.mu).tables(k)[0][1:k + 1, k]
     check_time(t)
     t = np.asarray(t, dtype=float)
     m = np.arange(1, k + 1)
@@ -240,7 +199,7 @@ def hitting_probability(k, mu: float):
     k = np.asarray(k)
     if np.min(k, initial=1) < 1:
         raise ValueError(f"state must be >= 1, got {np.min(k)}")
-    return _float_if_scalar(_renewal(mu).upto(int(np.max(k, initial=0)))[k])
+    return _float_if_scalar(_jump_chain(mu).upto(int(np.max(k, initial=0)))[k])
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Z is a compound Poisson process with rate lam and Poisson(mu) batches, so
 its weights p_n(t) follow the compound-Poisson (Panjer) recursion; one
 private engine runs it and every quantity of the law is read off its
-output.  One renewal record per mu, of the chance that the jump chain ever
-visits each state, serves the mean sojourn time and ``crossing``.  The
+output.  One record per mu of the jump chain, its renewal sequence and its
+visit and exit tables, serves the mean sojourn time and ``crossing``.  The
 paper's Bell-polynomial and Stirling forms are reference forms in ``verify``.
 """
 
@@ -36,55 +36,94 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _poisson_batches(mu: float) -> np.ndarray:
-    """q_j = P{Poisson(mu) = j} for j = 0..J, read-only, with q_J the last
-    that is not 0 as a float (log q_J >= -745, and J is well inside
-    mu + 45 sqrt(mu) + 250): no batch size of positive probability is lost."""
-    n = int(mu + 45.0 * math.sqrt(mu) + 250.0)
-    return _read_only(np.trim_zeros(poisson_pmf(range(n), mu), "b"))
+def _poisson_batches(mu: float) -> tuple[int, np.ndarray]:
+    """(i, q) with q = P{Poisson(mu) = j} for j = i .. i + len(q) - 1, read-only:
+    the counts whose probability is not 0 as a float (log q >= -745, well
+    inside mu -+ (45 sqrt(mu) + 250)), so no batch size of positive probability
+    is lost, and q is O(sqrt(mu)) long.  i = 0 while e^{-mu} > 0, mu < 745."""
+    lo = max(0, int(mu - 45.0 * math.sqrt(mu) - 250.0))
+    q = poisson_pmf(range(lo, int(mu + 45.0 * math.sqrt(mu) + 250.0)), mu)
+    nz = np.flatnonzero(q)
+    return lo + int(nz[0]), _read_only(q[nz[0]:nz[-1] + 1])
 
 
-class _Renewal:
-    """pi_n = P{state n is ever visited} by the jump chain of one mu, from
-    the renewal equation pi_n = sum_{j>=1} r_j pi_{n-j}, pi_0 = 1, with r the
-    zero-truncated Poisson(mu) step law on the support of ``_poisson_batches``,
-    scaled to unit mass by its exactly rounded sum.  ``upto(n)`` gives the
-    read-only pi_0 .. pi_N, N >= n, rebuilt at about twice the length when n
-    is past it; a longer record starts with the same bytes as a shorter one.
+class _JumpChain:
+    """The jump chain of Z for one mu: S_m is the state after m nonzero jumps,
+    whose steps r_j are the batches of ``_poisson_batches`` given j >= 1,
+    scaled to unit mass by their exactly rounded sum.  Each table is
+    read-only, rebuilt at about twice its size when asked past it, and starts
+    with the same bytes as a smaller one:
+    ``upto(n)``: pi_0 .. pi_N, N >= n, pi_n = P{state n is ever visited};
+    ``tables(k)``: (visits, exits) of a size K >= k, with
+    ``visits[m, j] = P{S_m = j}`` for m, j <= K and
+    ``exits[L + 1, m] = P{S_m <= L < S_{m+1}}`` for -1 <= L < K, m < K.
 
-    Run on pi, every term is nonnegative, but the recursion is neutrally
-    stable: near its limit (1 - e^{-mu})/mu the roundings pile up (at
-    n = 5000, 5.6e-13 for mu = 1e-5 and 1.0e-14 for mu = 44.29).  Run on
-    pi - limit they scale with the deviations, so that run serves wherever
-    pi_n >= limit/2, and adding the limit back loses at most one bit."""
+    pi solves the renewal equation pi_n = sum_j r_j pi_{n-j}, pi_0 = 1.  Run
+    on pi, every term is nonnegative, but the recursion is neutrally stable:
+    near its limit (1 - e^{-mu})/mu the roundings pile up (at n = 5000,
+    5.6e-13 for mu = 1e-5 and 1.0e-14 for mu = 44.29).  Run on pi - limit
+    they scale with the deviations, so that run serves wherever
+    pi_n >= limit/2, and adding the limit back loses at most one bit.
+
+    Row m + 1 of visits and the exits after m jumps sum a window of row m
+    against r_i and P{step > i} (suffix sums, from the small end) along the
+    window's outer axis, which numpy adds in order: a larger table puts only
+    exact zeros in front, where matmul or convolve sums depend on the size."""
 
     def __init__(self, mu: float):
         if not 0 < mu < math.inf:
             raise ValueError(f"mu must be finite and positive, got {mu}")
-        q = _poisson_batches(mu)[1:]
-        self.step = (q / math.fsum(q))[::-1].copy()  # r_J .. r_1
+        first, q = _poisson_batches(mu)
+        self.first, q = (1, q[1:]) if first == 0 else (first, q)  # r_first .. r_J
+        self.step = (q / math.fsum(q.tolist()))[::-1].copy()  # r_J .. r_first
         self.limit = -math.expm1(-mu) / mu
         self.pi = _read_only(np.ones(1))
+        self._tables = (np.ones((1, 1)), None)
 
     def upto(self, n: int) -> np.ndarray:
         if n >= self.pi.size:
             size, nj = max(n + 1, 2 * self.pi.size), self.step.size
             # buf[0] runs on pi, buf[1] on pi - limit; as in _log_weights, row i
-            # of a strided window holds states i+1-J .. i, behind J - 1 states < 0
+            # of a strided window holds states i + 1 - J .. i, behind J - 1
+            # states < 0, and feeds state i + first
             buf = np.zeros((2, nj - 1 + size))
             buf[1] = -self.limit
             v = buf[:, nj - 1:]
             v[:, 0] += 1.0
             for run, b in zip(v, buf):
-                for i, feed in enumerate(np.ndarray((size - 1, nj), buffer=b, strides=(8, 8)), 1):
+                for i, feed in enumerate(np.ndarray((max(size - self.first, 0), nj), buffer=b,
+                                                    strides=(8, 8)), self.first):
                     run[i] = self.step.dot(feed)
             pi = np.where(v[0] < 0.5 * self.limit, v[0], v[1] + self.limit)
             self.pi = _read_only(np.minimum(pi, 1.0))
         return self.pi
 
+    def tables(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        if k < 1:
+            raise ValueError(f"level must be >= 1, got {k}")
+        if k >= self._tables[0].shape[0]:
+            size, nj = max(k, 2 * (self._tables[0].shape[0] - 1)), self.step.size
+            w = min(size, self.first + nj - 1) + 1  # the offsets i = w - 1 .. 0
+            n = max(w - self.first, 0)  # those from the first step size on
+            ker = np.zeros((2, w, 1))  # r_i and P{step > i}
+            ker[1, n:] = 1.0  # below the first step size, r_i = 0 and P{step > i} = 1
+            ker[0, :n, 0] = self.step[nj - n:]
+            ker[1, :n, 0] = np.cumsum(np.append(0.0, self.step[:-1]))[nj - n:]
+            # row m of buf holds visits[m] behind w - 1 zeros, and
+            # win[m, i', j] = visits[m, j - (w - 1 - i')]
+            buf = np.zeros((size + 1, w + size))
+            win = np.ndarray((size, w, size + 1), buffer=buf, strides=(buf.strides[0], 8, 8))
+            v, e = buf[:, w - 1:], np.zeros((size + 2, size + 1))
+            v[0, 0] = 1.0
+            for m in range(size):  # S_m >= m: the columns from m on
+                v[m + 1, m:], e[m + 1:, m] = (ker * win[m, :, m:]).sum(axis=1)
+            self._tables = _read_only(v), _read_only(e[:-1, :-1])
+        return self._tables
 
-# one renewal record per mu: a sweep over states reads one recursion
-_renewal = lru_cache(maxsize=16)(_Renewal)
+
+# one jump chain per mu, kept for a few dozen mu: a sweep over states or
+# levels reads one record, and a sweep over mu need not rebuild them
+_jump_chain = lru_cache(maxsize=64)(_JumpChain)
 
 
 @dataclass(frozen=True)
@@ -97,7 +136,8 @@ class IteratedLaw:
         """j q_j for j = J..1 (reversed for the recursion's dot product),
         q_j = P{Poisson(mu) = j} from ``_poisson_batches``: no term is lost
         at small t."""
-        q = _poisson_batches(self.params.mu)
+        first, q = _poisson_batches(self.params.mu)
+        q = np.append(np.zeros(first), q)  # from batch size 0, as the engine reads it
         return (np.arange(1, q.size) * q[1:])[::-1].copy()
 
     # -- the weight engine ---------------------------------------------------
@@ -215,4 +255,4 @@ class IteratedLaw:
         renewal record of mu.  n = 0 gives 1/rate."""
         if n < 0:
             raise ValueError(f"state must be nonnegative, got {n}")
-        return float(_renewal(self.params.mu).upto(n)[n]) / self.params.rate
+        return float(_jump_chain(self.params.mu).upto(n)[n]) / self.params.rate

@@ -27,7 +27,7 @@ from scipy import special as sc
 from scipy import stats
 
 from . import VERIFY_SUITES as SUITES, cpp, crossing, mc
-from .iterated import IteratedLaw
+from .iterated import IteratedLaw, _jump_chain
 from .params import JumpSpec, ModelParams, check_time
 from .special import SeriesControl
 
@@ -532,11 +532,11 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
     out.append(CheckResult("hitting cdf limit equals hitting probability",
                            worst < 1e-8, worst, 1e-8))
 
-    # pi_k from the renewal record against the column sums of the chain's
-    # visit table (7.4e-15 apart at mu = 0.05), and at k = 2000 against the
-    # renewal limit (1 - e^{-mu})/mu, reached there to double precision
+    # pi_k from the renewal sequence against the column sums of the visit
+    # table of the same record, and at k = 2000 against the renewal limit
+    # (1 - e^{-mu})/mu, reached there to double precision
     worst = max(max(*map(_rel, crossing.hitting_probability(np.arange(1, 65), mu),
-                         crossing._Chain(64, mu).visits.sum(axis=0)[1:]),
+                         _jump_chain(mu).tables(64)[0][:65, 1:65].sum(axis=0)),
                     _rel(crossing.hitting_probability(2000, mu), -math.expm1(-mu) / mu))
                 for mu in (0.05, 0.5, 1.0, 3.0, 8.0))
     out.append(CheckResult("hitting probability: renewal record vs chain column sums "

@@ -1,6 +1,11 @@
 """Tests for first-crossing and first-hitting quantities."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -23,9 +28,10 @@ from poissonsub import (
     survival_linear_increasing,
     survival_nonincreasing,
 )
+import poissonsub
 from poissonsub import mc
-from poissonsub.crossing import _Chain, _chain, _strict_floor
-from poissonsub.iterated import _Renewal, _renewal
+from poissonsub.crossing import _strict_floor
+from poissonsub.iterated import _JumpChain, _jump_chain
 from poissonsub.verify import crossing_density_constant_stirling
 
 LAW = IteratedLaw(ModelParams(2.0, 1.0))
@@ -557,14 +563,15 @@ class TestLargeLevels:
         # weights; the reference sums the stored coefficients at 40 digits at
         # x = fl(rate t), the point the kernel sees, so that it measures the
         # mixture alone.  exp(m log x - x - log m!) weights were 1.05e-13 off
-        ch = _chain(k, LAW.params.mu)
+        visits, exits = _jump_chain(LAW.params.mu).tables(k)
+        hit_c, cross_c = visits[1:k + 1, k], exits[k, :k]
         for t in (0.05 * k, 0.25 * k, k, 2.0 * k):  # 7e-18 down to 5e-158 at k = 400
             x = LAW.params.rate * t
             with mpmath.workdps(40):
                 pois = [mpmath.exp(m * mpmath.log(x) - x - mpmath.loggamma(m + 1))
                         for m in range(k)]
-                cross = LAW.params.lam * mpmath.fsum(p * c for p, c in zip(pois, ch.flux))
-                hit = LAW.params.rate * mpmath.fsum(p * c for p, c in zip(pois, ch.visits[1:, k]))
+                cross = LAW.params.rate * mpmath.fsum(p * c for p, c in zip(pois, cross_c))
+                hit = LAW.params.rate * mpmath.fsum(p * c for p, c in zip(pois, hit_c))
             assert mp_rel(crossing_density_constant(k, t, LAW), cross) < 2e-14
             assert mp_rel(hitting_density(k, t, LAW), hit) < 2e-14
 
@@ -590,60 +597,90 @@ class TestChainTable:
                 np.array([hitting_probability(12, 0.8),
                           mean_crossing_time_constant(12, law)])]
 
-        ch = _chain(12, 0.8)
-        assert _chain(12, 0.8) is ch
-        for a in (ch.visits, ch.exits, ch.flux):
+        ch = _jump_chain(0.8)
+        assert _jump_chain(0.8) is ch
+        for a in (*ch.tables(12), ch.upto(12)):
             with pytest.raises(ValueError):
                 a[1] = 0.5
         with pytest.raises(ValueError):
-            ch.visits[1:, 12] *= 2.0
+            ch.tables(12)[0][1:, 12] *= 2.0
         cached = values()
-        _chain.cache_clear()
+        _jump_chain.cache_clear()
         fresh = values()
-        assert _chain(12, 0.8) is not ch
+        assert _jump_chain(0.8) is not ch
         for a, b in zip(cached, fresh):
             assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            crossing_density_constant(0, 1.0, law)
 
     def test_exit_table(self):
         # exits[L + 1, m] = P{S_m <= L < S_{m+1}} = sum_{j<=L} P{S_m = j}
         # P{step > L - j}, also the visits to j <= L after m jumps less those
         # after m + 1; row L + 1 sums to 1 over m, and row 0 (L = -1) is zero
         k, mu = 30, 1.3
-        ch = _chain(k, mu)
+        ch = _JumpChain(mu)
+        visits, exits = ch.tables(k)
         step_sf = [float(mpmath.gammainc(i + 1, 0, mu, regularized=True))
                    / -math.expm1(-mu) for i in range(k)]  # P{step > i}
-        direct = [[math.fsum(ch.visits[m, j] * step_sf[L - j] for j in range(L + 1))
+        direct = [[math.fsum(visits[m, j] * step_sf[L - j] for j in range(L + 1))
                    for m in range(k)] for L in range(k)]
-        assert ch.exits.shape == (k + 1, k) and not ch.exits[0].any()
-        np.testing.assert_allclose(ch.exits[1:], direct, rtol=1e-13, atol=0.0)  # pdtrc tails
-        below = np.cumsum(ch.visits[:, :k], axis=1)  # P{S_m <= L}, cancels
-        np.testing.assert_allclose(ch.exits[1:], (below[:-1] - below[1:]).T,
+        assert visits.shape == (k + 1, k + 1)
+        assert exits.shape == (k + 1, k) and not exits[0].any()
+        np.testing.assert_allclose(exits[1:], direct, rtol=1e-13, atol=0.0)  # step tails
+        below = np.cumsum(visits[:, :k], axis=1)  # P{S_m <= L}, cancels
+        np.testing.assert_allclose(exits[1:], (below[:-1] - below[1:]).T,
                                    rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(ch.exits[1:].sum(axis=1), 1.0, rtol=1e-14)
-        assert np.all(ch.exits >= 0.0) and np.all(np.triu(ch.exits) == 0.0)
+        np.testing.assert_allclose(exits[1:].sum(axis=1), 1.0, rtol=1e-14)
+        assert np.all(exits >= 0.0) and np.all(np.triu(exits) == 0.0)
+
+    @pytest.mark.parametrize("mu", [1e-10, 0.37, 5.0, 50.0, 1e4])
+    def test_grown_tables_start_with_a_fresh_record(self, mu):
+        # each entry sums its terms in one order whatever the size, and a
+        # larger table only adds exact zeros in front of them
+        grown = _JumpChain(mu)
+        for k in (3, 40, 300):
+            grown.tables(k)
+        visits, exits = grown.tables(300)
+        for k in (1, 2, 12, 41, 257):
+            short, short_exits = _JumpChain(mu).tables(k)
+            assert short.shape == (k + 1, k + 1)
+            assert visits[:k + 1, :k + 1].tobytes() == short.tobytes()
+            assert exits[:k + 1, :k].tobytes() == short_exits.tobytes()
 
     def test_hitting_probability_reads_one_record_per_mu(self):
-        # pi_k for k = 1..32 from the renewal record of mu, against the
-        # column sums of each level's own table
-        _chain.cache_clear()
+        # pi_k for k = 1..32 from the renewal sequence of mu, against the
+        # column sums of the visit table of a record of each level
+        _jump_chain.cache_clear()
         probs = [hitting_probability(k, 0.9) for k in range(1, 33)]
-        assert _chain.cache_info().currsize == 0
+        assert _jump_chain.cache_info().currsize == 1
         for k in (1, 5, 16, 17, 32):
-            own = min(1.0, float(_chain(k, 0.9).visits[:, k].sum()))
+            own = min(1.0, float(_JumpChain(0.9).tables(k)[0][:, k].sum()))
             assert probs[k - 1] == pytest.approx(own, rel=1e-14)
 
     def test_mean_crossing_sweep_reads_one_record_per_mu(self):
         mus = (0.3, 0.7, 1.0, 1.4, 3.0)
-        _chain.cache_clear()
+        _jump_chain.cache_clear()
         means = {mu: [mean_crossing_time_constant(k, IteratedLaw(ModelParams(1.5, mu)))
                       for k in range(1, 17)] for mu in mus}
-        assert _chain.cache_info().currsize == 0
+        assert _jump_chain.cache_info().currsize == len(mus)
         for mu in mus:
             rate = ModelParams(1.5, mu).rate
-            own = [float(_Chain(k, mu).visits[:, :k].sum()) / rate for k in range(1, 17)]
+            own = [float(_JumpChain(mu).tables(k)[0][:, :k].sum()) / rate for k in range(1, 17)]
             np.testing.assert_allclose(means[mu], own, rtol=1e-14, atol=0.0)
         with pytest.raises(ValueError):
             mean_crossing_time_constant(0, LAW)
+
+    def test_level_sweep_reads_one_record(self):
+        # a sweep over k = 1..64 grows one record of mu: at the sizes 1, 2, 4,
+        # .., 64, not one table per level
+        law = IteratedLaw(ModelParams(1.5, 0.6))
+        ts = np.array([0.5, 4.0, 30.0])
+        _jump_chain.cache_clear()
+        for k in range(1, 65):
+            for f in (hitting_density, hitting_cdf, crossing_density_constant):
+                f(k, ts, law)
+        assert _jump_chain.cache_info().currsize == 1
+        assert _jump_chain(0.6).tables(1)[0].shape == (65, 65)
 
 
 class TestRenewalRecord:
@@ -660,23 +697,23 @@ class TestRenewalRecord:
 
     @pytest.mark.parametrize("mu", [1e-10, 0.37, 5.0, 50.0])
     def test_grown_record_starts_with_a_fresh_record(self, mu):
-        grown = _Renewal(mu)
+        grown = _JumpChain(mu)
         for n in (3, 40, 7000):
             grown.upto(n)
         long = grown.upto(7000)
         for n in (1, 2, 30, 41, 500):
-            short = _Renewal(mu).upto(n)
+            short = _JumpChain(mu).upto(n)
             assert long[:short.size].tobytes() == short.tobytes()
 
     def test_read_only(self):
-        pi = _renewal(0.8).upto(40)
+        pi = _jump_chain(0.8).upto(40)
         with pytest.raises(ValueError):
             pi[1] = 0.5
         with pytest.raises(ValueError):
-            _renewal(0.8).upto(40)[2:5] *= 2.0
+            _jump_chain(0.8).upto(40)[2:5] *= 2.0
 
     def test_sweep_builds_no_chain_table(self):
-        _chain.cache_clear()
+        _jump_chain.cache_clear()
         for mu in (0.25, 1.0, 4.0):
             law = IteratedLaw(ModelParams(1.5, mu))
             hitting_probability(np.arange(1, 61), mu)
@@ -684,7 +721,8 @@ class TestRenewalRecord:
                 hitting_probability(k, mu)
                 mean_crossing_time_constant(k, law)
                 law.mean_sojourn(k)
-        assert _chain.cache_info().currsize == 0
+            assert _jump_chain(mu)._tables[1] is None  # no level table built
+        assert _jump_chain.cache_info().currsize == 3
 
     @pytest.mark.parametrize("mu", [1e-5, 0.5])
     def test_renewal_limit(self, mu):
@@ -692,3 +730,32 @@ class TestRenewalRecord:
         # the visit table at level 2048 was 1.5e-13 off at mu = 0.5
         limit = -math.expm1(-mu) / mu
         assert abs(hitting_probability(2000, mu) - limit) <= 1e-14 * limit
+
+
+def test_chain_quantities_at_mu_1e9_within_1_gb():
+    # an array over every batch size 0..mu takes 8 GB at mu = 1e9, and the
+    # nonzero window of Poisson(mu) is about 77 sqrt(mu) long; every step is
+    # then far above the levels asked, so the first jump crosses them all
+    code = """if True:
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        import numpy as np
+        from poissonsub import *
+        from poissonsub.cli import main
+        law, ts = IteratedLaw(ModelParams(1.0, 1e9)), np.array([0.5, 2.0])
+        print(repr([hitting_probability(2, 1e9), mean_crossing_time_constant(3, law),
+                    *survival_nonincreasing(Boundary.constant(3), ts, law).tolist(),
+                    *crossing_density_constant(3, ts, law).tolist(),
+                    *hitting_cdf(3, ts, law).tolist()]))
+        sys.exit(main(["hitting", "--prob", "--k", "2", "--mu", "1e9"]))
+    """
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(poissonsub.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = run.stdout.splitlines()
+    e = np.exp(-np.array([0.5, 2.0])).tolist()
+    np.testing.assert_allclose(ast.literal_eval(lines[0]), [0.0, 1.0, *e, *e, 0.0, 0.0],
+                               rtol=1e-15, atol=0.0)
+    assert lines[1:] == ["k,mu,prob", "2,1000000000,0"]
