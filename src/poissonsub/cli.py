@@ -67,7 +67,8 @@ def _jump_spec(args) -> JumpSpec:
 
 
 def _law(args) -> IteratedLaw:
-    return IteratedLaw(ModelParams(args.lam, args.mu), SeriesControl(args.tolerance))
+    tol = vars(args).get("tolerance", SeriesControl.tolerance)  # absent where unread
+    return IteratedLaw(ModelParams(args.lam, args.mu), SeriesControl(tol))
 
 
 _BLOCK = 4096  # rows formatted and joined at a time: the work stays in cache
@@ -323,10 +324,17 @@ def _cmd_simulate(args) -> dict[str, np.ndarray]:
     return {"replicate": np.arange(zs.size), "z": np.asarray(zs, dtype=float)}
 
 
-def _add_command(sub, name: str, fn, about: str, seed: bool = False,
+_OWN_FLAGS = {  # the flags only some commands read, added where they are read
+    "--tolerance": dict(type=float, default=SeriesControl.tolerance),
+    "--t-step": dict(type=float, default=1.0, help="step for t ranges (default 1)"),
+    "--step": dict(type=float, default=0.01, help="step for z/mu ranges (default 0.01)"),
+}
+
+
+def _add_command(sub, name: str, fn, about: str, *own: str, seed: bool = False,
                  jumps: bool = False):
-    """Add a table command: its subparser, with the common flags, runs fn.
-    A command without the jump flags serves the unit-jump process only."""
+    """Add a table command: its subparser, with the common flags and those of
+    ``own``, runs fn.  Without the jump flags it serves unit jumps only."""
     p = sub.add_parser(name, help=about)
     p.set_defaults(fn=fn)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
@@ -340,14 +348,11 @@ def _add_command(sub, name: str, fn, about: str, seed: bool = False,
         p.add_argument("--sigma", type=float, help="std of normal jumps")
     else:
         p.set_defaults(jumps="unit")  # for the JSON metadata
-    p.add_argument("--tolerance", type=float, default=1e-12)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output file (default stdout; relative "
                    "paths resolve under $POISSONSUB_OUTDIR)")
-    p.add_argument("--t-step", type=float, default=1.0,
-                   help="step for t ranges (default 1)")
-    p.add_argument("--step", type=float, default=0.01,
-                   help="step for z/mu ranges (default 0.01)")
+    for flag in own:
+        p.add_argument(flag, **_OWN_FLAGS[flag])
     if seed:
         p.add_argument("--seed", type=int, default=0)
     return p
@@ -357,25 +362,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="poissonsub")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "pmf", _cmd_pmf, "iterated-process pmf table")
+    p = _add_command(sub, "pmf", _cmd_pmf, "iterated-process pmf table", "--tolerance", "--t-step")
     p.add_argument("--t", required=True, help="time or range a..b")
     p.add_argument("--n", help="state range a..b (default: until tail mass)")
 
-    p = _add_command(sub, "cdf", _cmd_cdf, "CDF table of Z(t)", jumps=True)
+    p = _add_command(sub, "cdf", _cmd_cdf, "CDF table of Z(t)",
+                     "--tolerance", "--t-step", "--step", jumps=True)
     p.add_argument("--t", required=True)
     p.add_argument("--n", help="state range for unit jumps")
     p.add_argument("--z", default="0..10", help="z range for continuous jumps")
 
-    p = _add_command(sub, "density", _cmd_density,
-                     "density table of Z(t), continuous jumps", jumps=True)
+    p = _add_command(sub, "density", _cmd_density, "density table of Z(t), continuous jumps",
+                     "--tolerance", "--t-step", "--step", jumps=True)
     p.add_argument("--t", required=True)
     p.add_argument("--z", default="0..10")
 
-    p = _add_command(sub, "moments", _cmd_moments, "mean/variance of Z(t)",
-                     jumps=True)
+    p = _add_command(sub, "moments", _cmd_moments, "mean/variance of Z(t)", "--t-step", jumps=True)
     p.add_argument("--t", required=True)
 
-    p = _add_command(sub, "crossing", _cmd_crossing, "first-crossing quantities")
+    p = _add_command(sub, "crossing", _cmd_crossing, "first-crossing quantities", "--t-step")
     p.add_argument("--boundary", default="constant", choices=(
         "constant", "linear-decreasing", "linear-increasing"))
     p.add_argument("--k", type=int, required=True)
@@ -383,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=("survival", "density", "mean"),
                    default="survival")
 
-    p = _add_command(sub, "hitting", _cmd_hitting, "first-hitting quantities")
+    p = _add_command(sub, "hitting", _cmd_hitting, "first-hitting quantities",
+                     "--t-step", "--step")
     p.add_argument("--k", default="1", help="state or range a..b")
     p.add_argument("--t", default="0..5")
     p.add_argument("--prob", action="store_true",

@@ -3,8 +3,10 @@
 Z is a compound Poisson process with rate lam and Poisson(mu) batches, so
 its weights p_n(t) follow the compound-Poisson (Panjer) recursion; one
 private engine runs it and every quantity of the law is read off its
-output.  One record per mu of the jump chain, its renewal sequence and its
-visit and exit tables, serves the mean sojourn time and ``crossing``.  The
+output.  One record per mu of the jump chain owns the Poisson(mu) batch
+window that the engine reads, and the step law read off it: its renewal
+sequence and its visit and exit tables serve the mean sojourn time and
+``crossing``, and its inverse-CDF table the batch samplers of ``mc``.  The
 paper's Bell-polynomial and Stirling forms are reference forms in ``verify``.
 """
 
@@ -35,24 +37,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=16)
-def _poisson_batches(mu: float) -> tuple[int, np.ndarray]:
-    """(i, q) with q = P{Poisson(mu) = j} for j = i .. i + len(q) - 1, read-only:
-    the counts whose probability is not 0 as a float (log q >= -745, well
-    inside mu -+ (45 sqrt(mu) + 250)), so no batch size of positive probability
-    is lost, and q is O(sqrt(mu)) long.  i = 0 while e^{-mu} > 0, mu < 745."""
-    lo = max(0, int(mu - 45.0 * math.sqrt(mu) - 250.0))
-    q = poisson_pmf(range(lo, int(mu + 45.0 * math.sqrt(mu) + 250.0)), mu)
-    nz = np.flatnonzero(q)
-    return lo + int(nz[0]), _read_only(q[nz[0]:nz[-1] + 1])
-
-
 class _JumpChain:
-    """The jump chain of Z for one mu: S_m is the state after m nonzero jumps,
-    whose steps r_j are the batches of ``_poisson_batches`` given j >= 1,
-    scaled to unit mass by their exactly rounded sum.  Each table is
-    read-only, rebuilt at about twice its size when asked past it, and starts
-    with the same bytes as a smaller one:
+    """The jump chain of Z for one mu: S_m is the state after m nonzero jumps.
+    ``first``, ``batches``: q_j = P{Poisson(mu) = j} for j = first .. J, the
+    batch sizes j >= 1 whose probability is not 0 as a float (log q_j >= -745,
+    well inside mu -+ (45 sqrt(mu) + 250)): no batch of positive probability
+    is lost, and the window is O(sqrt(mu)) long; first = 1 for mu < 752.
+    ``step``: r_J .. r_first, r_j = P{S_1 = j}, the batches over their exactly
+    rounded sum (``math.fsum`` in descending order, which keeps few partials:
+    a tenth of the time of the window's order at mu = 1e9).
+    ``cdf``: c[i] = P{S_1 < first + i}, the steps summed from the small end
+    up to the first entry of their last value (past it a uniform draws alike,
+    and the search is shorter): the batch samplers' inverse-CDF table.
+    Each table below is read-only, rebuilt at about twice its size when
+    asked past it, and starts with the same bytes as a smaller one:
     ``upto(n)``: pi_0 .. pi_N, N >= n, pi_n = P{state n is ever visited};
     ``tables(k)``: (visits, exits) of a size K >= k, with
     ``visits[m, j] = P{S_m = j}`` for m, j <= K and
@@ -73,12 +71,20 @@ class _JumpChain:
     def __init__(self, mu: float):
         if not 0 < mu < math.inf:
             raise ValueError(f"mu must be finite and positive, got {mu}")
-        first, q = _poisson_batches(mu)
-        self.first, q = (1, q[1:]) if first == 0 else (first, q)  # r_first .. r_J
-        self.step = (q / math.fsum(q.tolist()))[::-1].copy()  # r_J .. r_first
+        lo = max(1, int(mu - 45.0 * math.sqrt(mu) - 250.0))
+        q = poisson_pmf(range(lo, int(mu + 45.0 * math.sqrt(mu) + 250.0)), mu)
+        nz = np.flatnonzero(q)
+        self.first, self.batches = lo + int(nz[0]), _read_only(q[nz[0]:nz[-1] + 1])
+        total = math.fsum(np.sort(self.batches)[::-1].tolist())
+        self.step = _read_only((self.batches / total)[::-1].copy())
         self.limit = -math.expm1(-mu) / mu
         self.pi = _read_only(np.ones(1))
         self._tables = (np.ones((1, 1)), None)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        c = np.cumsum(np.append(0.0, self.step[::-1]))
+        return _read_only(c[:np.searchsorted(c, c[-1]) + 1])
 
     def upto(self, n: int) -> np.ndarray:
         if n >= self.pi.size:
@@ -134,10 +140,10 @@ class IteratedLaw:
     @cached_property
     def _severity(self) -> np.ndarray:
         """j q_j for j = J..1 (reversed for the recursion's dot product),
-        q_j = P{Poisson(mu) = j} from ``_poisson_batches``: no term is lost
-        at small t."""
-        first, q = _poisson_batches(self.params.mu)
-        q = np.append(np.zeros(first), q)  # from batch size 0, as the engine reads it
+        q_j = P{Poisson(mu) = j} from the batch window of the jump-chain
+        record of mu: no term is lost at small t."""
+        chain = _jump_chain(self.params.mu)
+        q = np.append(np.zeros(chain.first), chain.batches)  # from batch size 0
         return (np.arange(1, q.size) * q[1:])[::-1].copy()
 
     # -- the weight engine ---------------------------------------------------

@@ -4,12 +4,13 @@ times and of hittings, used for large verification runs.
 The batch first-crossing and hitting samplers step through the nonzero
 jumps only: those arrive at ``ModelParams.rate`` = lam (1 - e^{-mu}), and
 their sizes are iid zero-truncated Poisson(mu), drawn by inverse-CDF lookup
-in one table of ``special.poisson_pmf`` per call.  This thinning is exact
-for first passage: a zero jump leaves the level unchanged, so it can neither
-cross a boundary nor land on a state not already crossed or hit (a
-nonincreasing boundary reaches a level between jumps at the level's own
-time).  The unthinned per-path samplers, which step through every jump of
-N, are their reference in ``verify``.
+in the table of the jump-chain record of mu in ``iterated``: the samplers
+draw from the step law that the passage-time quantities of ``crossing``
+read.  This thinning is exact for first passage: a zero jump leaves the
+level unchanged, so it can neither cross a boundary nor land on a state not
+already crossed or hit (a nonincreasing boundary reaches a level between
+jumps at the level's own time).  The unthinned per-path samplers, which
+step through every jump of N, are their reference in ``verify``.
 
 All randomness flows through numpy Generators seeded from a SeedSequence;
 replicates get independent spawned substreams so results are reproducible
@@ -21,11 +22,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import pdtr
 
 from .crossing import Boundary
+from .iterated import _jump_chain
 from .params import JumpSpec, ModelParams, check_time
-from .special import poisson_pmf
 
 _MAX_ROUNDS = 100_000  # jump rounds before a batch sampler gives up
 
@@ -62,40 +62,23 @@ def sample_Z(params: ModelParams, jumps: JumpSpec, t: float, size: int,
     return jumps.eta * k + jumps.sigma * np.sqrt(k) * rng.standard_normal(size)
 
 
-def _ztp_cdf(mu: float) -> tuple[int, np.ndarray]:
-    """Inverse-CDF table (lo, c) of the zero-truncated Poisson(mu) law X:
-    c[i] = P{X < lo + i}, so a uniform u with c[i-1] <= u < c[i] draws
-    X = lo + i - 1.
-
-    The values lo.. run over mu -+ (10 sqrt(mu) + 20), outside which X has
-    less than 1e-21 of its mass; lo is 1 unless mu is above about 170, so
-    the table has O(sqrt(mu)) entries for any mu.  c[0] is that lower mass,
-    and c stops at its first entry that rounds to 1."""
-    spread = 10.0 * math.sqrt(mu) + 20.0
-    lo = max(1, math.floor(mu - spread))
-    nonzero = -math.expm1(-mu)
-    pmf = poisson_pmf(range(lo, math.ceil(mu + spread) + 1), mu) / nonzero
-    below = (pdtr(lo - 1, mu) - math.exp(-mu)) / nonzero if lo > 1 else 0.0
-    c = np.concatenate(([below], below + np.cumsum(pmf)))
-    return lo, c[:np.searchsorted(c, 1.0) + 1]
-
-
-def _ztp(mu: float, lo: int, c: np.ndarray, size: int,
+def _ztp(mu: float, first: int, c: np.ndarray, size: int,
          rng: np.random.Generator) -> np.ndarray:
-    """size zero-truncated Poisson(mu) draws from the table ``_ztp_cdf(mu)``.
+    """size zero-truncated Poisson(mu) draws by inverse-CDF lookup in a
+    table c[i] = P{X < first + i}, the jump-chain record's ``first, cdf``:
+    a uniform u with c[i-1] <= u < c[i] draws X = first + i - 1.
 
-    A uniform outside the table (below c[0], or at or above its last entry
-    when rounding leaves that below 1) takes a fresh exact draw
-    1 + Poisson(mu - T), where T, the first arrival of a unit-rate Poisson
-    process given that it comes before mu, is -log1p(U expm1(-mu)); so no
-    value of X is cut off."""
+    A uniform at or above the table's last entry (rounding can leave that
+    below 1) takes a fresh exact draw 1 + Poisson(mu - T), where T, the first
+    arrival of a unit-rate Poisson process given that it comes before mu, is
+    -log1p(U expm1(-mu)); so no value of X is cut off."""
     i = np.searchsorted(c, rng.random(size), side="right")
-    x = i + (lo - 1)
-    beyond = (i == 0) | (i == c.size)
+    x = i + (first - 1)
+    beyond = i == c.size
     n = int(np.count_nonzero(beyond))
     if n:
-        first = -np.log1p(rng.random(n) * math.expm1(-mu))
-        x[beyond] = 1 + rng.poisson(np.maximum(mu - first, 0.0))
+        arrival = -np.log1p(rng.random(n) * math.expm1(-mu))
+        x[beyond] = 1 + rng.poisson(np.maximum(mu - arrival, 0.0))
     return x
 
 
@@ -124,7 +107,7 @@ def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float
     # constant boundary) no path crosses between jumps
     descent = by_level and bool(np.isfinite(level_time[:top]).any())
     rate = params.rate
-    lo, c = _ztp_cdf(params.mu)
+    chain = _jump_chain(params.mu)
     out = np.full(size, np.nan)
     # live paths: index into out, level, epoch of the last nonzero jump
     idx = np.arange(size)
@@ -141,7 +124,7 @@ def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float
             done = np.flatnonzero(desc)
             out[idx[done]] = s[done]
             live &= ~desc
-        z = z + _ztp(params.mu, lo, c, idx.size, rng)
+        z = z + _ztp(params.mu, chain.first, chain.cdf, idx.size, rng)
         if by_level:
             crossed = e >= level_time.take(z, mode="clip")
         else:
@@ -166,7 +149,7 @@ def batch_hitting(k: int, params: ModelParams, horizon: float, size: int,
         raise ValueError(f"state must be >= 1, got {k}")
     check_time(horizon, positive=True)
     rate = params.rate
-    lo, c = _ztp_cdf(params.mu)
+    chain = _jump_chain(params.mu)
     out = np.full(size, np.nan)
     idx = np.arange(size)
     z = np.zeros(size, dtype=np.int64)
@@ -175,7 +158,7 @@ def batch_hitting(k: int, params: ModelParams, horizon: float, size: int,
         if idx.size == 0:
             return out
         t = t + rng.standard_exponential(idx.size) / rate
-        z = z + _ztp(params.mu, lo, c, idx.size, rng)
+        z = z + _ztp(params.mu, chain.first, chain.cdf, idx.size, rng)
         live = t <= horizon
         hit = np.flatnonzero(live & (z == k))
         out[idx[hit]] = t[hit]

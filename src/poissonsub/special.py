@@ -1,8 +1,9 @@
 """Numerical building blocks shared by the process laws: the truncation
-policy ``SeriesControl`` and ``poisson_pmf``, the one Poisson pmf that the
-law weights, jump chain, exponential-jump CDF, passage-time mixtures and
-samplers read.  The paper's reference forms (Stirling numbers, Bell
-polynomials, scalar Poisson kernels, incomplete gamma) live in ``verify``.
+policy ``SeriesControl`` and ``poisson_pmf``, the one Poisson pmf, read by
+the jump-chain record's batch window (and through it by the law weights, the
+jump chain and the samplers), the exponential-jump CDF and the passage-time
+mixtures.  The paper's reference forms (Stirling numbers, Bell polynomials,
+scalar Poisson kernels, incomplete gamma) live in ``verify``.
 """
 
 from __future__ import annotations

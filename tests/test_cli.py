@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -172,6 +173,20 @@ class TestExitCodes:
             main(line.split() + ["--jumps", "exp", "--zeta", "1"])
         assert exc.value.code == 1
         assert build_parser().parse_args(line.split()).jumps == "unit"
+
+    @pytest.mark.parametrize("line, flag", [
+        *((line, "--tolerance 1e-10") for line in (
+            "moments --t 1", "crossing --k 3", "hitting --k 2", "avoiding --k 2", "simulate")),
+        *((line, "--step 0.5") for line in (
+            "pmf --t 1", "moments --t 1", "crossing --k 3", "avoiding --k 2", "simulate")),
+        *((line, "--t-step 0.5") for line in ("avoiding --k 2", "simulate")),
+    ])
+    def test_flags_only_where_they_are_read(self, line, flag):
+        # these commands used to accept the flag, ignore it and exit 0
+        assert main(line.split() + ["--output", os.devnull]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(line.split() + flag.split())
+        assert exc.value.code == 1
 
     def test_unknown_suite_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

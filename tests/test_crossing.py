@@ -735,18 +735,26 @@ class TestRenewalRecord:
 def test_chain_quantities_at_mu_1e9_within_1_gb():
     # an array over every batch size 0..mu takes 8 GB at mu = 1e9, and the
     # nonzero window of Poisson(mu) is about 77 sqrt(mu) long; every step is
-    # then far above the levels asked, so the first jump crosses them all
+    # then far above the levels asked, so the first jump crosses them all,
+    # and the batch samplers, which draw from the same record, overshoot
+    # state 2 and cross level 3 at their first jump epoch
     code = """if True:
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         import numpy as np
         from poissonsub import *
+        from poissonsub import mc
         from poissonsub.cli import main
         law, ts = IteratedLaw(ModelParams(1.0, 1e9)), np.array([0.5, 2.0])
         print(repr([hitting_probability(2, 1e9), mean_crossing_time_constant(3, law),
                     *survival_nonincreasing(Boundary.constant(3), ts, law).tolist(),
                     *crossing_density_constant(3, ts, law).tolist(),
                     *hitting_cdf(3, ts, law).tolist()]))
+        hit = mc.batch_hitting(2, law.params, 60.0, 1000, mc.make_rng(0))
+        cross = mc.batch_first_crossing(Boundary.constant(3), law.params, 60.0, 1000,
+                                        mc.make_rng(1))
+        print(repr([bool(np.isnan(hit).all()),
+                    cross.tobytes() == mc.make_rng(1).standard_exponential(1000).tobytes()]))
         sys.exit(main(["hitting", "--prob", "--k", "2", "--mu", "1e9"]))
     """
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -758,4 +766,5 @@ def test_chain_quantities_at_mu_1e9_within_1_gb():
     e = np.exp(-np.array([0.5, 2.0])).tolist()
     np.testing.assert_allclose(ast.literal_eval(lines[0]), [0.0, 1.0, *e, *e, 0.0, 0.0],
                                rtol=1e-15, atol=0.0)
-    assert lines[1:] == ["k,mu,prob", "2,1000000000,0"]
+    assert lines[1] == "[True, True]"
+    assert lines[2:] == ["k,mu,prob", "2,1000000000,0"]

@@ -17,6 +17,7 @@ from poissonsub import (
     survival_nonincreasing,
 )
 from poissonsub import mc
+from poissonsub.iterated import _jump_chain
 from poissonsub.verify import first_crossing_sample, hitting_sample, sample_W
 
 PARAMS = ModelParams(2.0, 1.0)
@@ -202,8 +203,8 @@ class TestBatchAgainstPathSamplers:
 
 
 class TestZeroTruncatedPoisson:
-    """The increments of the batch samplers: one inverse-CDF table per mu,
-    and an exact draw for a uniform outside it."""
+    """The increments of the batch samplers: the inverse-CDF table of the
+    jump-chain record of mu, and an exact draw for a uniform outside it."""
 
     N = 100_000
 
@@ -219,25 +220,34 @@ class TestZeroTruncatedPoisson:
 
     @pytest.mark.parametrize("mu, seed", [(0.3, 50), (1.4, 51), (30.0, 52), (300.0, 53)])
     def test_chi_square(self, mu, seed):
-        lo, c = mc._ztp_cdf(mu)
-        x = mc._ztp(mu, lo, c, self.N, mc.make_rng(seed))
+        chain = _jump_chain(mu)
+        x = mc._ztp(mu, chain.first, chain.cdf, self.N, mc.make_rng(seed))
         assert x.min() >= 1
         assert self.pvalue(x, mu) > 0.01
 
     def test_table_follows_mu(self):
-        # no fixed range of values: at mu = 300 the table starts above 100
-        # and ends past 400, holding the lower mass in its first entry
-        lo, c = mc._ztp_cdf(300.0)
-        assert lo > 100 and lo + c.size - 2 > 400
-        assert 0 < c[0] < 1e-30
-        assert c[-1] > 1 - 1e-12
+        # no fixed range of values: at mu = 1e4, where e^{-mu} is 0 as a
+        # float, the table starts above 5000, ends past 10500 and has
+        # O(sqrt(mu)) entries; c[i] = P{X < first + i} is the step law
+        # summed from the small end, behind a 0 for the values below first,
+        # up to the first entry of the sum's last value
+        mu = 1e4
+        chain = _jump_chain(mu)
+        c, running = chain.cdf, np.cumsum(chain.step[::-1])
+        assert chain.first > 5000 and chain.first + c.size - 2 > 10500
+        assert c.size < 80 * math.sqrt(mu)
+        assert c[0] == 0.0 and abs(c[-1] - 1.0) < 1e-14
+        assert c[1:].tobytes() == running[:c.size - 1].tobytes()
+        assert np.all(running[c.size - 2:] == c[-1]) and c[-2] < c[-1]
         assert np.all(np.diff(c) >= 0)
+        with pytest.raises(ValueError):
+            c[1] = 0.5
 
     def test_tiny_mu(self):
         # P{X >= 2} = mu/2 + ...: every draw is 1
-        lo, c = mc._ztp_cdf(1e-12)
-        assert lo == 1 and c[-1] >= 1
-        assert np.all(mc._ztp(1e-12, lo, c, self.N, mc.make_rng(54)) == 1)
+        chain = _jump_chain(1e-12)
+        assert chain.first == 1 and chain.cdf[1] > 1 - 1e-12
+        assert np.all(mc._ztp(1e-12, 1, chain.cdf, self.N, mc.make_rng(54)) == 1)
 
     @pytest.mark.parametrize("mu, seed", [(1e-12, 55), (1.4, 56), (30.0, 57)])
     def test_forced_fallback_is_exact(self, mu, seed):
@@ -251,8 +261,8 @@ class TestZeroTruncatedPoisson:
 
     def test_values_beyond_a_short_table(self):
         # a table cut after the value 2 still yields larger values
-        lo, c = mc._ztp_cdf(1.4)
-        x = mc._ztp(1.4, lo, c[:3], self.N, mc.make_rng(58))
+        chain = _jump_chain(1.4)
+        x = mc._ztp(1.4, chain.first, chain.cdf[:3], self.N, mc.make_rng(58))
         assert x.max() > 2
 
 

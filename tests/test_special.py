@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-from poissonsub import mc
 from poissonsub import special
+from poissonsub.iterated import _jump_chain
 from poissonsub.special import SeriesControl
 from poissonsub.verify import (
     N_MAX,
@@ -141,22 +141,32 @@ class TestPoissonPmf:
             assert np.array_equal(special.poisson_pmf(range(m, m + 1), x)[0], block[m])
 
     def test_range_from_above_zero(self):
-        # the sampler's table at mu = 300 starts near mu - 10 sqrt(mu); its
-        # cells are the rows of the range from 0, and its entries are the
+        # a block that starts above 0 holds the rows of the range from 0
+        counts = range(106, 494)
+        block = special.poisson_pmf(counts, 300.0)
+        assert np.array_equal(block, special.poisson_pmf(range(counts.stop), 300.0)[106:])
+        self.assert_cells(counts, 300.0, block)
+        # the jump-chain record's window at mu = 1e4 starts where the pmf
+        # leaves the float range, far above 0; its cells are the rows of the
+        # range from 0, and its inverse-CDF table, the samplers', holds the
         # partial sums of the zero-truncated law
-        mu = 300.0
-        lo, c = mc._ztp_cdf(mu)
-        counts = range(lo, lo + c.size - 1)
+        mu = 1e4
+        chain = _jump_chain(mu)
+        first, c = chain.first, chain.cdf
+        counts = range(first, first + chain.batches.size)
         block = special.poisson_pmf(counts, mu)
-        assert lo > 100
-        assert np.array_equal(block, special.poisson_pmf(range(counts.stop), mu)[lo:])
-        self.assert_cells(counts, mu, block)
+        assert first > 5000 and c.size < 80 * math.sqrt(mu)
+        assert np.array_equal(block, chain.batches)
+        assert np.array_equal(block, special.poisson_pmf(range(counts.stop), mu)[first:])
+        lo, hi = np.flatnonzero(block > 1e-300)[[0, -1]]  # the ends are subnormal
+        self.assert_cells(counts[lo:hi + 1], mu, block[lo:hi + 1])
         with mpmath.workdps(40):
             nonzero = -mpmath.expm1(-mu)
-            below = mpmath.fsum(mp_pois(j, mu) for j in range(1, lo)) / nonzero
-            for i in (0, 50, 100, c.size - 1):
-                want = below + mpmath.fsum(mp_pois(j, mu) for j in range(lo, lo + i)) / nonzero
-                assert abs(c[i] - want) < 1e-14
+            below = mpmath.fsum(mp_pois(j, mu) for j in range(1, first)) / nonzero
+            assert below < 1e-300
+            for i in (0, 2000, 3800, c.size - 1):
+                head = mpmath.fsum(mp_pois(j, mu) for j in range(first, first + i))
+                assert abs(c[i] - (below + head / nonzero)) < 1e-14
 
     def test_shapes(self):
         assert special.poisson_pmf(range(5), 2.0).shape == (5,)
