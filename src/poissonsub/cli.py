@@ -237,10 +237,14 @@ def _cmd_cdf(args) -> dict[str, np.ndarray]:
     law, jumps = _law(args), _jump_spec(args)
     ts = parse_range(args.t, args.t_step)
     if jumps.kind == "degenerate_unit":
+        if args.z is not None:
+            raise ValueError("--z is read by exp and normal jumps; unit jumps take --n")
         ns = parse_range(args.n or "0..10", 1.0).astype(int)
         vals = [law.cdf(ns, t) for t in ts.tolist()]
         return {"t": np.repeat(ts, ns.size), "n": np.tile(ns, ts.size), "cdf": _cat(vals)}
-    zs = parse_range(args.z, args.step)
+    if args.n is not None:
+        raise ValueError("--n is read by unit jumps; exp and normal jumps take --z")
+    zs = parse_range(args.z or "0..10", args.step)
     vals = [cpp.cpp_cdf_Z_grid(zs, float(t), law.params, jumps, law.ctl) for t in ts]
     return {"t": np.repeat(ts, zs.size), "z": np.tile(zs, ts.size), "cdf": _cat(vals)}
 
@@ -277,7 +281,6 @@ def _cmd_crossing(args) -> dict[str, np.ndarray]:
         if args.boundary != "constant":
             raise ValueError("crossing density is available for the constant "
                              "boundary only")
-        ts = ts[ts > 0]
         vals = crossing.crossing_density_constant(k, ts, law)
     elif args.boundary == "linear-increasing":
         vals = crossing.survival_linear_increasing(k, ts, law)
@@ -297,11 +300,10 @@ def _cmd_hitting(args) -> dict[str, np.ndarray]:
                 "prob": np.array(vals, dtype=float).T.ravel()}
     law = _law(args)
     ts = parse_range(args.t, args.t_step)
-    pos = ts > 0  # the density cell at t = 0 is written as 0
     cdf, density = np.zeros((2, ks.size, ts.size))
     for i, k in enumerate(ks.tolist()):
         cdf[i] = crossing.hitting_cdf(k, ts, law)
-        density[i, pos] = crossing.hitting_density(k, ts[pos], law)
+        density[i] = crossing.hitting_density(k, ts, law)
     return {"k": np.repeat(ks, ts.size), "t": np.tile(ts, ks.size), "cdf": cdf.ravel(),
             "density": density.ravel()}
 
@@ -369,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "cdf", _cmd_cdf, "CDF table of Z(t)",
                      "--tolerance", "--t-step", "--step", jumps=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--n", help="state range for unit jumps")
-    p.add_argument("--z", default="0..10", help="z range for continuous jumps")
+    p.add_argument("--n", help="state range for unit jumps (default 0..10)")
+    p.add_argument("--z", help="z range for exp and normal jumps (default 0..10)")
 
     p = _add_command(sub, "density", _cmd_density, "density table of Z(t), continuous jumps",
                      "--tolerance", "--t-step", "--step", jumps=True)

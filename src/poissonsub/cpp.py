@@ -4,7 +4,7 @@ The CDF and density are mixtures of the closed-form n-fold convolutions
 ``JumpSpec.conv_cdf`` and ``conv_pdf`` of the jump law, weighted by the
 iterated Poisson pmf from ``IteratedLaw.pmf_vector``, so truncation follows
 the same tail-mass rule everywhere.  Each quantity has one path, vectorised
-over its z-grid in blocks of about 2**19 (orders x points) cells.  For
+over its z-grid in the (orders x points) blocks of ``special._in_blocks``.  For
 exponential jumps the CDF is the paper's alternative series: a block of
 ``special.poisson_pmf`` cells Pois(zeta z; m) over the cumulative weights,
 one ``gammainc`` per point; ``conv_cdf``'s gammainc block and the direct
@@ -21,13 +21,11 @@ import math
 import numpy as np
 from scipy import special as sc
 
-from .iterated import IteratedLaw, _float_if_scalar
+from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams, MomentSummary, check_time
-from .special import SeriesControl, poisson_pmf
+from .special import SeriesControl, _float_if_scalar, _in_blocks, poisson_pmf
 
 _DEFAULT_CTL = SeriesControl()
-# cells in one (orders x points) block of a mixture
-_BLOCK_CELLS = 2**19
 
 
 def atom_mass_Z(t: float, params: ModelParams) -> float:
@@ -45,16 +43,11 @@ def _poisson_weights(a: float, tol: float) -> np.ndarray:
     return poisson_pmf(range(n_hi + 1), a)
 
 
-def _mixture(c: np.ndarray, z: np.ndarray, kernel) -> np.ndarray:
-    """sum_{n=1..N} c[n-1] kernel(n, z) over the points z, one (N x width)
-    block of the kernel at a time, with N x width about _BLOCK_CELLS."""
+def _mixture(c: np.ndarray, z: np.ndarray, kernel):
+    """sum_{n=1..N} c[n-1] kernel(n, z) over the points z: one gemv per
+    (N x points) block of the kernel."""
     ns = np.arange(1, c.size + 1)[:, None]
-    width = max(1, _BLOCK_CELLS // max(1, c.size))
-    flat = z.ravel()
-    out = np.empty(flat.size)
-    for lo in range(0, flat.size, width):
-        out[lo:lo + width] = c @ kernel(ns, flat[lo:lo + width])
-    return out.reshape(z.shape)
+    return _in_blocks(lambda z: (c @ kernel(ns, z.ravel())).reshape(z.shape), c.size, z)
 
 
 def _step(z: np.ndarray) -> np.ndarray:

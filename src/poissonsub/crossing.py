@@ -11,9 +11,11 @@ nonzero jump comes at a Gamma(m, rate) time, and the densities mix over
 chain; the hitting probability and the constant-boundary mean are its
 marginals over m.  All read one record per mu in ``iterated``, grown to the
 largest level asked.  The survivals, the densities and the hitting CDF take
-one time or an array of times.  Every quantity is a sum of nonnegative
-terms; the paper's Stirling and Bell forms and the flux sums over the law
-weights are reference forms in ``verify``."""
+one time or an array of times; the mixtures run in the blocks of
+``special._in_blocks``, so a grid of any length runs in bounded memory.
+Every quantity is a sum of nonnegative terms; the paper's Stirling and Bell
+forms and the flux sums over the law weights are reference forms in
+``verify``."""
 
 from __future__ import annotations
 
@@ -24,9 +26,9 @@ from typing import Callable
 import numpy as np
 from scipy import special as sc
 
-from .iterated import IteratedLaw, _float_if_scalar, _jump_chain
+from .iterated import IteratedLaw, _jump_chain
 from .params import check_time
-from .special import poisson_pmf
+from .special import _float_if_scalar, _in_blocks, poisson_pmf
 
 _NONINCREASING = ("constant", "linear_decreasing", "general_nonincreasing")
 
@@ -129,29 +131,23 @@ def survival_nonincreasing(boundary: Boundary, t, law: IteratedLaw):
         raise ValueError("survival_nonincreasing handles nonincreasing boundaries; "
                          "use survival_linear_increasing for the increasing case")
     check_time(t)
-    t = np.asarray(t, dtype=float)
-    # row L + 1 of the exit table, with L = -1 (row 0, all zero) once b <= 0
-    rows = [_strict_floor(max(boundary.value(s), 0.0)) + 1 for s in t.flat]
     level = max(boundary.k, math.ceil(boundary.value(0.0)))
-    if max(rows, default=0) > level:
-        raise ValueError(f"boundary rises above its start value {boundary.value(0.0)}")
     exits = _jump_chain(law.params.mu).tables(level)[1]
-    # one row per time, summed along it: a time's value does not depend on the grid
-    s = (sc.gammaincc(np.arange(1.0, level + 1), law.params.rate * t.reshape(-1, 1))
-         * exits[rows, :level]).sum(axis=1)
-    np.minimum(s, 1.0, out=s)
-    # at t = 0 every Poisson factor is 1, so s sums a row: 1 up to rounding, or 0 on row 0
-    s[(t.ravel() == 0.0) & (s > 0.0)] = 1.0
-    return _float_if_scalar(s.reshape(t.shape))
+    orders = np.arange(1.0, level + 1)
 
-
-def _chain_mixture(t, law: IteratedLaw, c: np.ndarray, scale: float):
-    """scale sum_m Pois(rate t; m) c_m over m < len(c), at one time or an
-    array of times t > 0 of any shape: a passage law mixed over the number of
-    nonzero jumps by t.  The transposes put the counts of the pmf block last."""
-    check_time(t, positive=True)
-    x = law.params.rate * np.asarray(t, dtype=float)
-    return _float_if_scalar(scale * (poisson_pmf(range(c.size), x).T @ c).T)
+    def block(t):
+        # row L + 1 of the exit table, with L = -1 (row 0, all zero) once b <= 0
+        rows = [_strict_floor(max(boundary.value(s), 0.0)) + 1 for s in t.flat]
+        if max(rows, default=0) > level:
+            raise ValueError(f"boundary rises above its start value {boundary.value(0.0)}")
+        # one row per time, summed along it: a time's value does not depend on the grid
+        s = (sc.gammaincc(orders, law.params.rate * t.reshape(-1, 1))
+             * exits[rows, :level]).sum(axis=1)
+        np.minimum(s, 1.0, out=s)
+        # at t = 0 every Poisson factor is 1, so s sums a row: 1 up to rounding, or 0 on row 0
+        s[(t.ravel() == 0.0) & (s > 0.0)] = 1.0
+        return s.reshape(t.shape)
+    return _in_blocks(block, level, t)
 
 
 def crossing_density_constant(k: int, t, law: IteratedLaw):
@@ -159,9 +155,12 @@ def crossing_density_constant(k: int, t, law: IteratedLaw):
     an array of times.  A path crosses only by a jump out of some state
     j < k, so psi_k(t) = lam sum_{j<k} p_j(t) P{Poisson(mu) >= k - j}, with
     p_j(t) = sum_m Pois(rate t; m) h[m, j].  As lam P{Poisson(mu) >= i} =
-    rate P{step >= i}, the sum over j is rate P{S_m <= k - 1 < S_{m+1}}."""
-    exits = _jump_chain(law.params.mu).tables(k)[1]
-    return _chain_mixture(t, law, exits[k, :k], law.params.rate)
+    rate P{step >= i}, the sum over j is rate P{S_m <= k - 1 < S_{m+1}}.
+    At t = 0 it is the right limit lam P{Poisson(mu) >= k}.  The transposes
+    put the counts of the pmf block last."""
+    c, rate = _jump_chain(law.params.mu).tables(k)[1][k, :k], law.params.rate
+    check_time(t)
+    return _in_blocks(lambda t: rate * (poisson_pmf(range(k), rate * t).T @ c).T, k, t)
 
 
 def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
@@ -176,20 +175,21 @@ def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
 def hitting_density(k: int, t, law: IteratedLaw):
     """Density of the first-hitting time of state k at one time or an array
     of times (defective: integrates to pi_k < 1).  After m jumps the next
-    comes at rate ``params.rate`` and lands on k with probability h[m + 1, k]."""
-    h = _jump_chain(law.params.mu).tables(k)[0][1:k + 1, k]
-    return _chain_mixture(t, law, h, law.params.rate)
+    comes at rate ``params.rate`` and lands on k with probability h[m + 1, k].
+    At t = 0 it is the right limit lam P{Poisson(mu) = k}."""
+    h, rate = _jump_chain(law.params.mu).tables(k)[0][1:k + 1, k], law.params.rate
+    check_time(t)
+    return _in_blocks(lambda t: rate * (poisson_pmf(range(k), rate * t).T @ h).T, k, t)
 
 
 def hitting_cdf(k: int, t, law: IteratedLaw):
     """CDF of the first-hitting time of state k at one time or an array of
     times; tends to pi_k as t -> inf.  The chain reaches k at its m-th jump
     with probability h[m, k], and m jumps take a Gamma(m, rate) time."""
-    h = _jump_chain(law.params.mu).tables(k)[0][1:k + 1, k]
+    h, rate = _jump_chain(law.params.mu).tables(k)[0][1:k + 1, k], law.params.rate
     check_time(t)
-    t = np.asarray(t, dtype=float)
     m = np.arange(1, k + 1)
-    return _float_if_scalar(np.minimum(1.0, sc.gammainc(m, law.params.rate * t[..., None]) @ h))
+    return _in_blocks(lambda t: np.minimum(1.0, sc.gammainc(m, rate * t[..., None]) @ h), k, t)
 
 
 def hitting_probability(k, mu: float):

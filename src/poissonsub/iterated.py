@@ -19,17 +19,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .params import ModelParams, check_time
-from .special import SeriesControl, poisson_pmf
+from .special import SeriesControl, _float_if_scalar, poisson_pmf
 
 # scaled weights are renormalised once they leave [_TINY, _HUGE]
 _TINY, _HUGE = 1e-200, 1e200
 # tilts s > 0 at which the Chernoff bound on the upper tail is evaluated
 _CHERNOFF_S = np.geomspace(1e-4, 30.0, 512)
-
-
-def _float_if_scalar(x):
-    """A law's value at one point as a Python float; any other as the array."""
-    return x if np.ndim(x) else float(x)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

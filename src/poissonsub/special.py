@@ -1,9 +1,10 @@
 """Numerical building blocks shared by the process laws: the truncation
-policy ``SeriesControl`` and ``poisson_pmf``, the one Poisson pmf, read by
+policy ``SeriesControl``; ``poisson_pmf``, the one Poisson pmf, read by
 the jump-chain record's batch window (and through it by the law weights, the
 jump chain and the samplers), the exponential-jump CDF and the passage-time
-mixtures.  The paper's reference forms (Stirling numbers, Bell polynomials,
-scalar Poisson kernels, incomplete gamma) live in ``verify``.
+mixtures; and ``_in_blocks``, the one block loop of every mixture over a
+grid of points.  The paper's reference forms (Stirling numbers, Bell
+polynomials, scalar Poisson kernels, incomplete gamma) live in ``verify``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ _HEAD = np.array([
     -2.207822206123445, -2.244418568125061, -2.2785183673077407,
 ])
 _CACHED_COUNTS = 1 << 14  # longer ranges are not kept: the cache holds at most 16 MB
+# cells in one (orders x points) block of a mixture
+_BLOCK_CELLS = 2**19
 
 
 @lru_cache(maxsize=64)
@@ -85,3 +88,23 @@ def poisson_pmf(counts: range, x) -> np.ndarray:
     body *= m
     np.subtract(head, out, out)
     return np.exp(out, out)
+
+
+def _float_if_scalar(x):
+    """A law's value at one point as a Python float; any other as the array."""
+    return x if np.ndim(x) else float(x)
+
+
+def _in_blocks(law, orders: int, x):
+    """law(x) at one point or an array of points x of any shape, for a law
+    that builds an (orders x points) block: on x as given when it fits one
+    block of about _BLOCK_CELLS cells, else on runs of the flattened points
+    that do, so a grid of any length runs in bounded memory.  law returns
+    one value per point, in the shape of its argument; one point gives a
+    float."""
+    x = np.asarray(x, dtype=float)
+    if x.size * orders <= max(_BLOCK_CELLS, orders):  # one point is always one block
+        return _float_if_scalar(law(x))
+    flat, width = x.ravel(), max(1, _BLOCK_CELLS // orders)
+    return np.concatenate([law(flat[lo:lo + width])
+                           for lo in range(0, flat.size, width)]).reshape(x.shape)

@@ -205,7 +205,7 @@ def bell_poly_derivative(n: int, x: float) -> float:
     return -bell_poly(n, x).value + bell_poly(n + 1, x).value / x
 
 
-def log_bell_series(n: int, x: float, ctl: SeriesControl = SeriesControl()) -> float:
+def log_bell_series(n: int, x: float) -> float:
     """log B_n(x) via the Poisson-weighted power series sum_k k^n x^k e^{-x}/k!.
 
     Valid for any degree n >= 0 (no Stirling cap) and finite x >= 0.
@@ -219,7 +219,7 @@ def log_bell_series(n: int, x: float, ctl: SeriesControl = SeriesControl()) -> f
     if x == 0.0:
         return -math.inf
     log_x = math.log(x)
-    log_tol = math.log(ctl.tolerance)
+    log_tol = math.log(SeriesControl.tolerance)
     total = -math.inf
     peak = -math.inf
     chunk = 512
@@ -238,9 +238,9 @@ def log_bell_series(n: int, x: float, ctl: SeriesControl = SeriesControl()) -> f
     return float(total)
 
 
-def bell_series(n: int, x: float, ctl: SeriesControl = SeriesControl()) -> float:
+def bell_series(n: int, x: float) -> float:
     """B_n(x) via the truncated infinite series (linear scale)."""
-    return math.exp(log_bell_series(n, x, ctl))
+    return math.exp(log_bell_series(n, x))
 
 
 def lower_incomplete_gamma(a: float, z: float) -> float:
@@ -344,15 +344,14 @@ def _hitting_probability_stirling(k: int, mu: float) -> float:
     return mu**k / math.factorial(k) * s
 
 
-def _exp_jump_cdf(z: float, t: float, params: ModelParams, zeta: float,
-                  ctl: SeriesControl = SeriesControl()) -> float:
+def _exp_jump_cdf(z: float, t: float, params: ModelParams, zeta: float) -> float:
     """CDF of Z(t) for exponential(zeta) jumps via the direct series
     1 - sum_m p_m(t) P(m-1; zeta z)."""
     if z < 0:
         return 0.0
     if t == 0.0:
         return 1.0
-    w = IteratedLaw(params, ctl).pmf_vector(t)
+    w = IteratedLaw(params).pmf_vector(t)
     s = math.fsum(w[m] * poisson_cdf(m - 1, zeta * z) for m in range(1, len(w)))
     # the truncated tail of the weights carries P(m-1;.) <= 1, so this
     # underestimates the subtracted mass by at most the tail tolerance
@@ -366,13 +365,13 @@ def _conv_cdf_fsum(z: float, w: np.ndarray, jumps: JumpSpec) -> float:
     return min(1.0, math.fsum([w[0] * (z >= 0), *(w[1:] * col)]))
 
 
-def _exp_jump_density_grid(z: np.ndarray, t: float, params: ModelParams, zeta: float,
-                           ctl: SeriesControl = SeriesControl()) -> np.ndarray:
+def _exp_jump_density_grid(z: np.ndarray, t: float, params: ModelParams,
+                           zeta: float) -> np.ndarray:
     """Exponential-jump density series zeta sum_m p_m(t) p(m-1; zeta z), z > 0."""
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise ValueError("density is defined for z > 0")
-    w = IteratedLaw(params, ctl).pmf_vector(t)
+    w = IteratedLaw(params).pmf_vector(t)
     m = np.arange(len(w) - 1, dtype=float)[:, None]  # poisson counts m-1
     lp = -zeta * z[None, :] + m * np.log(zeta * z)[None, :] - sc.gammaln(m + 1.0)
     return zeta * (w[1:] @ np.exp(lp))
@@ -448,14 +447,14 @@ def hitting_sample(k: int, params: ModelParams, horizon: float,
 # -- suites ------------------------------------------------------------------
 
 
-def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResult]:
+def formula_cross_checks() -> list[CheckResult]:
     out = []
 
     worst = 0.0
     for x in (0.1, 1.0, 10.0, 50.0):
         for n in range(21):
             direct = bell_poly(n, x).value
-            series = bell_series(n, x, ctl)
+            series = bell_series(n, x)
             worst = max(worst, _rel(direct, series))
             if n <= 19:
                 rec = x * (bell_poly_derivative(n, x) + direct)
@@ -463,12 +462,12 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
     out.append(CheckResult("bell polynomial: direct vs series vs recursion",
                            worst < 1e-9, worst, 1e-9))
 
-    law = IteratedLaw(ModelParams(2.0, 1.0), ctl)
+    law = IteratedLaw(ModelParams(2.0, 1.0))
     t = 1.5
     bell_x = law.params.lam * t * math.exp(-law.params.mu)
     worst = max(
         _rel(law.pmf(n, t), math.exp(n * math.log(law.params.mu) - math.lgamma(n + 1)
-                                     - law.params.rate * t) * bell_series(n, bell_x, ctl))
+                                     - law.params.rate * t) * bell_series(n, bell_x))
         for n in range(21))
     out.append(CheckResult("iterated pmf: weights vs Bell series",
                            worst < 1e-10, worst, 1e-10))
@@ -494,26 +493,26 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
     worst = 0.0
     zs = np.linspace(0.0, 8.0, 17)
     for t in (0.5, 1.0, 2.0):
-        w = IteratedLaw(params, ctl).pmf_vector(t)
-        grid = cpp.cpp_cdf_Z_grid(zs, t, params, jumps, ctl)
+        w = IteratedLaw(params).pmf_vector(t)
+        grid = cpp.cpp_cdf_Z_grid(zs, t, params, jumps)
         for z, g in zip(zs, grid):
-            worst = max(worst, abs(_exp_jump_cdf(z, t, params, 1.0, ctl) - g),
+            worst = max(worst, abs(_exp_jump_cdf(z, t, params, 1.0) - g),
                         abs(_conv_cdf_fsum(z, w, jumps) - g))
     out.append(CheckResult("exponential jumps: direct vs generic vs alternative CDF",
                            worst < 1e-10, worst, 1e-10))
 
     zs = np.linspace(0.25, 8.0, 16)
-    worst = float(np.max(np.abs(_exp_jump_density_grid(zs, 1.0, params, 1.0, ctl)
-                                - cpp.cpp_density_Z_grid(zs, 1.0, params, jumps, ctl))))
+    worst = float(np.max(np.abs(_exp_jump_density_grid(zs, 1.0, params, 1.0)
+                                - cpp.cpp_density_Z_grid(zs, 1.0, params, jumps))))
     out.append(CheckResult("exponential jumps: density series vs generic mixture",
                            worst < 1e-10, worst, 1e-10))
 
     # lam t = 500, relative, from F near 1e-104 to 1: the production series
     # against the gammainc terms summed one by one
     params, jumps = ModelParams(5.0, 1.0), JumpSpec.exponential(2.0)
-    w = IteratedLaw(params, ctl).pmf_vector(100.0)
+    w = IteratedLaw(params).pmf_vector(100.0)
     zs = np.array([5.0, 25.0, 75.0, 150.0, 200.0, 250.0, 300.0, 400.0])
-    grid = cpp.cpp_cdf_Z_grid(zs, 100.0, params, jumps, ctl)
+    grid = cpp.cpp_cdf_Z_grid(zs, 100.0, params, jumps)
     worst = max(_rel(_conv_cdf_fsum(z, w, jumps), g) for z, g in zip(zs, grid))
     out.append(CheckResult("exponential jumps: alternative vs generic CDF at lam t = 500",
                            worst < 1e-12, worst, 1e-12))
@@ -584,7 +583,7 @@ def formula_cross_checks(ctl: SeriesControl = SeriesControl()) -> list[CheckResu
     return out
 
 
-def figure_reproduction(ctl: SeriesControl = SeriesControl()) -> list[CheckResult]:
+def figure_reproduction() -> list[CheckResult]:
     out = []
     jumps = JumpSpec.exponential(1.0)
     for lam, masses in MASS_TABLE.items():
@@ -599,8 +598,7 @@ def figure_reproduction(ctl: SeriesControl = SeriesControl()) -> list[CheckResul
         for t in range(1, 6):
             hi = params.lam * t + 12.0 * math.sqrt(2.0 * params.lam * t) + 20.0
             q = gauss_panel_mass(
-                lambda z: cpp.cpp_density_Z_grid(z, float(t), params, jumps, ctl),
-                hi)
+                lambda z: cpp.cpp_density_Z_grid(z, float(t), params, jumps), hi)
             worst_q = max(worst_q, abs(q - masses[t - 1]))
         out.append(CheckResult(
             f"density quadrature masses, lam={lam:g}, t=1..5",
@@ -608,14 +606,13 @@ def figure_reproduction(ctl: SeriesControl = SeriesControl()) -> list[CheckResul
     return out
 
 
-def analytic_vs_mc(seed: int = 42, replicates: int = 100_000,
-                   ctl: SeriesControl = SeriesControl()) -> list[CheckResult]:
+def analytic_vs_mc(seed: int = 42, replicates: int = 100_000) -> list[CheckResult]:
     out = []
     rngs = mc.substreams(seed, 8)
 
     # empirical pmf of the iterated process vs analytic, chi-square at 1%
     params = ModelParams(4.0, 3.0)
-    law = IteratedLaw(params, ctl)
+    law = IteratedLaw(params)
     zs = mc.sample_Z(params, JumpSpec.degenerate_unit(), 1.0, replicates, rngs[0])
     hi = int(zs.max())
     counts = np.bincount(zs.astype(int), minlength=hi + 1)
@@ -632,7 +629,7 @@ def analytic_vs_mc(seed: int = 42, replicates: int = 100_000,
         (JumpSpec.normal(0.5, 1.0), "normal"),
     ):
         zs = mc.sample_Z(params, jumps, 1.0, replicates, rngs[1])
-        d = ks_distance(zs, lambda u: cpp.cpp_cdf_Z_grid(u, 1.0, params, jumps, ctl),
+        d = ks_distance(zs, lambda u: cpp.cpp_cdf_Z_grid(u, 1.0, params, jumps),
                         atom_at_zero=cpp.atom_mass_Z(1.0, params))
         out.append(CheckResult(f"{label}-jump CDF vs empirical (Kolmogorov)",
                                d < band, d, band))
@@ -646,7 +643,7 @@ def analytic_vs_mc(seed: int = 42, replicates: int = 100_000,
                            abs(freq - p0) < 3 * se, abs(freq - p0), 3 * se))
 
     # constant boundary k=1: crossing times are exponential
-    law2 = IteratedLaw(ModelParams(2.0, 1.0), ctl)
+    law2 = IteratedLaw(ModelParams(2.0, 1.0))
     ts = mc.batch_first_crossing(crossing.Boundary.constant(1), law2.params,
                                  mc.default_horizon(law2.params),
                                  min(replicates, 100_000), rngs[3])

@@ -33,7 +33,8 @@ def test_special_holds_only_production_helpers():
     tree = ast.parse((SRC / "special.py").read_text())
     defined = {node.name for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert defined == {"SeriesControl", "poisson_pmf", "_count_part"}
+    assert defined == {"SeriesControl", "poisson_pmf", "_count_part", "_in_blocks",
+                       "_float_if_scalar"}
     assert callable(special.poisson_pmf)
 
 

@@ -307,6 +307,40 @@ class TestOtherCommands:
         vals = [float(r["cdf"]) for r in csv.DictReader(io.StringIO(out))]
         assert len(vals) == 6 and vals[-1] > vals[0]
 
+    @pytest.mark.parametrize("line", [
+        "cdf --t 1 --jumps unit --z 100000000", "cdf --t 1 --z 0..5",
+        "cdf --t 1 --jumps exp --zeta 1 --n 0..5",
+        "cdf --t 1 --jumps normal --eta 0.5 --sigma 1 --n 3",
+    ])
+    def test_cdf_refuses_the_other_jump_laws_grid(self, line, capsys):
+        # unit jumps read --n, exp and normal jumps --z; the other flag used to
+        # be ignored, with exit 0 and the default table
+        code, out, err = run_cli(line.split(), capsys)
+        assert code == 1 and out == "" and "validation error" in err
+
+    def test_cdf_grid_defaults(self, capsys):
+        # each mode's grid flag defaults to 0..10 where it is read
+        for given, default in (("--jumps unit", "--n 0..10"),
+                               ("--jumps exp --zeta 1", "--z 0..10"),
+                               ("--jumps normal --eta 0.5 --sigma 1", "--z 0..10")):
+            outs = [run_cli(f"cdf --t 1 {given} {extra}".split(), capsys)[:2]
+                    for extra in ("", default)]
+            assert outs[0] == outs[1] and outs[0][0] == 0
+            assert len(outs[0][1].splitlines()) == (12 if "unit" in given else 1002)
+
+    @pytest.mark.parametrize("line, col, want", [
+        # the right limits lam P{Poisson(mu) = k} and lam P{Poisson(mu) >= k}
+        ("hitting --k 2 --t 0..0.2:0.1", "density", "%.12g" % (0.5 / math.e)),
+        ("crossing --k 2 --quantity density --t 0..0.2:0.1", "density",
+         "%.12g" % (1.0 - 2.0 / math.e)),
+    ])
+    def test_density_rows_at_time_zero(self, line, col, want, capsys):
+        # the t = 0 row used to be dropped (crossing) or written as 0 (hitting)
+        code, out, _ = run_cli(line.split(), capsys)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and len(rows) == 3
+        assert rows[0]["t"] == "0" and rows[0][col] == want
+
     def test_density_excludes_origin(self, capsys):
         code, out, _ = run_cli(
             ["density", "--t", "1", "--jumps", "exp", "--zeta", "1",
@@ -548,7 +582,7 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("line", [
         "density --t 1 --jumps exp --zeta 1 --z 0",
-        "crossing --k 2 --quantity density --t 0",
+        "crossing --k 2 --quantity density --t 1..0",
         "pmf --t 1..0",
         "hitting --k 1..2 --t 1..0",
     ])

@@ -211,7 +211,7 @@ class TestCrossingDensityConstant:
         with pytest.raises(ValueError):
             crossing_density_constant(0, 1.0, LAW)
         with pytest.raises(ValueError):
-            crossing_density_constant(2, 0.0, LAW)
+            crossing_density_constant(2, -1.0, LAW)
 
 
 class TestMeanCrossingTime:
@@ -276,23 +276,26 @@ class TestHitting:
     def test_cdf_grid_matches_scalar_calls(self, k, fn):
         law = IteratedLaw(ModelParams(1.5, 1.0))
         mean = (k + 0.5) / law.params.rate  # about E(T_k)
-        ts = np.linspace(0.01 * mean, 4.0 * mean, 60)
-        if fn is hitting_cdf:
-            ts = np.r_[0.0, ts]
+        ts = np.r_[0.0, np.linspace(0.01 * mean, 4.0 * mean, 60)]
         grid = fn(k, ts, law)
         scalar = np.array([fn(k, float(t), law) for t in ts])
         assert isinstance(fn(k, float(ts[5]), law), float)
         assert grid.shape == ts.shape
-        if fn is hitting_cdf:
-            assert grid[0] == scalar[0] == 0.0
+        # t = 0: the CDF starts at 0, the densities at their right limits
+        mu = mpmath.mpf(law.params.mu)
+        at_0 = law.params.lam * float({
+            hitting_cdf: 0,
+            hitting_density: mpmath.exp(-mu) * mu**k / mpmath.factorial(k),  # P{Poisson = k}
+            crossing_density_constant: mpmath.gammainc(k, 0, mu, regularized=True),  # >= k
+        }[fn])
+        assert grid[0] == scalar[0] == pytest.approx(at_0, rel=1e-14, abs=0.0)
+        if fn is not hitting_cdf:
+            assert fn(k, 1e-12, law) == pytest.approx(at_0, rel=1e-10, abs=1e-20)
         np.testing.assert_allclose(grid, scalar, rtol=1e-15, atol=0.0)
         assert fn(k, np.empty(0), law).shape == (0,)
         assert fn(k, ts[:60].reshape(12, 5), law).shape == (12, 5)
         with pytest.raises(ValueError):
             fn(k, np.array([1.0, -1.0]), law)
-        if fn is not hitting_cdf:
-            with pytest.raises(ValueError):
-                fn(k, np.array([1.0, 0.0]), law)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_density_integrates_to_hitting_probability(self, k):
@@ -768,3 +771,29 @@ def test_chain_quantities_at_mu_1e9_within_1_gb():
                                rtol=1e-15, atol=0.0)
     assert lines[1] == "[True, True]"
     assert lines[2:] == ["k,mu,prob", "2,1000000000,0"]
+
+
+def test_passage_densities_on_a_long_grid_within_1_gb():
+    # one (k x times) block over 1.5e6 times at k = 100 would take 1.2 GB;
+    # the blocks of special._in_blocks hold about 4 MB each
+    code = """if True:
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        import numpy as np
+        from poissonsub import *
+        law, ts = IteratedLaw(ModelParams(1.0, 1.0)), np.linspace(0.0, 600.0, 1_500_000)
+        for fn in (crossing_density_constant, hitting_density):
+            grid = fn(100, ts, law)
+            picks = np.arange(0, ts.size, 99_991)
+            scalar = [fn(100, t, law) for t in ts[picks].tolist()]
+            print(repr([grid.shape, float(np.abs(grid[picks] / scalar - 1).max()),
+                        float(grid.max())]))
+    """
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(poissonsub.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    for line in run.stdout.splitlines():
+        shape, worst, top = ast.literal_eval(line)
+        assert shape == (1_500_000,) and worst <= 1e-15 and 0.0 < top < 1.0

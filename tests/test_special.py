@@ -330,3 +330,61 @@ class TestSeriesControl:
             SeriesControl(tolerance=0.0)
         with pytest.raises(ValueError):
             SeriesControl(tolerance=1.5)
+
+
+def _mixtures():
+    """The seven mixtures over a grid of points, each as (name, law at x)."""
+    from poissonsub import (Boundary, IteratedLaw, JumpSpec, ModelParams, cpp_cdf_Y,
+                            cpp_cdf_Z_grid, cpp_density_Z_grid, crossing_density_constant,
+                            hitting_cdf, hitting_density, survival_nonincreasing)
+    params = ModelParams(2.0, 1.5)
+    law = IteratedLaw(params)
+    out = []
+    for jumps in (JumpSpec.exponential(1.3), JumpSpec.normal(0.5, 1.0)):
+        out += [(f"cdf_Y {jumps.kind}", lambda z, j=jumps: cpp_cdf_Y(z, 3.0, params, j)),
+                (f"cdf_Z {jumps.kind}", lambda z, j=jumps: cpp_cdf_Z_grid(z, 3.0, params, j)),
+                (f"density_Z {jumps.kind}",
+                 lambda z, j=jumps: cpp_density_Z_grid(z, 3.0, params, j))]
+    return out + [
+        ("survival", lambda t: survival_nonincreasing(Boundary.linear_decreasing(9), t, law)),
+        ("crossing density", lambda t: crossing_density_constant(9, t, law)),
+        ("hitting density", lambda t: hitting_density(9, t, law)),
+        ("hitting cdf", lambda t: hitting_cdf(9, t, law)),
+    ]
+
+
+class TestBlocks:
+    # points of any sign, 0 among them, on a 2-d grid: the laws of z take
+    # them as they are, the passage laws as times |x|
+    X = np.linspace(-4.0, 9.0, 77).reshape(7, 11)
+
+    @pytest.mark.parametrize("name, law", _mixtures())
+    @pytest.mark.parametrize("cells", [1, 40, 300])
+    def test_many_blocks_match_one(self, name, law, cells, monkeypatch):
+        x = np.abs(self.X) if name in ("survival", "crossing density", "hitting density",
+                                       "hitting cdf") else self.X
+        one = law(x)
+        monkeypatch.setattr(special, "_BLOCK_CELLS", cells)  # one to a few points a block
+        many = law(x)
+        assert many.shape == one.shape == x.shape
+        if name == "survival":  # summed along each time's own row
+            assert many.tobytes() == one.tobytes()
+        else:
+            np.testing.assert_allclose(many, one, rtol=1e-15, atol=0.0)
+        for point in (x[3, 4], x[3, 4:5]):
+            single = law(point)
+            assert isinstance(single, float) if np.ndim(point) == 0 else single.shape == (1,)
+            np.testing.assert_allclose(single, one[3, 4], rtol=1e-15, atol=0.0)
+
+    def test_block_width(self, monkeypatch):
+        widths = []
+        law = lambda x: (widths.append(x.size), x + 1.0)[1]
+        assert special._in_blocks(law, 3, 2.0) == 3.0
+        assert special._in_blocks(law, 3, np.arange(10.0)).tolist() == list(range(1, 11))
+        monkeypatch.setattr(special, "_BLOCK_CELLS", 12)
+        x = np.arange(10.0).reshape(2, 5)
+        assert special._in_blocks(law, 3, x).tolist() == (x + 1.0).tolist()
+        assert special._in_blocks(law, 0, x).shape == (2, 5)  # no orders: 12 points a block
+        assert special._in_blocks(law, 30, np.arange(2.0)).tolist() == [1.0, 2.0]
+        assert special._in_blocks(law, 30, 5.0) == 6.0  # more orders than cells
+        assert widths == [1, 10, 4, 4, 2, 10, 1, 1, 1]
