@@ -23,6 +23,7 @@ from .special import SeriesControl
 
 _FMT = "%.12g"
 _MAX_POINTS = 10**7  # per range: a table of that many rows is already ~200 MB of text
+_STEP = 0.01  # the default step of a --z or --mu-grid range
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,8 +68,20 @@ def _jump_spec(args) -> JumpSpec:
 
 
 def _law(args) -> IteratedLaw:
-    tol = vars(args).get("tolerance", SeriesControl.tolerance)  # absent where unread
+    tol = vars(args).get("tolerance", SeriesControl.tolerance)  # absent unless given
     return IteratedLaw(ModelParams(args.lam, args.mu), SeriesControl(tol))
+
+
+def _step(args) -> float:
+    return vars(args).get("step", _STEP)
+
+
+def _refuse(args, flags: tuple[str, ...], mode: str) -> None:
+    """A validation error if any of ``flags`` (--tolerance, --step: in args
+    only when given) was given to a mode of a command that does not read it."""
+    given = [f"--{f}" for f in flags if f in vars(args)]
+    if given:
+        raise ValueError(f"{mode} does not read {' or '.join(given)}")
 
 
 _BLOCK = 4096  # rows formatted and joined at a time: the work stays in cache
@@ -227,6 +240,7 @@ def _cmd_pmf(args) -> dict[str, np.ndarray]:
         ps = [law.pmf_vector(float(t)) for t in ts]
         ns = [np.arange(p.size) for p in ps]
     else:
+        _refuse(args, ("tolerance",), "pmf --n")
         n = parse_range(args.n, 1.0).astype(int)
         ns = [n] * ts.size
         ps = [law.pmf(n, t) for t in ts.tolist()]
@@ -239,12 +253,13 @@ def _cmd_cdf(args) -> dict[str, np.ndarray]:
     if jumps.kind == "degenerate_unit":
         if args.z is not None:
             raise ValueError("--z is read by exp and normal jumps; unit jumps take --n")
+        _refuse(args, ("tolerance", "step"), "cdf with unit jumps")
         ns = parse_range(args.n or "0..10", 1.0).astype(int)
         vals = [law.cdf(ns, t) for t in ts.tolist()]
         return {"t": np.repeat(ts, ns.size), "n": np.tile(ns, ts.size), "cdf": _cat(vals)}
     if args.n is not None:
         raise ValueError("--n is read by unit jumps; exp and normal jumps take --z")
-    zs = parse_range(args.z or "0..10", args.step)
+    zs = parse_range(args.z or "0..10", _step(args))
     vals = [cpp.cpp_cdf_Z_grid(zs, float(t), law.params, jumps, law.ctl) for t in ts]
     return {"t": np.repeat(ts, zs.size), "z": np.tile(zs, ts.size), "cdf": _cat(vals)}
 
@@ -252,7 +267,7 @@ def _cmd_cdf(args) -> dict[str, np.ndarray]:
 def _cmd_density(args) -> dict[str, np.ndarray]:
     law, jumps = _law(args), _jump_spec(args)
     ts = parse_range(args.t, args.t_step)
-    zs = parse_range(args.z, args.step)
+    zs = parse_range(args.z, _step(args))
     zs = zs[zs != 0.0]
     vals = [cpp.cpp_density_Z_grid(zs, float(t), law.params, jumps, law.ctl) for t in ts]
     return {"t": np.repeat(ts, zs.size), "z": np.tile(zs, ts.size),
@@ -294,7 +309,7 @@ def _cmd_crossing(args) -> dict[str, np.ndarray]:
 def _cmd_hitting(args) -> dict[str, np.ndarray]:
     ks = parse_range(args.k, 1.0).astype(int)
     if args.prob:
-        mus = parse_range(args.mu_grid, args.step) if args.mu_grid else np.array([args.mu])
+        mus = parse_range(args.mu_grid, _step(args)) if args.mu_grid else np.array([args.mu])
         vals = [crossing.hitting_probability(ks, mu) for mu in mus.tolist()]
         return {"k": np.repeat(ks, mus.size), "mu": np.tile(mus, ks.size),
                 "prob": np.array(vals, dtype=float).T.ravel()}
@@ -326,10 +341,14 @@ def _cmd_simulate(args) -> dict[str, np.ndarray]:
     return {"replicate": np.arange(zs.size), "z": np.asarray(zs, dtype=float)}
 
 
-_OWN_FLAGS = {  # the flags only some commands read, added where they are read
-    "--tolerance": dict(type=float, default=SeriesControl.tolerance),
+# the flags only some commands read, added where they are read; --tolerance
+# and --step stay out of args unless given, so that a mode of a command that
+# does not read them can refuse them
+_OWN_FLAGS = {
+    "--tolerance": dict(type=float, default=argparse.SUPPRESS),
     "--t-step": dict(type=float, default=1.0, help="step for t ranges (default 1)"),
-    "--step": dict(type=float, default=0.01, help="step for z/mu ranges (default 0.01)"),
+    "--step": dict(type=float, default=argparse.SUPPRESS,
+                   help=f"step for z/mu ranges (default {_STEP})"),
 }
 
 

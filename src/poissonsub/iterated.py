@@ -6,7 +6,8 @@ private engine runs it and every quantity of the law is read off its
 output.  One record per mu of the jump chain owns the Poisson(mu) batch
 window that the engine reads, and the step law read off it: its renewal
 sequence and its visit and exit tables serve the mean sojourn time and
-``crossing``, and its inverse-CDF table the batch samplers of ``mc``.  The
+``crossing``, and its inverse-CDF table, searched through a guide table
+(``_guide``, ``_search``), the batch samplers of ``mc``.  The
 paper's Bell-polynomial and Stirling forms are reference forms in ``verify``.
 """
 
@@ -25,11 +26,45 @@ from .special import SeriesControl, _float_if_scalar, poisson_pmf
 _TINY, _HUGE = 1e-200, 1e200
 # tilts s > 0 at which the Chernoff bound on the upper tail is evaluated
 _CHERNOFF_S = np.geomspace(1e-4, 30.0, 512)
+# states of the first renewal build: a sweep over the first few dozen states
+# builds once, not at each doubling from one state
+_FIRST_STATES = 64
+# a guide table has at most 2^_GUIDE_BITS entries; a search makes
+# _GUIDE_PASSES vectorized passes before it searches the keys left in full
+_GUIDE_BITS, _GUIDE_PASSES = 16, 2
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _guide(c: np.ndarray) -> np.ndarray:
+    """Guide table of a nondecreasing table c for ``_search`` (indexed
+    search: Chen & Asau, 1974; L. Devroye, 1986, "Non-Uniform Random Variate
+    Generation", III.2.4): guide[g] = searchsorted(c, g / G, side="right"),
+    with G a power of two, from 2 to 4 times c.size up to 2^_GUIDE_BITS, so
+    that u G is exact for a float u."""
+    size = 1 << min(c.size.bit_length() + 1, _GUIDE_BITS)
+    return np.searchsorted(c, np.arange(size) / size, side="right")
+
+
+def _search(c: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(c, u, side="right") for keys u in [0, 1), with
+    guide = _guide(c): a key in [g/G, (g+1)/G) starts at guide[g] and
+    advances while u >= c[i], which most keys do at most once; a key still
+    moving after _GUIDE_PASSES passes is searched in full.  A key at or
+    past c[-1] runs off the end, where the clipped read gives c[-1] again,
+    so it moves on every pass and is searched."""
+    if c.size == 0:
+        return np.zeros(u.size, dtype=np.intp)
+    i = guide[(u * guide.size).astype(np.intp)]
+    for _ in range(_GUIDE_PASSES):
+        moved = u >= c.take(i, mode="clip")
+        i += moved
+    again = np.flatnonzero(moved)
+    i[again] = np.searchsorted(c, u[again], side="right")
+    return i
 
 
 class _JumpChain:
@@ -43,7 +78,8 @@ class _JumpChain:
     a tenth of the time of the window's order at mu = 1e9).
     ``cdf``: c[i] = P{S_1 < first + i}, the steps summed from the small end
     up to the first entry of their last value (past it a uniform draws alike,
-    and the search is shorter): the batch samplers' inverse-CDF table.
+    and the search is shorter): the batch samplers' inverse-CDF table, and
+    ``guide``, its guide table for ``_search``.
     Each table below is read-only, rebuilt at about twice its size when
     asked past it, and starts with the same bytes as a smaller one:
     ``upto(n)``: pi_0 .. pi_N, N >= n, pi_n = P{state n is ever visited};
@@ -81,9 +117,13 @@ class _JumpChain:
         c = np.cumsum(np.append(0.0, self.step[::-1]))
         return _read_only(c[:np.searchsorted(c, c[-1]) + 1])
 
+    @cached_property
+    def guide(self) -> np.ndarray:
+        return _read_only(_guide(self.cdf))
+
     def upto(self, n: int) -> np.ndarray:
         if n >= self.pi.size:
-            size, nj = max(n + 1, 2 * self.pi.size), self.step.size
+            size, nj = max(n + 1, 2 * self.pi.size, _FIRST_STATES), self.step.size
             # buf[0] runs on pi, buf[1] on pi - limit; as in _log_weights, row i
             # of a strided window holds states i + 1 - J .. i, behind J - 1
             # states < 0, and feeds state i + first

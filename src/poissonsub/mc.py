@@ -10,11 +10,20 @@ read.  This thinning is exact for first passage: a zero jump leaves the
 level unchanged, so it can neither cross a boundary nor land on a state not
 already crossed or hit (a nonincreasing boundary reaches a level between
 jumps at the level's own time).  The unthinned per-path samplers, which
-step through every jump of N, are their reference in ``verify``.
+step through every jump of N, are their reference in ``verify``.  The
+table is searched through its guide table (indexed search), which gives
+the binary search's index for every uniform.  Both samplers step their
+paths in consecutive blocks of ``_PATH_BLOCK`` paths, each block to the end
+of its rounds before the next starts, all from the one generator.
 
-All randomness flows through numpy Generators seeded from a SeedSequence;
-replicates get independent spawned substreams so results are reproducible
-regardless of how the work is split.
+All randomness flows through numpy Generators seeded from a SeedSequence.
+The same seed and size give the same draws on any machine (for one numpy
+release): the path block is a constant, not a property of the host.  The
+first block of a larger call draws what a call of ``_PATH_BLOCK`` paths
+draws, but a call split into calls of other sizes draws otherwise.  Work
+split into parts, each with its own ``substreams`` generator, draws the
+same whatever order or process the parts run in, and substream i of a seed
+is the same whatever the number of substreams asked.
 """
 
 from __future__ import annotations
@@ -24,10 +33,13 @@ import math
 import numpy as np
 
 from .crossing import Boundary
-from .iterated import _jump_chain
+from .iterated import _jump_chain, _search
 from .params import JumpSpec, ModelParams, check_time
 
 _MAX_ROUNDS = 100_000  # jump rounds before a batch sampler gives up
+# paths a batch sampler steps together: the twenty or so arrays of a jump
+# round, 8 bytes a path each, stay in a 2 MB cache
+_PATH_BLOCK = 1 << 14
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -35,7 +47,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def substreams(seed: int, n: int) -> list[np.random.Generator]:
-    """Independent substreams derived deterministically from a master seed."""
+    """n independent generators spawned from a master seed; the i-th is the
+    same for every n > i."""
     return [np.random.Generator(np.random.PCG64(ss))
             for ss in np.random.SeedSequence(seed).spawn(n)]
 
@@ -62,17 +75,18 @@ def sample_Z(params: ModelParams, jumps: JumpSpec, t: float, size: int,
     return jumps.eta * k + jumps.sigma * np.sqrt(k) * rng.standard_normal(size)
 
 
-def _ztp(mu: float, first: int, c: np.ndarray, size: int,
+def _ztp(mu: float, first: int, c: np.ndarray, guide: np.ndarray, size: int,
          rng: np.random.Generator) -> np.ndarray:
     """size zero-truncated Poisson(mu) draws by inverse-CDF lookup in a
-    table c[i] = P{X < first + i}, the jump-chain record's ``first, cdf``:
-    a uniform u with c[i-1] <= u < c[i] draws X = first + i - 1.
+    table c[i] = P{X < first + i}, the jump-chain record's ``first, cdf``,
+    through its guide table ``iterated._guide(c)``: a uniform u with
+    c[i-1] <= u < c[i] draws X = first + i - 1.
 
     A uniform at or above the table's last entry (rounding can leave that
     below 1) takes a fresh exact draw 1 + Poisson(mu - T), where T, the first
     arrival of a unit-rate Poisson process given that it comes before mu, is
     -log1p(U expm1(-mu)); so no value of X is cut off."""
-    i = np.searchsorted(c, rng.random(size), side="right")
+    i = _search(c, guide, rng.random(size))
     x = i + (first - 1)
     beyond = i == c.size
     n = int(np.count_nonzero(beyond))
@@ -80,6 +94,17 @@ def _ztp(mu: float, first: int, c: np.ndarray, size: int,
         arrival = -np.log1p(rng.random(n) * math.expm1(-mu))
         x[beyond] = 1 + rng.poisson(np.maximum(mu - arrival, 0.0))
     return x
+
+
+def _in_path_blocks(size: int, run_block) -> np.ndarray:
+    """size passage times, NaN where none: run_block(out) fills each slice
+    out of _PATH_BLOCK consecutive paths in turn, so the arrays of a jump
+    round stay in the cache, and the first block draws as a call of its own
+    size from the same generator would."""
+    out = np.full(size, np.nan)
+    for lo in range(0, size, _PATH_BLOCK):
+        run_block(out[lo:lo + _PATH_BLOCK])
+    return out
 
 
 def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float,
@@ -108,33 +133,36 @@ def batch_first_crossing(boundary: Boundary, params: ModelParams, horizon: float
     descent = by_level and bool(np.isfinite(level_time[:top]).any())
     rate = params.rate
     chain = _jump_chain(params.mu)
-    out = np.full(size, np.nan)
-    # live paths: index into out, level, epoch of the last nonzero jump
-    idx = np.arange(size)
-    z = np.zeros(size, dtype=np.int64)
-    t = np.zeros(size)
-    for _ in range(_MAX_ROUNDS):
-        if idx.size == 0:
-            return out
-        e = t + rng.standard_exponential(idx.size) / rate
-        live = e <= horizon
-        if descent:
-            s = level_time.take(z)
-            desc = s <= np.minimum(e, horizon)
-            done = np.flatnonzero(desc)
-            out[idx[done]] = s[done]
-            live &= ~desc
-        z = z + _ztp(params.mu, chain.first, chain.cdf, idx.size, rng)
-        if by_level:
-            crossed = e >= level_time.take(z, mode="clip")
-        else:
-            crossed = z >= boundary.k + e
-        crossed &= live
-        done = np.flatnonzero(crossed)
-        out[idx[done]] = e[done]
-        keep = np.flatnonzero(live & ~crossed)
-        idx, z, t = idx[keep], z[keep], e[keep]
-    raise RuntimeError("batch_first_crossing did not converge")
+
+    def run_block(out):
+        # live paths: index into out, level, epoch of the last nonzero jump
+        idx = np.arange(out.size)
+        z = np.zeros(out.size, dtype=np.int64)
+        t = np.zeros(out.size)
+        for _ in range(_MAX_ROUNDS):
+            if idx.size == 0:
+                return
+            e = t + rng.standard_exponential(idx.size) / rate
+            live = e <= horizon
+            if descent:
+                s = level_time.take(z)
+                desc = s <= np.minimum(e, horizon)
+                done = np.flatnonzero(desc)
+                out[idx[done]] = s[done]
+                live &= ~desc
+            z = z + _ztp(params.mu, chain.first, chain.cdf, chain.guide, idx.size, rng)
+            if by_level:
+                crossed = e >= level_time.take(z, mode="clip")
+            else:
+                crossed = z >= boundary.k + e
+            crossed &= live
+            done = np.flatnonzero(crossed)
+            out[idx[done]] = e[done]
+            keep = np.flatnonzero(live & ~crossed)
+            idx, z, t = idx[keep], z[keep], e[keep]
+        raise RuntimeError("batch_first_crossing did not converge")
+
+    return _in_path_blocks(size, run_block)
 
 
 def batch_hitting(k: int, params: ModelParams, horizon: float, size: int,
@@ -150,18 +178,21 @@ def batch_hitting(k: int, params: ModelParams, horizon: float, size: int,
     check_time(horizon, positive=True)
     rate = params.rate
     chain = _jump_chain(params.mu)
-    out = np.full(size, np.nan)
-    idx = np.arange(size)
-    z = np.zeros(size, dtype=np.int64)
-    t = np.zeros(size)
-    for _ in range(_MAX_ROUNDS):
-        if idx.size == 0:
-            return out
-        t = t + rng.standard_exponential(idx.size) / rate
-        z = z + _ztp(params.mu, chain.first, chain.cdf, idx.size, rng)
-        live = t <= horizon
-        hit = np.flatnonzero(live & (z == k))
-        out[idx[hit]] = t[hit]
-        keep = np.flatnonzero(live & (z < k))
-        idx, z, t = idx[keep], z[keep], t[keep]
-    raise RuntimeError("batch_hitting did not converge")
+
+    def run_block(out):
+        idx = np.arange(out.size)
+        z = np.zeros(out.size, dtype=np.int64)
+        t = np.zeros(out.size)
+        for _ in range(_MAX_ROUNDS):
+            if idx.size == 0:
+                return
+            t = t + rng.standard_exponential(idx.size) / rate
+            z = z + _ztp(params.mu, chain.first, chain.cdf, chain.guide, idx.size, rng)
+            live = t <= horizon
+            hit = np.flatnonzero(live & (z == k))
+            out[idx[hit]] = t[hit]
+            keep = np.flatnonzero(live & (z < k))
+            idx, z, t = idx[keep], z[keep], t[keep]
+        raise RuntimeError("batch_hitting did not converge")
+
+    return _in_path_blocks(size, run_block)

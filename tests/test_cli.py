@@ -318,6 +318,29 @@ class TestOtherCommands:
         code, out, err = run_cli(line.split(), capsys)
         assert code == 1 and out == "" and "validation error" in err
 
+    @pytest.mark.parametrize("line", [
+        "cdf --t 1 --n 0..5 --tolerance 0.5", "cdf --t 1 --step 7",
+        "cdf --t 1 --jumps unit --tolerance 1e-10 --step 0.5",
+        "pmf --t 1 --n 0..5 --tolerance 0.5",
+    ])
+    def test_modes_refuse_flags_they_do_not_read(self, line, capsys):
+        # the unit-jump CDF sums the weights up to --n, and pmf --n reads the
+        # states asked: both used to ignore these flags and exit 0
+        code, out, err = run_cli(line.split(), capsys)
+        assert code == 1 and out == "" and "does not read --" in err
+
+    @pytest.mark.parametrize("line, given", [
+        ("pmf --t 1", "--tolerance 1e-12"),
+        ("cdf --t 1 --jumps exp --zeta 1 --z 0..1", "--tolerance 1e-12 --step 0.01"),
+        ("density --t 1 --jumps exp --zeta 1 --z 0.5..1", "--tolerance 1e-12 --step 0.01"),
+        ("hitting --prob --k 2 --mu-grid 1..1.1", "--step 0.01"),
+    ])
+    def test_flags_given_at_their_defaults(self, line, given, capsys):
+        # where a mode reads them, the flags are taken, and their defaults
+        # are the values given here
+        outs = [run_cli(f"{line} {extra}".split(), capsys)[:2] for extra in ("", given)]
+        assert outs[0] == outs[1] and outs[0][0] == 0 and len(outs[0][1].splitlines()) > 2
+
     def test_cdf_grid_defaults(self, capsys):
         # each mode's grid flag defaults to 0..10 where it is read
         for given, default in (("--jumps unit", "--n 0..10"),

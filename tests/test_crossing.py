@@ -708,6 +708,16 @@ class TestRenewalRecord:
             short = _JumpChain(mu).upto(n)
             assert long[:short.size].tobytes() == short.tobytes()
 
+    def test_state_sweep_builds_once(self):
+        # the first build covers 64 states: the sweep j = 1..20 used to
+        # rebuild pi at 2, 4, .., 32 states
+        _jump_chain.cache_clear()
+        hitting_probability(1, 0.9)
+        pi = _jump_chain(0.9).pi
+        for j in range(2, 21):
+            hitting_probability(j, 0.9)
+        assert _jump_chain(0.9).pi is pi and pi.size == 64
+
     def test_read_only(self):
         pi = _jump_chain(0.8).upto(40)
         with pytest.raises(ValueError):
@@ -740,7 +750,9 @@ def test_chain_quantities_at_mu_1e9_within_1_gb():
     # nonzero window of Poisson(mu) is about 77 sqrt(mu) long; every step is
     # then far above the levels asked, so the first jump crosses them all,
     # and the batch samplers, which draw from the same record, overshoot
-    # state 2 and cross level 3 at their first jump epoch
+    # state 2 and cross level 3 at their first jump epoch; their step draws,
+    # through a guide table shorter than the inverse-CDF table, are its
+    # searchsorted draws, about mu
     code = """if True:
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -756,8 +768,14 @@ def test_chain_quantities_at_mu_1e9_within_1_gb():
         hit = mc.batch_hitting(2, law.params, 60.0, 1000, mc.make_rng(0))
         cross = mc.batch_first_crossing(Boundary.constant(3), law.params, 60.0, 1000,
                                         mc.make_rng(1))
+        chain, n = mc._jump_chain(1e9), 100_000
+        x = mc._ztp(1e9, chain.first, chain.cdf, chain.guide, n, mc.make_rng(2))
+        i = np.searchsorted(chain.cdf, mc.make_rng(2).random(n), side="right")
         print(repr([bool(np.isnan(hit).all()),
-                    cross.tobytes() == mc.make_rng(1).standard_exponential(1000).tobytes()]))
+                    cross.tobytes() == mc.make_rng(1).standard_exponential(1000).tobytes(),
+                    chain.guide.size < chain.cdf.size,
+                    np.array_equal(x, i + (chain.first - 1)),
+                    abs(float(x.mean()) - 1e9) < 6 * 1e9**0.5 / n**0.5]))
         sys.exit(main(["hitting", "--prob", "--k", "2", "--mu", "1e9"]))
     """
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -769,7 +787,7 @@ def test_chain_quantities_at_mu_1e9_within_1_gb():
     e = np.exp(-np.array([0.5, 2.0])).tolist()
     np.testing.assert_allclose(ast.literal_eval(lines[0]), [0.0, 1.0, *e, *e, 0.0, 0.0],
                                rtol=1e-15, atol=0.0)
-    assert lines[1] == "[True, True]"
+    assert lines[1] == "[True, True, True, True, True]"
     assert lines[2:] == ["k,mu,prob", "2,1000000000,0"]
 
 

@@ -17,7 +17,7 @@ from poissonsub import (
     survival_nonincreasing,
 )
 from poissonsub import mc
-from poissonsub.iterated import _jump_chain
+from poissonsub.iterated import _JumpChain, _guide, _jump_chain, _search
 from poissonsub.verify import first_crossing_sample, hitting_sample, sample_W
 
 PARAMS = ModelParams(2.0, 1.0)
@@ -151,6 +151,22 @@ class TestBatchSamplers:
         assert abs(f1 - f2) < 4 * se
 
 
+@pytest.mark.parametrize("sampler", [
+    lambda size, rng: mc.batch_first_crossing(Boundary.constant(4), PARAMS, 2.0, size, rng),
+    lambda size, rng: mc.batch_hitting(3, PARAMS, 50.0, size, rng),
+], ids=["crossing", "hitting"])
+def test_first_path_block_is_a_call_of_its_size(sampler):
+    # the paths run in blocks of _PATH_BLOCK, one after the other from one
+    # generator: the first block draws what a call of that size draws, NaN
+    # (censored or overshot) included
+    size = 3 * mc._PATH_BLOCK + 5
+    many = sampler(size, mc.make_rng(61))
+    one = sampler(mc._PATH_BLOCK, mc.make_rng(61))
+    assert many.shape == (size,) and np.isnan(one).any() and not np.isnan(one).all()
+    assert many[:mc._PATH_BLOCK].tobytes() == one.tobytes()
+    assert many[-5:].tobytes() != one[-5:].tobytes()
+
+
 def ks_censored(a, b):
     """Two-sample Kolmogorov-Smirnov statistic of two samples of passage
     times, censored (NaN) times counted as +inf, and its 1% critical value."""
@@ -221,7 +237,7 @@ class TestZeroTruncatedPoisson:
     @pytest.mark.parametrize("mu, seed", [(0.3, 50), (1.4, 51), (30.0, 52), (300.0, 53)])
     def test_chi_square(self, mu, seed):
         chain = _jump_chain(mu)
-        x = mc._ztp(mu, chain.first, chain.cdf, self.N, mc.make_rng(seed))
+        x = mc._ztp(mu, chain.first, chain.cdf, chain.guide, self.N, mc.make_rng(seed))
         assert x.min() >= 1
         assert self.pvalue(x, mu) > 0.01
 
@@ -247,22 +263,43 @@ class TestZeroTruncatedPoisson:
         # P{X >= 2} = mu/2 + ...: every draw is 1
         chain = _jump_chain(1e-12)
         assert chain.first == 1 and chain.cdf[1] > 1 - 1e-12
-        assert np.all(mc._ztp(1e-12, 1, chain.cdf, self.N, mc.make_rng(54)) == 1)
+        assert np.all(mc._ztp(1e-12, 1, chain.cdf, chain.guide, self.N, mc.make_rng(54)) == 1)
 
     @pytest.mark.parametrize("mu, seed", [(1e-12, 55), (1.4, 56), (30.0, 57)])
     def test_forced_fallback_is_exact(self, mu, seed):
         # an empty table sends every uniform to the exact construction
-        x = mc._ztp(mu, 1, np.empty(0), self.N, mc.make_rng(seed))
+        x = mc._ztp(mu, 1, np.empty(0), _guide(np.empty(0)), self.N, mc.make_rng(seed))
         assert x.min() >= 1
         if mu < 1e-6:
             assert np.all(x == 1)
         else:
             assert self.pvalue(x, mu) > 0.01
 
+    @pytest.mark.parametrize("mu", [1e-12, 0.3, 1.0, 1.4, 30.0, 1e4, 1e9])
+    def test_indexed_search_is_searchsorted(self, mu):
+        # keys: uniforms, 0, every table entry and the float below it; tables:
+        # the record's, one cut after the value 2 and an empty one.  At
+        # mu = 1e9 the guide table (2^16) is far shorter than the table, so
+        # many keys are left to the full search
+        chain = _JumpChain(mu)
+        rng = mc.make_rng(59)
+        for c in (chain.cdf, chain.cdf[:3], np.empty(0)):
+            guide = chain.guide if c is chain.cdf else _guide(c)
+            assert guide.size & (guide.size - 1) == 0 and guide.size <= 1 << 16
+            keys = np.concatenate([rng.random(self.N), [0.0], c, np.nextafter(c, -1.0)])
+            keys = keys[(keys >= 0.0) & (keys < 1.0)]
+            want = np.searchsorted(c, keys, side="right")
+            assert np.array_equal(_search(c, guide, keys), want)
+        # the draws are those of the full search on the same stream
+        x = mc._ztp(mu, chain.first, chain.cdf, chain.guide, self.N, mc.make_rng(60))
+        i = np.searchsorted(chain.cdf, mc.make_rng(60).random(self.N), side="right")
+        assert np.all(i < chain.cdf.size) and np.array_equal(x, i + (chain.first - 1))
+
     def test_values_beyond_a_short_table(self):
         # a table cut after the value 2 still yields larger values
         chain = _jump_chain(1.4)
-        x = mc._ztp(1.4, chain.first, chain.cdf[:3], self.N, mc.make_rng(58))
+        x = mc._ztp(1.4, chain.first, chain.cdf[:3], _guide(chain.cdf[:3]), self.N,
+                    mc.make_rng(58))
         assert x.max() > 2
 
 
