@@ -77,9 +77,10 @@ def _step(args) -> float:
 
 
 def _refuse(args, flags: tuple[str, ...], mode: str) -> None:
-    """A validation error if any of ``flags`` (--tolerance, --step: in args
-    only when given) was given to a mode of a command that does not read it."""
-    given = [f"--{f}" for f in flags if f in vars(args)]
+    """A validation error if any of ``flags``, by their names in args (where
+    they are only when given), was given to a mode of a command that does
+    not read it."""
+    given = ["--" + f.replace("_", "-") for f in flags if f in vars(args)]
     if given:
         raise ValueError(f"{mode} does not read {' or '.join(given)}")
 
@@ -308,13 +309,20 @@ def _cmd_crossing(args) -> dict[str, np.ndarray]:
 
 def _cmd_hitting(args) -> dict[str, np.ndarray]:
     ks = parse_range(args.k, 1.0).astype(int)
+    given = vars(args)
     if args.prob:
-        mus = parse_range(args.mu_grid, _step(args)) if args.mu_grid else np.array([args.mu])
+        _refuse(args, ("t", "t_step"), "hitting --prob")
+        if "mu_grid" in given:
+            mus = parse_range(given["mu_grid"], _step(args))
+        else:
+            _refuse(args, ("step",), "hitting --prob without --mu-grid")
+            mus = np.array([args.mu])
         vals = [crossing.hitting_probability(ks, mu) for mu in mus.tolist()]
         return {"k": np.repeat(ks, mus.size), "mu": np.tile(mus, ks.size),
                 "prob": np.array(vals, dtype=float).T.ravel()}
+    _refuse(args, ("step", "mu_grid"), "hitting without --prob")
     law = _law(args)
-    ts = parse_range(args.t, args.t_step)
+    ts = parse_range(given.get("t", "0..5"), given.get("t_step", 1.0))
     cdf, density = np.zeros((2, ks.size, ts.size))
     for i, k in enumerate(ks.tolist()):
         cdf[i] = crossing.hitting_cdf(k, ts, law)
@@ -342,8 +350,9 @@ def _cmd_simulate(args) -> dict[str, np.ndarray]:
 
 
 # the flags only some commands read, added where they are read; --tolerance
-# and --step stay out of args unless given, so that a mode of a command that
-# does not read them can refuse them
+# and --step (and hitting's --t, --t-step and --mu-grid) stay out of args
+# unless given, so that a mode of a command that does not read them can
+# refuse them
 _OWN_FLAGS = {
     "--tolerance": dict(type=float, default=argparse.SUPPRESS),
     "--t-step": dict(type=float, default=1.0, help="step for t ranges (default 1)"),
@@ -409,13 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=("survival", "density", "mean"),
                    default="survival")
 
-    p = _add_command(sub, "hitting", _cmd_hitting, "first-hitting quantities",
-                     "--t-step", "--step")
+    p = _add_command(sub, "hitting", _cmd_hitting, "first-hitting quantities", "--step")
     p.add_argument("--k", default="1", help="state or range a..b")
-    p.add_argument("--t", default="0..5")
+    p.add_argument("--t", default=argparse.SUPPRESS, help="time or range a..b "
+                   "(default 0..5); not with --prob")
+    p.add_argument("--t-step", type=float, default=argparse.SUPPRESS,
+                   help="step for t ranges (default 1); not with --prob")
     p.add_argument("--prob", action="store_true",
                    help="tabulate the hitting probability over a mu grid")
-    p.add_argument("--mu-grid", dest="mu_grid",
+    p.add_argument("--mu-grid", dest="mu_grid", default=argparse.SUPPRESS,
                    help="mu range a..b for --prob (default: the single --mu)")
 
     p = _add_command(sub, "avoiding", _cmd_avoiding,

@@ -115,9 +115,7 @@ class JumpSpec:
             # gammainc(n, 0) = 0, so z < 0 needs no mask
             sc.gammainc(n, self.zeta * np.maximum(z, 0.0), out=out)
         else:
-            np.subtract(z, n * self.eta, out=out)
-            out /= self.sigma * np.sqrt(n)
-            sc.ndtr(out, out=out)
+            _normal_cdf(n, z, out, self.eta, self.sigma)
         return out if out.ndim else float(out)
 
     def conv_pdf(self, n, z):
@@ -172,6 +170,64 @@ def _conv_block(n, z):
         raise ValueError("convolution order must be >= 1")
     z = np.asarray(z, dtype=float)
     return n, z, np.empty(np.broadcast_shapes(n.shape, z.shape))
+
+
+# ndtr(u) is exactly 1.0 for every u >= 8.2924 (scipy 1.17; a test pins it
+# from _NDTR_SAT on), so a normal CDF cell whose argument reaches it needs
+# no ndtr: 50-57% of the cells of a mixture at lambda t 100 to 800.  The
+# skip thresholds sit at _NDTR_ONE, clear of _NDTR_SAT by far more than
+# their rounding.
+_NDTR_SAT, _NDTR_ONE = 8.3, 8.5
+# bands of orders per normal CDF block, each with one skip threshold
+_CDF_BANDS = 32
+
+
+def _normal_cdf(n, z, out, eta: float, sigma: float) -> None:
+    """out = ndtr((z - n eta) / (sigma sqrt n)), each cell by the same
+    operations in the same order as over the whole block, but only on the
+    cells whose argument can fall below _NDTR_ONE; the others hold 1.0.
+
+    The block is viewed as rows of one order by the points that share it
+    (the trailing axes along which n does not vary), and the rows are split
+    into _CDF_BANDS bands.  A band skips the points at or above its largest
+    threshold n eta + _NDTR_ONE sigma sqrt(n), over the band's rows where
+    their points differ; the points below it (NaN too) are evaluated, as a
+    slice when they form one run, as on a sorted grid, else as a gather.
+    Rounding is monotone, so a row's threshold serves wherever the argument
+    rounded at the threshold itself reaches _NDTR_SAT; a row where it does
+    not skips nothing.  ``where=`` is no way to skip cells: scipy.special's
+    ufuncs crash on it (numpy 2.4, scipy 1.17)."""
+    if not out.size:
+        return
+    n = n.reshape((1,) * (out.ndim - n.ndim) + n.shape)
+    lead = n.ndim
+    while lead and n.shape[lead - 1] == 1:
+        lead -= 1
+    rows = np.broadcast_to(n, out.shape[:lead] + n.shape[lead:]).reshape(-1, 1)
+    block = out.reshape(rows.shape[0], math.prod(out.shape[lead:]))
+    pts = np.broadcast_to(z, out.shape).reshape(block.shape)
+    mean, scale = rows * eta, sigma * np.sqrt(rows)
+    top = mean + _NDTR_ONE * scale
+    top[~((top - mean) / scale >= _NDTR_SAT)] = np.inf
+    block.fill(1.0)
+    size = -(-rows.shape[0] // _CDF_BANDS)
+    starts = np.arange(0, rows.shape[0], size)
+    low = pts[:1] if pts.strides[0] == 0 else np.minimum.reduceat(pts, starts)
+    evaluate = ~(low >= np.maximum.reduceat(top, starts))  # (bands x points)
+    count = np.count_nonzero(evaluate, axis=1).tolist()
+    first = evaluate.argmax(axis=1).tolist()
+    stop = (evaluate.shape[1] - evaluate[:, ::-1].argmax(axis=1)).tolist()
+    for b, r in enumerate(starts.tolist()):
+        if not count[b]:
+            continue
+        band, one_run = slice(r, r + size), stop[b] - first[b] == count[b]
+        cols = slice(first[b], stop[b]) if one_run else np.flatnonzero(evaluate[b])
+        cells = block[band, cols]  # a view of a run, a copy of a gather
+        np.subtract(pts[band, cols], mean[band], out=cells)
+        cells /= scale[band]
+        sc.ndtr(cells, out=cells)
+        if not one_run:
+            block[band, cols] = cells
 
 
 @dataclass(frozen=True)

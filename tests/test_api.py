@@ -64,6 +64,29 @@ def test_log_factorial_forms_only_in_the_oracles_and_conv_pdf():
             assert path.name in ("verify.py", "params.py"), path.name
 
 
+def test_no_scipy_special_ufunc_gets_where():
+    # scipy.special's ufuncs with where= and out= crash the interpreter
+    # (segfault, or "double free or corruption") on numpy 2.4, scipy 1.17,
+    # where np.exp with the same masks does not; a block that skips cells
+    # must select them by slicing or gathering
+    calls = 0
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "scipy"
+                   for a in node.names if a.name == "special"}
+        aliases |= {a.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for a in node.names if a.name == "scipy.special" and a.asname}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in aliases):
+                calls += 1
+                assert "where" not in {k.arg for k in node.keywords}, \
+                    f"{path.name}:{node.lineno}"
+    assert calls >= 5  # the walk sees the calls it checks
+
+
 def test_only_the_cli_verify_branch_imports_verify():
     for path in SRC.glob("*.py"):
         if path.name == "verify.py":

@@ -322,10 +322,14 @@ class TestOtherCommands:
         "cdf --t 1 --n 0..5 --tolerance 0.5", "cdf --t 1 --step 7",
         "cdf --t 1 --jumps unit --tolerance 1e-10 --step 0.5",
         "pmf --t 1 --n 0..5 --tolerance 0.5",
+        "hitting --k 2 --t 1 --step 0.5", "hitting --k 2 --t 1 --mu-grid 0.5..1",
+        "hitting --prob --k 2 --t 1", "hitting --prob --k 2 --t-step 0.5",
+        "hitting --prob --k 2 --step 0.5",
     ])
     def test_modes_refuse_flags_they_do_not_read(self, line, capsys):
-        # the unit-jump CDF sums the weights up to --n, and pmf --n reads the
-        # states asked: both used to ignore these flags and exit 0
+        # the unit-jump CDF sums the weights up to --n, pmf --n reads the
+        # states asked, hitting reads a mu grid only with --prob and times
+        # only without it: all used to ignore these flags and exit 0
         code, out, err = run_cli(line.split(), capsys)
         assert code == 1 and out == "" and "does not read --" in err
 
@@ -334,6 +338,7 @@ class TestOtherCommands:
         ("cdf --t 1 --jumps exp --zeta 1 --z 0..1", "--tolerance 1e-12 --step 0.01"),
         ("density --t 1 --jumps exp --zeta 1 --z 0.5..1", "--tolerance 1e-12 --step 0.01"),
         ("hitting --prob --k 2 --mu-grid 1..1.1", "--step 0.01"),
+        ("hitting --k 2", "--t 0..5 --t-step 1"),
     ])
     def test_flags_given_at_their_defaults(self, line, given, capsys):
         # where a mode reads them, the flags are taken, and their defaults
@@ -430,6 +435,16 @@ class TestOtherCommands:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 6
         assert all(0 < float(r["prob"]) <= 1 for r in rows)
+
+    @pytest.mark.parametrize("line, rows", [
+        ("hitting --k 2 --t 0..2 --t-step 0.5", 5),
+        ("hitting --k 1..2 --t 0.5..1:0.25", 6),
+        ("hitting --prob --k 2 --mu-grid 1..1.2 --step 0.05", 5),
+        ("hitting --prob --k 1..3", 3),
+    ])
+    def test_hitting_modes_take_the_flags_they_read(self, line, rows, capsys):
+        code, out, err = run_cli(line.split(), capsys)
+        assert (code, err) == (0, "") and len(out.splitlines()) == rows + 1
 
     def test_hitting_prob_at_the_given_mu(self, capsys):
         # a single --mu used to be rounded to 12 digits before the call,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sc
 
 from poissonsub import (
     IteratedLaw,
@@ -21,7 +22,7 @@ from poissonsub import (
     laplace_exponent,
     moments_Z,
 )
-from poissonsub import mc
+from poissonsub import mc, params
 from poissonsub.cpp import _poisson_weights
 from poissonsub.verify import (
     _conv_cdf_fsum,
@@ -104,6 +105,61 @@ class TestJumpSpec:
                 conv(0, 1.0)
             with pytest.raises(ValueError):
                 conv(np.arange(0, 3)[:, None], np.ones(2))
+
+
+def _full_block_ndtr(n, z, eta, sigma):
+    """The normal n-fold CDF block with ndtr on every cell."""
+    n, z = np.asarray(n), np.asarray(z, dtype=float)
+    out = np.empty(np.broadcast_shapes(n.shape, z.shape))
+    np.subtract(z, n * eta, out=out)
+    out /= sigma * np.sqrt(n)
+    return sc.ndtr(out, out=out)
+
+
+class TestNormalCdfSaturation:
+    """The normal-jump CDF block runs ndtr only below its saturation and
+    gives the bytes of the block with ndtr on every cell."""
+
+    def test_ndtr_is_one_from_the_saturation_on(self):
+        # a scipy whose ndtr saturates later fails here, not in the bytes
+        u = np.concatenate([np.linspace(params._NDTR_SAT, 40.0, 400_001),
+                            np.geomspace(40.0, 1e6, 10_001), [1e300, math.inf]])
+        assert params._NDTR_SAT <= min(8.5, params._NDTR_ONE)
+        assert np.all(sc.ndtr(u) == 1.0)
+
+    @pytest.mark.parametrize("eta", [-0.8, 0.0, 0.8])
+    @pytest.mark.parametrize("sigma", [0.05, 1.0, 20.0])
+    def test_block_is_the_full_block_bit_for_bit(self, eta, sigma):
+        rng = np.random.default_rng(7)
+        jumps = JumpSpec.normal(eta, sigma)
+        hi = 600 * abs(eta) + 10 * sigma * math.sqrt(600) + 5
+        grid = np.sort(np.concatenate([np.linspace(-hi, hi, 41),
+                                       np.linspace(-3.0, 12.0, 31)]))
+        odd = np.concatenate([grid, [math.nan, math.inf, -math.inf, 0.0, -0.0]])
+        zs = [grid, rng.permutation(odd), grid[::-1], np.array(2.0), np.array(math.nan),
+              np.resize(rng.permutation(odd), (8, 10))]
+        for n in [1, 2, 31, 32, 33, 100, 257, 600]:
+            ns = np.arange(1, n + 1)[:, None]
+            cases = [(n, z) for z in zs] + [(ns, z) for z in zs[:5]]
+            cases += [(rng.permutation(ns), zs[1]), (ns, grid[None, :]),
+                      (ns, odd[rng.integers(0, odd.size, (n, 7))])]
+            for order, z in cases:
+                got = jumps.conv_cdf(order, z)
+                want = _full_block_ndtr(order, z, eta, sigma)
+                assert np.asarray(got).tobytes() == want.tobytes(), (n, np.shape(z))
+                assert np.shape(got) == want.shape
+
+    def test_threshold_below_rounding_skips_nothing(self):
+        # at sigma 1e-15 the threshold n eta + 8.5 sigma sqrt(n) is a few
+        # ulps above n eta, and the argument at it, rounded, can fall below
+        # the saturation of ndtr; such rows must evaluate every point
+        jumps = JumpSpec.normal(0.8, 1e-15)
+        ns = np.arange(1, 601)[:, None]
+        z = np.sort(np.concatenate([0.8 * np.arange(1, 601) + d
+                                    for d in (0.0, 1e-13, 2.3e-13, 1e-12)]))
+        got = jumps.conv_cdf(ns, z)
+        assert got.tobytes() == _full_block_ndtr(ns, z, 0.8, 1e-15).tobytes()
+        assert np.any((got > 0.0) & (got < 1.0))
 
 
 class TestCdfY:

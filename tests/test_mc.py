@@ -16,7 +16,7 @@ from poissonsub import (
     hitting_probability,
     survival_nonincreasing,
 )
-from poissonsub import mc
+from poissonsub import iterated, mc
 from poissonsub.iterated import _JumpChain, _guide, _jump_chain, _search
 from poissonsub.verify import first_crossing_sample, hitting_sample, sample_W
 
@@ -246,18 +246,36 @@ class TestZeroTruncatedPoisson:
         # float, the table starts above 5000, ends past 10500 and has
         # O(sqrt(mu)) entries; c[i] = P{X < first + i} is the step law
         # summed from the small end, behind a 0 for the values below first,
-        # up to the first entry of the sum's last value
+        # up to the first entry of the sum's last value.  The window has
+        # 7676 steps, two chunks of the sum: the first is the running sum,
+        # and every entry is within a few ulps of the exact prefix sum
         mu = 1e4
         chain = _jump_chain(mu)
-        c, running = chain.cdf, np.cumsum(chain.step[::-1])
+        steps = chain.step[::-1]
+        c, running = chain.cdf, np.cumsum(steps)
         assert chain.first > 5000 and chain.first + c.size - 2 > 10500
-        assert c.size < 80 * math.sqrt(mu)
-        assert c[0] == 0.0 and abs(c[-1] - 1.0) < 1e-14
-        assert c[1:].tobytes() == running[:c.size - 1].tobytes()
-        assert np.all(running[c.size - 2:] == c[-1]) and c[-2] < c[-1]
+        assert c.size < 80 * math.sqrt(mu) and c.size > iterated._CDF_CHUNK + 1
+        assert c[0] == 0.0 and abs(c[-1] - 1.0) < 1e-15 and c[-2] < c[-1]
+        chunk = iterated._CDF_CHUNK
+        assert c[1:chunk + 1].tobytes() == running[:chunk].tobytes()
+        for i in range(1, c.size, 37):
+            exact = math.fsum(steps[:i].tolist())
+            assert abs(c[i] - exact) <= 16 * np.spacing(exact), i
+        assert math.fsum(steps[:c.size - 1].tolist()) > 1.0 - 1e-15
         assert np.all(np.diff(c) >= 0)
         with pytest.raises(ValueError):
             c[1] = 0.5
+
+    @pytest.mark.parametrize("mu", [0.3, 30.0, 2000.0])
+    def test_table_of_one_chunk_is_the_running_sum(self, mu):
+        # windows of at most _CDF_CHUNK steps, every mu up to a few
+        # thousand, keep the bytes, and so the seeded draws, of one running
+        # sum truncated at the first entry of its last value
+        chain = _jump_chain(mu)
+        assert chain.step.size <= iterated._CDF_CHUNK
+        running = np.cumsum(np.append(0.0, chain.step[::-1]))
+        want = running[:np.searchsorted(running, running[-1]) + 1]
+        assert chain.cdf.tobytes() == want.tobytes()
 
     def test_tiny_mu(self):
         # P{X >= 2} = mu/2 + ...: every draw is 1
