@@ -24,6 +24,8 @@ from .special import SeriesControl
 _FMT = "%.12g"
 _MAX_POINTS = 10**7  # per range: a table of that many rows is already ~200 MB of text
 _STEP = 0.01  # the default step of a --z or --mu-grid range
+_T_STEP = 1.0  # the default step of a --t range
+_T_RANGE = "0..5"  # the default --t of crossing and hitting
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,6 +76,10 @@ def _law(args) -> IteratedLaw:
 
 def _step(args) -> float:
     return vars(args).get("step", _STEP)
+
+
+def _t_step(args) -> float:
+    return vars(args).get("t_step", _T_STEP)
 
 
 def _refuse(args, flags: tuple[str, ...], mode: str) -> None:
@@ -236,7 +242,7 @@ def _cat(blocks: list[np.ndarray]) -> np.ndarray:
 
 def _cmd_pmf(args) -> dict[str, np.ndarray]:
     law = _law(args)
-    ts = parse_range(args.t, args.t_step)
+    ts = parse_range(args.t, _t_step(args))
     if args.n is None:
         ps = [law.pmf_vector(float(t)) for t in ts]
         ns = [np.arange(p.size) for p in ps]
@@ -250,7 +256,7 @@ def _cmd_pmf(args) -> dict[str, np.ndarray]:
 
 def _cmd_cdf(args) -> dict[str, np.ndarray]:
     law, jumps = _law(args), _jump_spec(args)
-    ts = parse_range(args.t, args.t_step)
+    ts = parse_range(args.t, _t_step(args))
     if jumps.kind == "degenerate_unit":
         if args.z is not None:
             raise ValueError("--z is read by exp and normal jumps; unit jumps take --n")
@@ -267,7 +273,7 @@ def _cmd_cdf(args) -> dict[str, np.ndarray]:
 
 def _cmd_density(args) -> dict[str, np.ndarray]:
     law, jumps = _law(args), _jump_spec(args)
-    ts = parse_range(args.t, args.t_step)
+    ts = parse_range(args.t, _t_step(args))
     zs = parse_range(args.z, _step(args))
     zs = zs[zs != 0.0]
     vals = [cpp.cpp_density_Z_grid(zs, float(t), law.params, jumps, law.ctl) for t in ts]
@@ -277,7 +283,7 @@ def _cmd_density(args) -> dict[str, np.ndarray]:
 
 def _cmd_moments(args) -> dict[str, np.ndarray]:
     params, jumps = ModelParams(args.lam, args.mu), _jump_spec(args)
-    ts = parse_range(args.t, args.t_step)
+    ts = parse_range(args.t, _t_step(args))
     ms = [cpp.moments_Z(float(t), params, jumps) for t in ts]
     return {"t": ts, **{k: np.array([getattr(m, k) for m in ms], dtype=float)
                         for k in ("mean", "variance", "dispersion_index")}}
@@ -292,7 +298,7 @@ def _cmd_crossing(args) -> dict[str, np.ndarray]:
                              "boundary only")
         return {"k": np.array([k]),
                 "mean": np.array([crossing.mean_crossing_time_constant(k, law)])}
-    ts = parse_range(args.t, args.t_step)
+    ts = parse_range(args.t, _t_step(args))
     if args.quantity == "density":
         if args.boundary != "constant":
             raise ValueError("crossing density is available for the constant "
@@ -322,7 +328,7 @@ def _cmd_hitting(args) -> dict[str, np.ndarray]:
                 "prob": np.array(vals, dtype=float).T.ravel()}
     _refuse(args, ("step", "mu_grid"), "hitting without --prob")
     law = _law(args)
-    ts = parse_range(given.get("t", "0..5"), given.get("t_step", 1.0))
+    ts = parse_range(given.get("t", _T_RANGE), _t_step(args))
     cdf, density = np.zeros((2, ks.size, ts.size))
     for i, k in enumerate(ks.tolist()):
         cdf[i] = crossing.hitting_cdf(k, ts, law)
@@ -349,13 +355,13 @@ def _cmd_simulate(args) -> dict[str, np.ndarray]:
     return {"replicate": np.arange(zs.size), "z": np.asarray(zs, dtype=float)}
 
 
-# the flags only some commands read, added where they are read; --tolerance
-# and --step (and hitting's --t, --t-step and --mu-grid) stay out of args
-# unless given, so that a mode of a command that does not read them can
-# refuse them
+# the flags only some commands read, added where they are read; they (and
+# hitting's --t and --mu-grid) stay out of args unless given, so that a mode
+# of a command that does not read them can refuse them
 _OWN_FLAGS = {
     "--tolerance": dict(type=float, default=argparse.SUPPRESS),
-    "--t-step": dict(type=float, default=1.0, help="step for t ranges (default 1)"),
+    "--t-step": dict(type=float, default=argparse.SUPPRESS,
+                     help=f"step for t ranges (default {_T_STEP:g})"),
     "--step": dict(type=float, default=argparse.SUPPRESS,
                    help=f"step for z/mu ranges (default {_STEP})"),
 }
@@ -414,16 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", default="constant", choices=(
         "constant", "linear-decreasing", "linear-increasing"))
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", default="0..5")
+    p.add_argument("--t", default=_T_RANGE)
     p.add_argument("--quantity", choices=("survival", "density", "mean"),
                    default="survival")
 
-    p = _add_command(sub, "hitting", _cmd_hitting, "first-hitting quantities", "--step")
+    p = _add_command(sub, "hitting", _cmd_hitting, "first-hitting quantities",
+                     "--t-step", "--step")
     p.add_argument("--k", default="1", help="state or range a..b")
     p.add_argument("--t", default=argparse.SUPPRESS, help="time or range a..b "
-                   "(default 0..5); not with --prob")
-    p.add_argument("--t-step", type=float, default=argparse.SUPPRESS,
-                   help="step for t ranges (default 1); not with --prob")
+                   f"(default {_T_RANGE}); not with --prob")
     p.add_argument("--prob", action="store_true",
                    help="tabulate the hitting probability over a mu grid")
     p.add_argument("--mu-grid", dest="mu_grid", default=argparse.SUPPRESS,

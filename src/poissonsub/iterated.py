@@ -83,9 +83,10 @@ class _JumpChain:
     and the search is shorter): the batch samplers' inverse-CDF table, and
     ``guide``, its guide table for ``_search``.  It is summed in chunks of
     _CDF_CHUNK steps, each one ``np.cumsum`` added to the exactly rounded sum
-    of the chunks before it, so an entry is off the exact prefix sum by
-    roundings within one chunk, not by 1.4e6 of them (at mu = 1e9 one
-    running sum ended 1.8e-13 below 1); a window of one chunk, every mu up
+    of the earlier chunks' rounded sums (within an ulp of the exact prefix),
+    so an entry is off the exact prefix sum by that ulp and the roundings
+    within one chunk, not by 1.4e6 of them (at mu = 1e9 one running sum
+    ended 1.8e-13 below 1); a window of one chunk, every mu up
     to a few thousand, is one running sum.
     Each table below is read-only, rebuilt at about twice its size when
     asked past it, and starts with the same bytes as a smaller one:

@@ -191,9 +191,10 @@ def _normal_cdf(n, z, out, eta: float, sigma: float) -> None:
     (the trailing axes along which n does not vary), and the rows are split
     into _CDF_BANDS bands.  A band skips the points at or above its largest
     threshold n eta + _NDTR_ONE sigma sqrt(n), over the band's rows where
-    their points differ; the points below it (NaN too) are evaluated, as a
-    slice when they form one run, as on a sorted grid, else as a gather.
-    Rounding is monotone, so a row's threshold serves wherever the argument
+    their points differ; the points below it (NaN too) are evaluated as
+    the one slice that spans them, which on a sorted grid holds nothing
+    else, and any cell of the slice above the threshold comes out 1.0 from
+    ndtr itself.  Rounding is monotone, so a row's threshold serves wherever the argument
     rounded at the threshold itself reaches _NDTR_SAT; a row where it does
     not skips nothing.  ``where=`` is no way to skip cells: scipy.special's
     ufuncs crash on it (numpy 2.4, scipy 1.17)."""
@@ -214,20 +215,16 @@ def _normal_cdf(n, z, out, eta: float, sigma: float) -> None:
     starts = np.arange(0, rows.shape[0], size)
     low = pts[:1] if pts.strides[0] == 0 else np.minimum.reduceat(pts, starts)
     evaluate = ~(low >= np.maximum.reduceat(top, starts))  # (bands x points)
-    count = np.count_nonzero(evaluate, axis=1).tolist()
     first = evaluate.argmax(axis=1).tolist()
     stop = (evaluate.shape[1] - evaluate[:, ::-1].argmax(axis=1)).tolist()
     for b, r in enumerate(starts.tolist()):
-        if not count[b]:
+        if not evaluate[b, first[b]]:
             continue
-        band, one_run = slice(r, r + size), stop[b] - first[b] == count[b]
-        cols = slice(first[b], stop[b]) if one_run else np.flatnonzero(evaluate[b])
-        cells = block[band, cols]  # a view of a run, a copy of a gather
+        band, cols = slice(r, r + size), slice(first[b], stop[b])
+        cells = block[band, cols]
         np.subtract(pts[band, cols], mean[band], out=cells)
         cells /= scale[band]
         sc.ndtr(cells, out=cells)
-        if not one_run:
-            block[band, cols] = cells
 
 
 @dataclass(frozen=True)

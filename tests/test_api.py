@@ -68,7 +68,7 @@ def test_no_scipy_special_ufunc_gets_where():
     # scipy.special's ufuncs with where= and out= crash the interpreter
     # (segfault, or "double free or corruption") on numpy 2.4, scipy 1.17,
     # where np.exp with the same masks does not; a block that skips cells
-    # must select them by slicing or gathering
+    # must select them by slicing
     calls = 0
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text())
