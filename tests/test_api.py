@@ -64,6 +64,25 @@ def test_log_factorial_forms_only_in_the_oracles_and_conv_pdf():
             assert path.name in ("verify.py", "params.py"), path.name
 
 
+def test_explicit_mpmath_sums_only_in_the_oracle_module():
+    # a test's Poisson term or incomplete gamma goes through tests/mp_oracles.py,
+    # whose sums stop on a bound; mpmath.nsum stops where its extrapolation
+    # guesses, and missed the late peak of sum_m Pois(lam t; m) Pois(m mu; n)
+    # by a factor of about e^68 at n = 120.  Every mpmath name is read as
+    # mpmath.<name>, so that the walk sees it
+    names = 0
+    for path in pathlib.Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            assert not (isinstance(node, ast.ImportFrom) and node.module == "mpmath"), where
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "mpmath":
+                names += 1
+                assert node.attr != "nsum", where
+                if node.attr in ("loggamma", "factorial", "gammainc"):
+                    assert path.name == "mp_oracles.py", where
+    assert names >= 50  # the walk sees the names it checks
+
+
 def test_no_scipy_special_ufunc_gets_where():
     # scipy.special's ufuncs with where= and out= crash the interpreter
     # (segfault, or "double free or corruption") on numpy 2.4, scipy 1.17,

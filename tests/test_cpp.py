@@ -31,6 +31,8 @@ from poissonsub.verify import (
     gauss_panel_mass,
 )
 
+import mp_oracles as mo
+
 PARAMS = ModelParams(1.0, 1.0)
 EXP = JumpSpec.exponential(1.0)
 NORM = JumpSpec.normal(0.5, 1.0)
@@ -328,21 +330,6 @@ class TestExponentialSpecialization:
         assert mass == pytest.approx(1.0 - atom_mass_Z(1.0, params), abs=1e-9)
 
 
-def _mp_mixture_cdf(w: np.ndarray, x: float) -> mpmath.mpf:
-    """w_0 + sum_n w_n P(n, x) at 40 digits, one mpmath gammainc per order.
-    P(n, x) falls with n, so the sum stops once the weight left times
-    P(n, x) is below 1e-40 of the sum so far."""
-    with mpmath.workdps(40):
-        total, rest = mpmath.mpf(w[0]), math.fsum(w[1:])
-        for n in np.flatnonzero(w[1:]).tolist():
-            p = mpmath.gammainc(n + 1, 0, x, regularized=True)
-            total += mpmath.mpf(w[n + 1]) * p
-            rest -= w[n + 1]
-            if p * rest < total * mpmath.mpf(10) ** -40:
-                break
-        return total
-
-
 class TestExponentialCdfKernel:
     """The exponential-jump CDF: one Poisson-pmf block over the cumulative
     weights plus one gammainc per point."""
@@ -364,7 +351,8 @@ class TestExponentialCdfKernel:
         zs = lt * mu / zeta * np.array(fracs)
         got = cpp_cdf_Z_grid(zs, t, params, JumpSpec.exponential(zeta))
         for z, g in zip(zs, got):
-            ref = _mp_mixture_cdf(w, zeta * z)
+            with mpmath.workdps(40):
+                ref = mo.mixture_cdf(w, zeta * z)
             if ref >= 1e-280:
                 assert abs(g - ref) <= 1e-14 * ref, (z, g, ref)
             else:

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy import special as sc
 
 from poissonsub import (
     Boundary,
@@ -33,6 +32,9 @@ from poissonsub import mc
 from poissonsub.crossing import _strict_floor
 from poissonsub.iterated import _JumpChain, _jump_chain
 from poissonsub.verify import crossing_density_constant_stirling
+
+import mp_oracles as mo
+from mp_oracles import rel
 
 LAW = IteratedLaw(ModelParams(2.0, 1.0))
 
@@ -282,11 +284,10 @@ class TestHitting:
         assert isinstance(fn(k, float(ts[5]), law), float)
         assert grid.shape == ts.shape
         # t = 0: the CDF starts at 0, the densities at their right limits
-        mu = mpmath.mpf(law.params.mu)
         at_0 = law.params.lam * float({
             hitting_cdf: 0,
-            hitting_density: mpmath.exp(-mu) * mu**k / mpmath.factorial(k),  # P{Poisson = k}
-            crossing_density_constant: mpmath.gammainc(k, 0, mu, regularized=True),  # >= k
+            hitting_density: mo.poisson(k, law.params.mu),  # P{Poisson = k}
+            crossing_density_constant: mo.poisson_upper(k, law.params.mu),  # >= k
         }[fn])
         assert grid[0] == scalar[0] == pytest.approx(at_0, rel=1e-14, abs=0.0)
         if fn is not hitting_cdf:
@@ -406,133 +407,30 @@ class TestSurvivalLinearIncreasing:
 DPS = 50
 
 
-def mp_weights(lam, mu, t, n):
-    """p_0(t)..p_n(t) from the definition: given N(t) = m, Z(t) is
-    Poisson(m mu), so p_j = sum_m P{Poisson(lam t) = m} P{Poisson(m mu) = j}."""
-    rate, mu = mpmath.mpf(lam) * t, mpmath.mpf(mu)
-    m_hi = int(lam * t + 20 * math.sqrt(lam * t) + 40)
-    out = [mpmath.mpf(0)] * (n + 1)
-    for m in range(m_hi + 1):
-        outer = mpmath.exp(-rate) * rate**m / mpmath.factorial(m)
-        inner = mpmath.exp(-m * mu)  # P{Poisson(m mu) = j}, j = 0, 1, ...
-        for j in range(n + 1):
-            out[j] += outer * inner
-            inner *= m * mu / (j + 1)
-    return out
-
-
-def mp_cdf_below(level, t, lam, mu):
-    """P{Z(t) <= level} = sum_m P{N(t) = m} P{Poisson(m mu) <= level}, summed
-    term by term: the terms are unimodal in m, so the sum walks out from the
-    largest (located in floats) and stops each way at a term below 1e-30 of
-    the total."""
-    a, mu = lam * mpmath.mpf(t), mpmath.mpf(mu)
-
-    def term(m):
-        return (mpmath.exp(m * mpmath.log(a) - a - mpmath.loggamma(m + 1))
-                * mpmath.gammainc(level + 1, m * mu, regularized=True))
-
-    m = np.arange(int(lam * t + 20 * math.sqrt(lam * t) + 40))
-    with np.errstate(divide="ignore"):
-        est = sc.xlogy(m, lam * t) - sc.gammaln(m + 1) + np.log(sc.pdtr(level, m * float(mu)))
-    top = int(np.argmax(est))
-    total = mpmath.mpf(0)
-    for start, step in ((top, 1), (top - 1, -1)):
-        for i in range(start, -1 if step < 0 else m.size, step):
-            x = term(i)
-            total += x
-            if x < 1e-30 * total:
-                break
-    return total
-
-
-def mp_stirling_row(n):
-    """Exact S2(n, j), j = 0..n, from the additive recurrence."""
-    row = [1]
-    for i in range(1, n + 1):
-        row = [0] + [j * (row[j] if j < i else 0) + row[j - 1] for j in range(1, i + 1)]
-    return row
-
-
-def mp_flux(w, k, lam, mu, hit):
-    """lam sum_{j<k} w_j P{Poisson(mu) = k - j}  (hit) or >= k - j."""
-    mu = mpmath.mpf(mu)
-    if hit:
-        kern = [mpmath.exp(-mu) * mu**i / mpmath.factorial(i) for i in range(k + 1)]
-    else:
-        kern = [mpmath.gammainc(i, 0, mu, regularized=True) if i else 1
-                for i in range(k + 1)]
-    return lam * mpmath.fsum(w[j] * kern[k - j] for j in range(k))
-
-
-def mp_hitting_probability(k, mu):
-    """The paper's form mu^k/k! sum_j S2(k, j) j! / (e^mu - 1)^j, exactly."""
-    mu = mpmath.mpf(mu)
-    em1 = mpmath.expm1(mu)
-    s2 = mp_stirling_row(k)
-    return mu**k / mpmath.factorial(k) * mpmath.fsum(
-        s2[j] * mpmath.factorial(j) / em1**j for j in range(1, k + 1))
-
-
-def mp_mean_crossing_time(k, lam, mu):
-    """The paper's form (1 + sum_i i!/(e^mu - 1)^i C_i) / rate with
-    C_i = sum_{j=i}^{k-1} S2(j, i) mu^j / j!."""
-    mu = mpmath.mpf(mu)
-    em1 = mpmath.expm1(mu)
-    rows = [mp_stirling_row(j) for j in range(k)]
-    inner = mpmath.fsum(
-        mpmath.factorial(i) / em1**i
-        * mpmath.fsum(rows[j][i] * mu**j / mpmath.factorial(j) for j in range(i, k))
-        for i in range(1, k))
-    return (1 + inner) / (lam * -mpmath.expm1(-mu))
-
-
-def mp_hitting_cdf(k, t, lam, mu):
-    """The paper's form mu^k/k! [e^{-a t} B_k(c t)
-    + sum_j S2(k, j) gamma(j + 1, a t) / (e^mu - 1)^j]."""
-    mu = mpmath.mpf(mu)
-    a = lam * -mpmath.expm1(-mu)
-    ct = lam * mpmath.exp(-mu) * t
-    em1 = mpmath.expm1(mu)
-    s2 = mp_stirling_row(k)
-    bell = mpmath.fsum(s2[j] * ct**j for j in range(k + 1))
-    gam = mpmath.fsum(s2[j] * mpmath.gammainc(j + 1, 0, a * t) / em1**j
-                      for j in range(1, k + 1))
-    return mu**k / mpmath.factorial(k) * (mpmath.exp(-a * t) * bell + gam)
-
-
-def mp_rel(got, want):
-    assert math.isfinite(got)
-    return abs(got - float(want)) / float(want)
-
-
 class TestLargeLevels:
     def test_crossing_density_where_the_bell_form_cancels(self):
         # the Bell-derivative form gave 2.16e-16 here, about 1480 times too large
         with mpmath.workdps(DPS):
-            w = mp_weights(2.0, 1.0, mpmath.mpf("1e-3"), 23)
-            want = mp_flux(w, 24, 2.0, 1.0, hit=False)
+            w = mo.weights(2.0, 1.0, mpmath.mpf("1e-3"), 23)
+            want = mo.flux(w, 24, 2.0, 1.0, hit=False)
         assert float(want) == pytest.approx(1.4589204001147e-19, rel=1e-12)
-        assert mp_rel(crossing_density_constant(24, 1e-3, LAW), want) < 1e-12
+        assert rel(crossing_density_constant(24, 1e-3, LAW), want) < 1e-12
 
     @pytest.mark.parametrize("k", [30, 100])
     def test_five_quantities_against_mpmath(self, k):
         lam, mu = 1.5, 1.0
         law = IteratedLaw(ModelParams(lam, mu))
         with mpmath.workdps(DPS):
-            assert mp_rel(hitting_probability(k, mu), mp_hitting_probability(k, mu)) < 1e-12
-            et = mp_mean_crossing_time(k, lam, mu)
-            assert mp_rel(mean_crossing_time_constant(k, law), et) < 1e-12
+            assert rel(hitting_probability(k, mu), mo.hitting_probability(k, mu)) < 1e-12
+            et = mo.mean_crossing_time(k, lam, mu)
+            assert rel(mean_crossing_time_constant(k, law), et) < 1e-12
             for scale in ("0.5", "1", "2"):
                 t = float(et * mpmath.mpf(scale))
-                mt = mpmath.mpf(t)
-                w = mp_weights(lam, mu, mt, k - 1)
-                assert mp_rel(crossing_density_constant(k, t, law),
-                              mp_flux(w, k, lam, mu, hit=False)) < 1e-12
-                assert mp_rel(hitting_density(k, t, law),
-                              mp_flux(w, k, lam, mu, hit=True)) < 1e-12
-                assert mp_rel(hitting_cdf(k, t, law),
-                              mp_hitting_cdf(k, mt, lam, mu)) < 1e-12
+                w = mo.weights(lam, mu, t, k - 1)
+                for fn, want in ((crossing_density_constant, mo.flux(w, k, lam, mu, hit=False)),
+                                 (hitting_density, mo.flux(w, k, lam, mu, hit=True)),
+                                 (hitting_cdf, mo.hitting_cdf(k, mpmath.mpf(t), lam, mu))):
+                    assert rel(fn(k, t, law), want) < 1e-12, fn.__name__
 
     @pytest.mark.parametrize("kind,k,ts", [
         ("constant", 24, (2.0, 10.0, 20.0, 120.0)),  # 1 - 4.8e-6 .. 4.4e-43
@@ -543,9 +441,9 @@ class TestLargeLevels:
         b = getattr(Boundary, kind)(k)
         got = survival_nonincreasing(b, np.array(ts), LAW)
         with mpmath.workdps(40):
-            want = [mp_cdf_below(math.ceil(b.value(t)) - 1, t, 2.0, 1.0) for t in ts]
+            want = [mo.cdf_below(math.ceil(b.value(t)) - 1, t, 2.0, 1.0) for t in ts]
         for g, w in zip(got.tolist(), want):
-            assert mp_rel(g, w) < 1e-13
+            assert rel(g, w) < 1e-13
 
     @pytest.mark.parametrize("k", [50, 100])
     def test_densities_at_small_time(self, k):
@@ -554,11 +452,11 @@ class TestLargeLevels:
         lam, mu, t = 1.0, 0.3, 1e-3
         law = IteratedLaw(ModelParams(lam, mu))
         with mpmath.workdps(60):
-            w = mp_weights(lam, mu, mpmath.mpf(t), k - 1)
-            cross = mp_flux(w, k, lam, mu, hit=False)
-            hit = mp_flux(w, k, lam, mu, hit=True)
-        assert mp_rel(crossing_density_constant(k, t, law), cross) < 1e-12
-        assert mp_rel(hitting_density(k, t, law), hit) < 1e-12
+            w = mo.weights(lam, mu, t, k - 1)
+            cross = mo.flux(w, k, lam, mu, hit=False)
+            hit = mo.flux(w, k, lam, mu, hit=True)
+        assert rel(crossing_density_constant(k, t, law), cross) < 1e-12
+        assert rel(hitting_density(k, t, law), hit) < 1e-12
 
     @pytest.mark.parametrize("k", [50, 400])
     def test_chain_mixtures_against_mpmath(self, k):
@@ -571,12 +469,11 @@ class TestLargeLevels:
         for t in (0.05 * k, 0.25 * k, k, 2.0 * k):  # 7e-18 down to 5e-158 at k = 400
             x = LAW.params.rate * t
             with mpmath.workdps(40):
-                pois = [mpmath.exp(m * mpmath.log(x) - x - mpmath.loggamma(m + 1))
-                        for m in range(k)]
+                pois = [mo.poisson(m, x) for m in range(k)]
                 cross = LAW.params.rate * mpmath.fsum(p * c for p, c in zip(pois, cross_c))
                 hit = LAW.params.rate * mpmath.fsum(p * c for p, c in zip(pois, hit_c))
-            assert mp_rel(crossing_density_constant(k, t, LAW), cross) < 2e-14
-            assert mp_rel(hitting_density(k, t, LAW), hit) < 2e-14
+            assert rel(crossing_density_constant(k, t, LAW), cross) < 2e-14
+            assert rel(hitting_density(k, t, LAW), hit) < 2e-14
 
     def test_hitting_probability_k30_against_simulation(self):
         k, params, n = 30, ModelParams(2.0, 1.0), 20_000
@@ -623,8 +520,8 @@ class TestChainTable:
         k, mu = 30, 1.3
         ch = _JumpChain(mu)
         visits, exits = ch.tables(k)
-        step_sf = [float(mpmath.gammainc(i + 1, 0, mu, regularized=True))
-                   / -math.expm1(-mu) for i in range(k)]  # P{step > i}
+        step_sf = [float(mo.poisson_upper(i + 1, mu)) / -math.expm1(-mu)
+                   for i in range(k)]  # P{step > i}
         direct = [[math.fsum(visits[m, j] * step_sf[L - j] for j in range(L + 1))
                    for m in range(k)] for L in range(k)]
         assert visits.shape == (k + 1, k + 1)

@@ -23,9 +23,8 @@ from poissonsub import (
 )
 from poissonsub.verify import bell_series, cdf_closed_form
 
-
-def rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+import mp_oracles as mo
+from mp_oracles import rel
 
 
 @pytest.fixture
@@ -87,19 +86,6 @@ class TestPmf:
         assert rel(var, lam * mu * (1 + mu) * t) < 1e-6
 
 
-def mp_weight(lam, mu, t, n):
-    """p_n(t) = sum_m P{Poisson(lam t) = m} P{Poisson(m mu) = n} at 30 digits:
-    given N(t) = m, Z(t) is Poisson(m mu)."""
-    with mpmath.workdps(30):
-        rate, mu = mpmath.mpf(lam) * t, mpmath.mpf(mu)
-        half = int(30 * math.sqrt(lam * t) + 30)
-        lo, hi = max(0, int(lam * t) - half), int(lam * t) + half
-        return float(mpmath.fsum(
-            mpmath.exp(-rate + m * mpmath.log(rate) - mpmath.loggamma(m + 1)
-                       - m * mu + n * mpmath.log(m * mu) - mpmath.loggamma(n + 1))
-            for m in range(max(lo, 1), hi + 1)))
-
-
 class TestLargeLambdaT:
     def test_no_stall_at_default_tolerance(self):
         # a stop rule on the running sum 1 - cum stalled here, because the
@@ -119,32 +105,8 @@ class TestLargeLambdaT:
                                                   rel=1e-14)
         sd = math.sqrt(lam * mu * (1 + mu) * t)
         for n in (int(4000 - 7 * sd), 4000, int(4000 + 7 * sd)):
-            assert rel(pv[n], mp_weight(lam, mu, t, n)) < 1e-11
-
-
-def mp_weight_explicit(lam, mu, t, n, m_hi=200):
-    """p_n(t) at 60 digits, every term m = 1..m_hi of
-    sum_m P{Poisson(lam t) = m} P{Poisson(m mu) = n} summed: at small t the
-    terms peak late, near m = n / log(n / (lam t))."""
-    with mpmath.workdps(60):
-        lt, mu = mpmath.mpf(lam) * mpmath.mpf(t), mpmath.mpf(mu)
-        return mpmath.fsum(
-            mpmath.exp(-lt) * lt**m / mpmath.factorial(m)
-            * mpmath.exp(-m * mu) * (m * mu)**n / mpmath.factorial(n)
-            for m in range(1, m_hi + 1))
-
-
-def mp_weight_60(lam, mu, t, n):
-    """p_n(t) at 60 digits, summed term by term over every m within
-    25 sqrt(lam t) + 30 of lam t: given N(t) = m, Z(t) is Poisson(m mu)."""
-    with mpmath.workdps(60):
-        lt, mu = mpmath.mpf(lam) * mpmath.mpf(t), mpmath.mpf(mu)
-        half = int(25 * math.sqrt(lam * t) + 30)
-        total = mpmath.exp(-lt) if n == 0 else mpmath.mpf(0)  # m = 0
-        return total + mpmath.fsum(
-            mpmath.exp(-lt + m * mpmath.log(lt) - mpmath.loggamma(m + 1)
-                       - m * mu + n * mpmath.log(m * mu) - mpmath.loggamma(n + 1))
-            for m in range(max(1, int(lam * t) - half), int(lam * t) + half + 1))
+            with mpmath.workdps(30):
+                assert rel(pv[n], mo.weights(lam, mu, t, n, first=n)[0]) < 1e-11
 
 
 class TestEngine:
@@ -170,7 +132,8 @@ class TestEngine:
         ns = [max(0, round(mean + c * sd)) for c in (-7, 0, 7)]
         got = np.exp(law._log_weights(lt / lam, max(ns)))
         for n in ns:
-            assert rel(got[n], float(mp_weight_60(lam, mu, lt / lam, n))) < 1e-12, n
+            with mpmath.workdps(60):
+                assert rel(got[n], mo.weights(lam, mu, lt / lam, n, first=n)[0]) < 1e-12, n
 
 
 class TestSmallTime:
@@ -180,9 +143,10 @@ class TestSmallTime:
         # a batch law cut at mu + 12 sqrt(mu) + 30 = 36 left p_60(1e-9)
         # 0.91% low and p_100(1e-9) 1.3% low
         law = IteratedLaw(ModelParams(1.0, 0.3))
-        want = mp_weight_explicit(1.0, 0.3, t, n)
-        assert rel(law.pmf(n, t), float(want)) < 1e-12
-        assert abs(law.log_pmf(n, t) - float(mpmath.log(want))) < 1e-12
+        with mpmath.workdps(60):
+            want = mo.weights(1.0, 0.3, t, n, first=n)[0]
+            assert rel(law.pmf(n, t), want) < 1e-12
+            assert abs(law.log_pmf(n, t) - float(mpmath.log(want))) < 1e-12
 
 
     @pytest.mark.parametrize("n,t", [(200, 1e-9), (300, 1e-9), (300, 1e-3), (400, 1e-12)])
@@ -190,7 +154,8 @@ class TestSmallTime:
         # log p_200(1e-9) = -866: the last 143 weights span more than the
         # float range; a batch law cut at 36 left it 0.041 off
         law = IteratedLaw(ModelParams(1.0, 0.3))
-        want = mpmath.log(mp_weight_explicit(1.0, 0.3, t, n, m_hi=600))
+        with mpmath.workdps(60):
+            want = mpmath.log(mo.weights(1.0, 0.3, t, n, first=n)[0])
         assert law.log_pmf(n, t) == pytest.approx(float(want), abs=1e-10)
 
 
@@ -290,28 +255,6 @@ class TestConditionalPmf:
 UNIT = JumpSpec.degenerate_unit()
 
 
-def renewal_sojourns(lam, mu, top):
-    """E{S_n} = pi_n / rate for n = 0..top at 40 digits, from the renewal
-    equation pi_n = sum_j P{X = j} pi_{n-j}, pi_0 = 1, of the jump chain with
-    zero-truncated Poisson(mu) steps X; steps of probability below 1e-45
-    are dropped."""
-    with mpmath.workdps(40):
-        mu = mpmath.mpf(mu)
-        nonzero = -mpmath.expm1(-mu)
-        q, j = [], 1
-        while j <= top:
-            qj = mpmath.exp(-mu) * mu**j / mpmath.factorial(j) / nonzero
-            if j > mu and qj < mpmath.mpf("1e-45"):
-                break
-            q.append(qj)
-            j += 1
-        pi = [mpmath.mpf(1)]
-        for n in range(1, top + 1):
-            m = min(n, len(q))
-            pi.append(mpmath.fdot(q[:m], pi[n - 1::-1][:m]))
-        return [p / (lam * nonzero) for p in pi]
-
-
 class TestDispersionAndSojourn:
     def test_dispersion_values(self):
         for t in (0.5, 1.0):
@@ -345,7 +288,7 @@ class TestDispersionAndSojourn:
         (2.0, 40, 3.0, 0.1666666666666665), (0.5, 300, 0.2, 10.0),
         (1.0, 2000, 0.01, 100.0)])
     def test_sojourn_matches_renewal_values(self, lam, n, mu, want):
-        # ``renewal_sojourns``, rounded to the nearest float
+        # E{S_n} = pi_n / rate from ``mp_oracles.renewal``, rounded to the nearest float
         got = IteratedLaw(ModelParams(lam, mu)).mean_sojourn(n)
         assert abs(got - want) <= 1e-14 * want
 
@@ -356,15 +299,14 @@ class TestDispersionAndSojourn:
         # the recursion drifted 5.6e-13 at mu = 1e-5 and 1.0e-14 at mu = 44.2923
         lam = 1.5
         law = IteratedLaw(ModelParams(lam, mu))
-        want = renewal_sojourns(lam, mu, 5000)
         with mpmath.workdps(40):
-            rate = lam * -mpmath.expm1(-mpmath.mpf(mu))
+            pi, rate = mo.renewal(mu, 5000), lam * -mpmath.expm1(-mpmath.mpf(mu))
             for n in (0, 1, 2, 3, 7, 30, 100, 400, 2000, 3001, 4999, 5000):
-                assert rel(law.mean_sojourn(n), float(want[n])) < 1e-14, n
+                assert rel(law.mean_sojourn(n), pi[n] / rate) < 1e-14, n
                 if n:
-                    assert rel(hitting_probability(n, mu), float(want[n] * rate)) < 1e-14, n
+                    assert rel(hitting_probability(n, mu), pi[n]) < 1e-14, n
                     assert rel(mean_crossing_time_constant(n, law),
-                               float(mpmath.fsum(want[:n]))) < 1e-14, n
+                               mpmath.fsum(pi[:n]) / rate) < 1e-14, n
 
     @pytest.mark.parametrize("mu", [1e-10, 1e-8])
     def test_sojourn_closed_forms_at_small_mu(self, mu):
