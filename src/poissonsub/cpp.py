@@ -6,11 +6,13 @@ iterated Poisson pmf from ``IteratedLaw.pmf_vector``, so truncation follows
 the same tail-mass rule everywhere.  Each quantity has one path, vectorised
 over its z-grid in the (orders x points) blocks of ``special._in_blocks``.  For
 exponential jumps the CDF is the paper's alternative series: a block of
-``special.poisson_pmf`` cells Pois(zeta z; m) over the cumulative weights,
-one ``gammainc`` per point; ``conv_cdf``'s gammainc block and the direct
-series are its oracles in ``verify``.  For unit jumps the n-fold CDF is the
-step [z >= n], so the CDF is one prefix sum of the weights read at floor(z);
-``conv_cdf``'s step block is its oracle in the tests.
+``special.poisson_pmf_stepped`` cells Pois(zeta z; m) over the cumulative
+weights, one ``gammainc`` per point; ``conv_cdf``'s gammainc block and the
+direct series are its oracles in ``verify``.  The density is the same block
+one count lower over the weights, zeta sum_n w_n Pois(zeta z; n - 1);
+``conv_pdf``'s gammaln block is its oracle in the tests.  For unit jumps the
+n-fold CDF is the step [z >= n], so the CDF is one prefix sum of the weights
+read at floor(z); ``conv_cdf``'s step block is its oracle in the tests.
 A NaN point gives NaN for every jump law and every time.
 """
 
@@ -23,7 +25,8 @@ from scipy import special as sc
 
 from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams, MomentSummary, check_time
-from .special import SeriesControl, _float_if_scalar, _in_blocks, poisson_pmf
+from .special import (SeriesControl, _float_if_scalar, _in_blocks, poisson_pmf,
+                      poisson_pmf_stepped)
 
 _DEFAULT_CTL = SeriesControl()
 
@@ -55,6 +58,12 @@ def _step(z: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(z), z, z >= 0)
 
 
+def _exp_point(z: np.ndarray, zeta: float) -> np.ndarray:
+    """x = zeta z, with z clipped to [0, 1e300 / zeta]: past 1e300 every Poisson
+    pmf cell is 0 and gammainc is 1, as at z = inf."""
+    return zeta * np.clip(z, 0.0, 1e300 / zeta)
+
+
 def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
     """The mixture CDF: the atom w[0] at 0 plus the n-fold jump CDFs.
 
@@ -72,10 +81,9 @@ def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
         m = np.nan_to_num(np.floor(np.clip(z, -1.0, w.size - 1)), nan=-1.0)
         return np.minimum(1.0, np.where(np.isnan(z), z, cum[m.astype(np.intp)]))
     if jumps.kind == "exponential":
-        # past 1e300 every pmf cell is 0 and gammainc is 1, as at z = inf
-        x = jumps.zeta * np.clip(z, 0.0, 1e300 / jumps.zeta)
-        jump = (_mixture(np.cumsum(w[1:]), x, lambda n, x: poisson_pmf(range(1, w.size), x))
-                + w[1:].sum() * sc.gammainc(w.size, x))
+        x = _exp_point(z, jumps.zeta)
+        pmf = lambda n, x: poisson_pmf_stepped(range(1, w.size), x)
+        jump = _mixture(np.cumsum(w[1:]), x, pmf) + w[1:].sum() * sc.gammainc(w.size, x)
     else:
         jump = _mixture(w[1:], z, jumps.conv_cdf)
     return np.minimum(1.0, w[0] * _step(z) + jump)
@@ -108,12 +116,20 @@ def cpp_cdf_Z_grid(z: np.ndarray, t: float, params: ModelParams, jumps: JumpSpec
 def cpp_density_Z_grid(z: np.ndarray, t: float, params: ModelParams,
                        jumps: JumpSpec, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
     """Density of the absolutely continuous part of Z(t) at every point of
-    z (z != 0, t > 0)."""
+    z (z != 0, t > 0).
+
+    For exponential(zeta) jumps the n-fold density is zeta Pois(zeta z; n - 1),
+    so the density is zeta sum_n w_n Pois(x; n - 1), x = zeta z as in the CDF:
+    one block of stepped Poisson cells, 0 below z = 0 and zeta w_1 at z = 0."""
     if not jumps.is_continuous:
         raise ValueError("degenerate_unit jumps have a discrete law, no density")
     check_time(t, positive=True)
     z = np.asarray(z, dtype=float)
     w = IteratedLaw(params, ctl).pmf_vector(t)
+    if jumps.kind == "exponential":
+        mix = _mixture(w[1:], _exp_point(z, jumps.zeta),
+                       lambda n, x: poisson_pmf_stepped(range(w.size - 1), x))
+        return _float_if_scalar(np.where(z < 0, 0.0, jumps.zeta * mix))
     return np.maximum(0.0, _mixture(w[1:], z, jumps.conv_pdf))
 
 

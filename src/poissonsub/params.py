@@ -120,7 +120,10 @@ class JumpSpec:
 
     def conv_pdf(self, n, z):
         """n-fold convolution density f_X^{(n)}(z); continuous kinds only.
-        Orders and block as in ``conv_cdf``."""
+        Orders and block as in ``conv_cdf``.  The exponential branch, the exp
+        of (n - 1) log(zeta z) - zeta z - gammaln(n), is an oracle: it loses
+        about |log f| ulps, and ``cpp_density_Z_grid`` reads the stepped
+        Poisson block instead."""
         if not self.is_continuous:
             raise ValueError("degenerate_unit jumps have no density")
         n, z, out = _conv_block(n, z)

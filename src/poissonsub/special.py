@@ -1,10 +1,12 @@
 """Numerical building blocks shared by the process laws: the truncation
-policy ``SeriesControl``; ``poisson_pmf``, the one Poisson pmf, read by
-the jump-chain record's batch window (and through it by the law weights, the
-jump chain and the samplers), the exponential-jump CDF and the passage-time
-mixtures; and ``_in_blocks``, the one block loop of every mixture over a
-grid of points.  The paper's reference forms (Stirling numbers, Bell
-polynomials, scalar Poisson kernels, incomplete gamma) live in ``verify``.
+policy ``SeriesControl``; ``poisson_pmf``, the Poisson pmf of Loader's form,
+read by the jump-chain record's batch window (and through it by the law
+weights, the jump chain and the samplers) and the passage-time mixtures;
+``poisson_pmf_stepped``, its block with ratio steps between the Loader cells
+at multiples of 8, read by the exponential-jump CDF and density; and
+``_in_blocks``, the one block loop of every mixture over a grid of points.
+The paper's reference forms (Stirling numbers, Bell polynomials, scalar
+Poisson kernels, incomplete gamma) live in ``verify``.
 """
 
 from __future__ import annotations
@@ -39,12 +41,16 @@ _HEAD = np.array([
 _CACHED_COUNTS = 1 << 14  # longer ranges are not kept: the cache holds at most 16 MB
 # cells in one (orders x points) block of a mixture
 _BLOCK_CELLS = 2**19
+# the stepped block takes a Loader cell at every count that is a multiple of
+# _STRIDE, and steps up from it to the next
+_STRIDE = 8
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @lru_cache(maxsize=64)
 def _count_part(counts: range) -> tuple[bool, np.ndarray, np.ndarray]:
     """Whether the counts start at 0, the counts m >= 1, and every head(m)."""
-    m = np.arange(counts.start, counts.stop, dtype=float)
+    m = np.arange(counts.start, counts.stop, counts.step, dtype=float)
     big = np.maximum(m, 16.0)  # where the series serves
     mm = big * big
     stirlerr = (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188 * mm)) / mm) / mm) / mm) / big
@@ -55,10 +61,45 @@ def _count_part(counts: range) -> tuple[bool, np.ndarray, np.ndarray]:
     return zero, m[zero:], head
 
 
-def poisson_pmf(counts: range, x) -> np.ndarray:
-    """Pois(x; m) = x^m e^{-x} / m! for the consecutive counts m >= 0 of a
-    range at the points x >= 0, one or an array: one block of shape
-    (len(counts),) + shape(x), the counts along its first axis.
+@lru_cache(maxsize=8)
+def _reciprocals(size: int) -> np.ndarray:
+    """fl(1/m) at index m, for 1 <= m < size; index 0 holds 0."""
+    r = np.zeros(size)
+    np.divide(1.0, np.arange(1, size), out=r[1:])
+    r.flags.writeable = False
+    return r
+
+
+def _loader(x, m, head, out: np.ndarray, zero: bool = False, scratch=None) -> np.ndarray:
+    """Loader's cells exp(head(m) - m (r - 1 - log r)), r = x/m, into out, by
+    the same operations wherever a cell is taken: at the counts m >= 1 below
+    a first row for the count 0 if zero, exp(head(0) - x) = e^{-x}.  x/m
+    must be smallest in out's last row; the logs go to scratch, a block of
+    the shape of those rows, if given."""
+    if zero:
+        out[0] = x
+    body = out[zero:]
+    np.divide(x, m, body)
+    # x/m falls with m, so a zero shows in the last row; only then is the
+    # error state, dearer than a small block, set
+    if np.count_nonzero(body[-1:]) == x.size:
+        lg = np.log(body, out=scratch)
+    else:
+        with np.errstate(divide="ignore"):  # log 0 = -inf: Pois(0; m) = 0
+            lg = np.log(body, out=scratch)
+    body -= 1.0
+    body -= lg
+    body *= m
+    np.subtract(head, out, out)
+    return np.exp(out, out)
+
+
+def poisson_pmf(counts: range, x, out=None, scratch=None) -> np.ndarray:
+    """Pois(x; m) = x^m e^{-x} / m! for the counts m >= 0 of a range, at the
+    points x >= 0, one or an array: one block of shape
+    (len(counts),) + shape(x), the counts along its first axis.  It is
+    written into out if given, and scratch, of the same shape, takes the
+    logs in place of a new block.
 
     Loader's split (C. Loader, 2000, "Fast and accurate computation of
     binomial probabilities"; R's dpois), exp(head(m) - m (r - 1 - log r)) with
@@ -70,24 +111,55 @@ def poisson_pmf(counts: range, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     part = _count_part if len(counts) <= _CACHED_COUNTS else _count_part.__wrapped__
     zero, m, head = part(counts)
-    out = np.empty((len(counts),) + x.shape)
-    out[:zero] = x  # row 0, if m = 0 is a count: head(0) - x = -x below, e^{-x} after
-    body = out[zero:]
+    if out is None:
+        out = np.empty((len(counts),) + x.shape)
     if x.ndim:
-        m, head = (a.reshape((-1,) + (1,) * x.ndim) for a in (m, head))
-    np.divide(x, m, body)
-    # x/m falls with m, so a zero shows in the last row; only then is the
-    # error state, dearer than a small block, set
-    if np.count_nonzero(body[-1:]) == x.size:
-        lg = np.log(body)
-    else:
-        with np.errstate(divide="ignore"):  # log 0 = -inf: Pois(0; m) = 0
-            lg = np.log(body)
-    body -= 1.0
-    body -= lg
-    body *= m
-    np.subtract(head, out, out)
-    return np.exp(out, out)
+        shape = (-1,) + (1,) * x.ndim
+        m, head = m.reshape(shape), head.reshape(shape)
+    return _loader(x, m, head, out, zero, None if scratch is None else scratch[zero:])
+
+
+def poisson_pmf_stepped(counts: range, x) -> np.ndarray:
+    """The block of ``poisson_pmf`` for consecutive counts, at a third of its
+    cost: at each count m that is a multiple of _STRIDE = 8 the cell is
+    poisson_pmf's Loader cell, and from it each count up to the next is an
+    exact ratio step, Pois(x; m) = Pois(x; m - 1) fl(x fl(1/m)), with the
+    reciprocals cached.  A step costs two multiplies, not a divide, a log and
+    an exp; its three roundings add at most 1.5 eps relative, so a cell's
+    bound is its Loader cell's plus at most 10.5 eps.
+
+    The steps a cell takes start at the multiple of 8 at or below its count,
+    whatever the range, so its bits depend on (m, x) alone.  Where that
+    Loader cell is subnormal and the seventh step reaches tiny/4, the steps
+    climb from the few bits of a subnormal back into the normal range (the
+    right tail, x above the count), so the seven cells above it are Loader
+    cells too.  A subnormal has at least one bit, so a stepped cell that the
+    rule misses is below tiny/2.  A Loader cell of 0 is a Pois(x; m) below
+    2.5e-324, and seven steps up from it stay below 2e-307."""
+    x = np.asarray(x, dtype=float)
+    lo = counts.start - counts.start % _STRIDE
+    hi = max(lo, counts.stop + -counts.stop % _STRIDE)
+    anchors = range(lo, hi, _STRIDE)
+    out = np.empty((hi - lo,) + x.shape)
+    # groups of 8 rows: a Loader cell, then 7 steps
+    block = out.reshape((len(anchors), _STRIDE) + x.shape)
+    poisson_pmf(anchors, x, block[:, 0], block[:, 1])  # row 1 is free until the steps
+    size = 1 << hi.bit_length()  # a power of 2 above hi, so that few are cached
+    recip = _reciprocals(size) if size <= _CACHED_COUNTS else _reciprocals.__wrapped__(hi)
+    recip = recip[lo:hi].reshape(block.shape[:2] + (1,) * x.ndim)
+    np.multiply(recip[:, 1:], x, out=block[:, 1:])
+    for j in range(1, _STRIDE):
+        block[:, j] *= block[:, j - 1]
+    climbs = block[:, -1] >= _TINY / 4
+    climbs &= block[:, 0] < _TINY
+    if climbs.any():
+        k, at = np.divmod(np.flatnonzero(climbs), x.size)  # anchor and point
+        i = _STRIDE * k + np.arange(1, _STRIDE)[:, None]  # (7 x cells), counts less lo
+        part = _count_part if hi - lo <= _CACHED_COUNTS else _count_part.__wrapped__
+        head = part(range(lo, hi))[2]
+        cells = _loader(x.ravel()[at], i + float(lo), head[i], np.empty(i.shape))
+        block.reshape(len(anchors), _STRIDE, x.size)[k, 1:, at] = cells.T
+    return out[counts.start - lo:counts.stop - lo]
 
 
 def _float_if_scalar(x):

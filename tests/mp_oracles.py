@@ -166,6 +166,21 @@ def mixture_cdf(w, x):
     return total + w[0]
 
 
+def mixture_density(w, x, zeta):
+    """zeta sum_{n>=1} w_n Pois(x; n - 1) for x > 0: the density at z of the
+    mixture of Gamma(n, zeta) laws with float weights w, at x = zeta z.  The
+    sum is finite, over the given weights, so it needs no stopping rule; the
+    terms are summed down from the last order,
+    Pois(x; n - 1) = Pois(x; n) n / x, as ``mixture_cdf`` sums its tails."""
+    top = len(w) - 1
+    pois = poisson(top - 1, x)
+    total = w[top] * pois
+    for n in range(top - 1, 0, -1):
+        pois = pois * n / x
+        total += w[n] * pois
+    return mpmath.mpf(zeta) * total
+
+
 def rel(got, want):
     """|got - want| / |want| in floats, for a finite float got."""
     assert math.isfinite(got)

@@ -33,8 +33,8 @@ def test_special_holds_only_production_helpers():
     tree = ast.parse((SRC / "special.py").read_text())
     defined = {node.name for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert defined == {"SeriesControl", "poisson_pmf", "_count_part", "_in_blocks",
-                       "_float_if_scalar"}
+    assert defined == {"SeriesControl", "poisson_pmf", "poisson_pmf_stepped", "_count_part",
+                       "_reciprocals", "_loader", "_in_blocks", "_float_if_scalar"}
     assert callable(special.poisson_pmf)
 
 
@@ -48,7 +48,7 @@ def test_mc_holds_only_batch_samplers():
 
 
 def test_log_factorial_forms_only_in_the_oracles_and_conv_pdf():
-    # every production Poisson pmf goes through special.poisson_pmf; a
+    # every production Poisson pmf goes through special's Loader cells; a
     # hand-written exp(m log x - x - gammaln(m + 1)) cancels log m!, and so
     # does one through math.lgamma
     for path in SRC.glob("*.py"):

@@ -407,6 +407,59 @@ class TestExponentialCdfKernel:
         assert math.isnan(got[-1])
 
 
+class TestExponentialDensityKernel:
+    """The exponential-jump density: zeta sum_n w_n Pois(zeta z; n - 1), one
+    block of stepped Poisson cells."""
+
+    @pytest.mark.parametrize("lt", [100.0, 800.0, 1000.0])
+    @pytest.mark.parametrize("mu", [0.5, 2.0])
+    def test_relative_accuracy_against_mpmath(self, lt, mu):
+        # z at fractions of the mean of Z(t), against the reference at
+        # x = fl(zeta z), as for the CDF; the conv_pdf form, exp of a sum of
+        # logs, was up to 9e-13 off here
+        zeta, t = 1.7, 10.0
+        params = ModelParams(lt / t, mu)
+        w = IteratedLaw(params).pmf_vector(t)
+        zs = lt * mu / zeta * np.array([1e-3, 0.03, 0.1, 0.3, 0.6, 1.0, 1.3])
+        got = cpp_density_Z_grid(zs, t, params, JumpSpec.exponential(zeta))
+        for z, g in zip(zs, got):
+            with mpmath.workdps(40):
+                ref = mo.mixture_density(w, zeta * z, zeta)
+            if ref >= 1e-280:
+                assert abs(g - ref) <= 1e-14 * ref, (z, g, ref)
+            else:
+                assert g <= 1e-280
+
+    def test_edges(self):
+        # below 0 the density is 0, at 0 it is zeta w_1, and far points are
+        # clipped the way the CDF clips them
+        zeta = 1.7
+        w = IteratedLaw(PARAMS).pmf_vector(1.0)
+        zs = np.array([-np.inf, -1.0, -0.0, 0.0, 5e-324, 1e300, 1e305, np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cpp_density_Z_grid(zs, 1.0, PARAMS, JumpSpec.exponential(zeta))
+            alone = [cpp_density_Z_grid(z, 1.0, PARAMS, JumpSpec.exponential(zeta))
+                     for z in zs.tolist()]
+        assert got[0] == got[1] == 0.0
+        assert got[2] == got[3] == pytest.approx(zeta * w[1], rel=1e-15)
+        assert got[4] == pytest.approx(zeta * w[1], rel=1e-15)
+        assert not got[5:8].any() and math.isnan(got[8])
+        assert all(type(a) is float for a in alone)
+        np.testing.assert_allclose(alone, got, rtol=2e-15, atol=0.0)
+
+    @pytest.mark.parametrize("t", [0.5, 3.0, 40.0])
+    def test_against_the_conv_pdf_block(self, t):
+        # the closed-form n-fold densities of JumpSpec.conv_pdf, summed exactly
+        jumps = JumpSpec.exponential(1.3)
+        w = IteratedLaw(PARAMS).pmf_vector(t)
+        zs = np.linspace(0.01, 4.0 * t + 10.0, 41)
+        got = cpp_density_Z_grid(zs, t, PARAMS, jumps)
+        block = jumps.conv_pdf(np.arange(1, w.size)[:, None], zs)
+        want = [math.fsum(w[1:] * col) for col in block.T]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 UNIT = JumpSpec.degenerate_unit()
 
 

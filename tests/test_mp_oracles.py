@@ -65,3 +65,13 @@ def test_poisson_edges():
     assert mo.poisson(0, 0.0) == 1 and mo.poisson(3, 0.0) == 0
     assert mo.poisson_upper(0, 2.0) == 1 and mo.poisson_upper(-1, 2.0) == 1
     assert mo.rel(3.0, mpmath.mpf(4)) == 0.25
+
+
+@pytest.mark.parametrize("x", [0.3, 7.0, 40.0])
+def test_mixture_density_is_the_derivative_of_the_cdf(x):
+    # d/dz of the CDF at x = zeta z: zeta d/dx sum_n w_n P{Poisson(x) >= n}
+    w, zeta = [0.1, 0.2, 0.05, 0.3, 0.25, 0.1], 1.7
+    with mpmath.workdps(DPS):
+        slope = mpmath.diff(lambda y: mo.mixture_cdf(w, y), x)
+        assert close(mo.mixture_density(w, x, zeta), zeta * slope)
+        assert close(mo.mixture_density(w[:2], x, zeta), mpmath.mpf(zeta) * w[1] * mpmath.exp(-x))

@@ -86,20 +86,22 @@ def tail_points(m, log_p=math.log(1e-300)):
 
 
 class TestPoissonPmf:
-    """``special.poisson_pmf``, the one Poisson pmf of the package (not the
-    scalar oracle ``verify.poisson_pmf``)."""
+    """``special.poisson_pmf``, the package's Poisson pmf of Loader's form (not
+    the scalar oracle ``verify.poisson_pmf``)."""
 
     @staticmethod
-    def assert_cells(counts, x, got):
+    def assert_cells(counts, x, got, stepped=False):
         # the pmf is the exp of its log, so an ulp of the log is worth |log p|
         # ulps of p, and a relative change d of x moves p by (m - x) d, so the
-        # rounding of r = x/m is worth |x - m| ulps: a few of each
+        # rounding of r = x/m is worth |x - m| ulps: a few of each.  A stepped
+        # cell adds three roundings of eps/2 for each of its m mod 8 steps
         for m, row in zip(counts, np.atleast_2d(got.T).T):
+            steps = m % 8 if stepped else 0
             for xi, g in zip(np.atleast_1d(x), np.atleast_1d(row)):
                 with mpmath.workdps(50):
                     want = mo.poisson(m, xi)
                 scale = 1 + abs(float(mpmath.log(want))) + abs(xi - m) if want else 1
-                assert abs(g - want) <= 4 * EPS * scale * want, (m, xi, g, want)
+                assert abs(g - want) <= (4 * scale + 1.5 * steps) * EPS * want, (m, xi, g, want)
 
     def test_zero_count_and_zero_point(self):
         x = np.array([0.0, 1e-300, 0.5, 3.0, 700.0, 1e4])
@@ -171,6 +173,76 @@ class TestPoissonPmf:
         special._count_part.cache_clear()  # a long range is not kept
         special.poisson_pmf(range(special._CACHED_COUNTS + 1), 1e4)
         assert special._count_part.cache_info().currsize == 0
+
+
+class TestPoissonPmfStepped:
+    """``special.poisson_pmf_stepped``: a Loader cell at every count that is a
+    multiple of 8, ratio steps up from it in between."""
+
+    X = np.array([0.0, 5e-324, 1e-3, 0.7, 9.5, 40.0, 333.3, 730.0, 760.0, 2e3, 1e300, np.nan])
+
+    def test_bits_depend_on_count_and_point_alone(self):
+        for stop in (1, 8, 9, 60, 203):
+            whole = special.poisson_pmf_stepped(range(stop), self.X)
+            assert whole.shape == (stop, self.X.size)
+            for start in range(0, stop, 7):
+                part = special.poisson_pmf_stepped(range(start, stop), self.X)
+                assert part.tobytes() == whole[start:].tobytes(), (start, stop)
+            for m in range(0, stop, 5):
+                row = special.poisson_pmf_stepped(range(m, m + 1), self.X)[0]
+                assert row.tobytes() == whole[m].tobytes(), m
+        grid = special.poisson_pmf_stepped(range(3, 203), self.X)
+        for i, x in enumerate(self.X.tolist()):
+            alone = special.poisson_pmf_stepped(range(3, 203), x)
+            assert alone.shape == (200,) and alone.tobytes() == grid[:, i].tobytes(), x
+        square = special.poisson_pmf_stepped(range(9, 30), self.X[:10].reshape(2, 5))
+        assert square.tobytes() == grid[6:27, :10].tobytes()
+
+    def test_loader_cells_and_ratio_steps(self):
+        block = special.poisson_pmf_stepped(range(1, 400), self.X)
+        loader = special.poisson_pmf(range(400), self.X)
+        assert block[7::8].tobytes() == loader[8::8].tobytes()
+        assert special.poisson_pmf_stepped(range(1), self.X).tobytes() == loader[:1].tobytes()
+        # Pois(x; m) = Pois(x; m - 1) fl(x fl(1/m)) between them, where the
+        # Loader cell they step from is normal (not at e^{-730}, for one)
+        for m in range(2, 400):
+            if m % 8:
+                step = block[m - 2] * (self.X * (1.0 / m))
+                normal = ~(loader[m - m % 8] < np.finfo(float).tiny)
+                assert np.array_equal(block[m - 1, normal], step[normal], equal_nan=True), m
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 6, 7, 8, 9, 15, 16, 17, 50, 63, 400, 1001,
+                                   9999, 10**4])
+    def test_cells_against_mpmath(self, m):
+        # r = x/m from 1/2 to 2 where the pmf is at least 1e-300, and both
+        # tails at 1e-300; the right tails at m = 5..7 step up from a
+        # subnormal e^{-x}, where the cells are Loader cells
+        s = math.sqrt(m)
+        xs = [x for x in (0.5 * m, 0.7 * m, m - s, m * (1 - 1e-9), m * (1 + 1e-9), m + s,
+                          1.5 * m, 2 * m) if mo.poisson(m, x) >= 1e-300]
+        assert len(xs) >= 4
+        xs += tail_points(m)
+        got = special.poisson_pmf_stepped(range(m, m + 1), xs)[0]
+        TestPoissonPmf.assert_cells([m], xs, got, stepped=True)
+
+    def test_steps_from_a_subnormal_are_loader_cells(self):
+        # e^{-x} is subnormal past x = 708; the seventh step climbs past
+        # tiny / 4, so all seven cells are Loader's
+        x = np.array([709.0, 720.0, 730.0, 740.0])
+        block = special.poisson_pmf_stepped(range(8), x)
+        assert np.all((block[0] > 0) & (block[0] < np.finfo(float).tiny))
+        assert block.tobytes() == special.poisson_pmf(range(8), x).tobytes()
+
+    def test_edges_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = special.poisson_pmf_stepped(range(40), [0.0, 5e-324, np.nan, 1e300])
+            above = special.poisson_pmf_stepped(range(3, 17), [0.0, 5e-324, np.nan, 1e300])
+            empty = special.poisson_pmf_stepped(range(5, 5), [1.0, 2.0])
+        assert block[:, 0].tolist() == [1.0] + [0.0] * 39
+        assert block[:, 1].tolist() == [1.0, 5e-324] + [0.0] * 38
+        assert np.all(np.isnan(block[:, 2])) and not block[:, 3].any()
+        assert above.tobytes() == block[3:17].tobytes() and empty.shape == (0, 2)
 
 
 def brute_force_partitions(n, k):
