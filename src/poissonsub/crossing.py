@@ -7,8 +7,8 @@ boundary (crossing density and mean), the first-hitting time of a state
 
 The passage laws of a level k are mixtures over the jump index m (the m-th
 nonzero jump comes at a Gamma(m, rate) time, and the densities mix over
-``special.poisson_pmf``) of the visit and exit tables of the embedded jump
-chain; the hitting probability and the constant-boundary mean are its
+``special.poisson_pmf``) of the visit table of the embedded jump chain or
+its sums; the hitting probability and the constant-boundary mean are its
 marginals over m.  All read one record per mu in ``iterated``, grown to the
 largest level asked.  The survivals, the densities and the hitting CDF take
 one time or an array of times; the mixtures run in the blocks of
@@ -122,31 +122,27 @@ def _strict_floor(x: float) -> int:
 def survival_nonincreasing(boundary: Boundary, t, law: IteratedLaw):
     """P{T > t} for a nonincreasing boundary at one time or an array of
     times.  T > t exactly when Z(t) <= L, the strict floor of beta(t); with
-    S_m the jump chain after m nonzero jumps, summing by parts gives
-    P{Z(t) <= L} = sum_{m<=L} P{S_m <= L < S_{m+1}} P{Poisson(rate t) <= m},
-    a sum of nonnegative terms over the exit table of one level,
-    max(k, ceil(beta(0))), fixed per boundary.  1 at t = 0; 0 once the
-    boundary has reached 0."""
+    S_j the jump chain after j nonzero jumps,
+    P{Z(t) <= L} = sum_{j<=L} Pois(rate t; j) P{S_j <= L}, a sum of
+    nonnegative terms over the prefix sums of the visit table of one level,
+    max(k, ceil(beta(0))), fixed per boundary.  Exactly 1 at t = 0, where
+    the only term is P{S_0 <= L}; 0 once the boundary has reached 0."""
     if not boundary.is_nonincreasing:
         raise ValueError("survival_nonincreasing handles nonincreasing boundaries; "
                          "use survival_linear_increasing for the increasing case")
     check_time(t)
     level = max(boundary.k, math.ceil(boundary.value(0.0)))
-    exits = _jump_chain(law.params.mu).tables(level)[1]
-    orders = np.arange(1.0, level + 1)
+    below = _jump_chain(law.params.mu).tables(level)[1]
 
     def block(t):
-        # row L + 1 of the exit table, with L = -1 (row 0, all zero) once b <= 0
-        rows = [_strict_floor(max(boundary.value(s), 0.0)) + 1 for s in t.flat]
-        if max(rows, default=0) > level:
+        # column L + 1 of the prefix sums, with L = -1 (column 0, all zero) once b <= 0
+        cols = [_strict_floor(max(boundary.value(s), 0.0)) + 1 for s in t.flat]
+        if max(cols, default=0) > level:
             raise ValueError(f"boundary rises above its start value {boundary.value(0.0)}")
         # one row per time, summed along it: a time's value does not depend on the grid
-        s = (sc.gammaincc(orders, law.params.rate * t.reshape(-1, 1))
-             * exits[rows, :level]).sum(axis=1)
-        np.minimum(s, 1.0, out=s)
-        # at t = 0 every Poisson factor is 1, so s sums a row: 1 up to rounding, or 0 on row 0
-        s[(t.ravel() == 0.0) & (s > 0.0)] = 1.0
-        return s.reshape(t.shape)
+        terms = np.multiply(poisson_pmf(range(level), law.params.rate * t.ravel()).T,
+                            below[:level].take(cols, axis=1).T, order="C")
+        return np.minimum(terms.sum(axis=1), 1.0).reshape(t.shape)
     return _in_blocks(block, level, t)
 
 
@@ -155,10 +151,10 @@ def crossing_density_constant(k: int, t, law: IteratedLaw):
     an array of times.  A path crosses only by a jump out of some state
     j < k, so psi_k(t) = lam sum_{j<k} p_j(t) P{Poisson(mu) >= k - j}, with
     p_j(t) = sum_m Pois(rate t; m) h[m, j].  As lam P{Poisson(mu) >= i} =
-    rate P{step >= i}, the sum over j is rate P{S_m <= k - 1 < S_{m+1}}.
-    At t = 0 it is the right limit lam P{Poisson(mu) >= k}.  The transposes
-    put the counts of the pmf block last."""
-    c, rate = _jump_chain(law.params.mu).tables(k)[1][k, :k], law.params.rate
+    rate P{step >= i}, the sum over j is rate P{S_m <= k - 1 < S_{m+1}}, the
+    record's exit row of level k.  At t = 0 it is the right limit
+    lam P{Poisson(mu) >= k}.  The transposes put the pmf counts last."""
+    c, rate = _jump_chain(law.params.mu).exits(k), law.params.rate
     check_time(t)
     return _in_blocks(lambda t: rate * (poisson_pmf(range(k), rate * t).T @ c).T, k, t)
 

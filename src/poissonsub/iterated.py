@@ -5,10 +5,10 @@ its weights p_n(t) follow the compound-Poisson (Panjer) recursion; one
 private engine runs it and every quantity of the law is read off its
 output.  One record per mu of the jump chain owns the Poisson(mu) batch
 window that the engine reads, and the step law read off it: its renewal
-sequence and its visit and exit tables serve the mean sojourn time and
-``crossing``, and its inverse-CDF table, searched through a guide table
-(``_guide``, ``_search``), the batch samplers of ``mc``.  The
-paper's Bell-polynomial and Stirling forms are reference forms in ``verify``.
+sequence and visit table serve the mean sojourn time and ``crossing``, and
+its inverse-CDF table, searched through a guide table (``_guide``,
+``_search``), the batch samplers of ``mc``.  The paper's Bell-polynomial and
+Stirling forms are reference forms in ``verify``.
 """
 
 from __future__ import annotations
@@ -91,9 +91,10 @@ class _JumpChain:
     Each table below is read-only, rebuilt at about twice its size when
     asked past it, and starts with the same bytes as a smaller one:
     ``upto(n)``: pi_0 .. pi_N, N >= n, pi_n = P{state n is ever visited};
-    ``tables(k)``: (visits, exits) of a size K >= k, with
-    ``visits[m, j] = P{S_m = j}`` for m, j <= K and
-    ``exits[L + 1, m] = P{S_m <= L < S_{m+1}}`` for -1 <= L < K, m < K.
+    ``tables(k)``: (visits, below) of a size K >= k, with ``visits[m, j] =
+    P{S_m = j}`` and its prefix sums ``below[m, L + 1] = P{S_m <= L}``, at
+    most 1, for m, j, L <= K (column 0 is zero); ``exits(k)``, kept per
+    level, the row P{S_m <= k - 1 < S_{m+1}}, m < k.
 
     pi solves the renewal equation pi_n = sum_j r_j pi_{n-j}, pi_0 = 1.  Run
     on pi, every term is nonnegative, but the recursion is neutrally stable:
@@ -102,10 +103,10 @@ class _JumpChain:
     they scale with the deviations, so that run serves wherever
     pi_n >= limit/2, and adding the limit back loses at most one bit.
 
-    Row m + 1 of visits and the exits after m jumps sum a window of row m
-    against r_i and P{step > i} (suffix sums, from the small end) along the
-    window's outer axis, which numpy adds in order: a larger table puts only
-    exact zeros in front, where matmul or convolve sums depend on the size."""
+    Row m + 1 of visits sums r_i times a window of row m, and entry m of an
+    exit row sums visits[m, j] P{step > k - 1 - j} (suffix sums, from the
+    small end), each along an outer axis, which numpy adds in order: a larger
+    table puts only exact zeros in front, where matmul or convolve sums vary."""
 
     def __init__(self, mu: float):
         if not 0 < mu < math.inf:
@@ -119,6 +120,7 @@ class _JumpChain:
         self.limit = -math.expm1(-mu) / mu
         self.pi = _read_only(np.ones(1))
         self._tables = (np.ones((1, 1)), None)
+        self._exits = {}
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -161,20 +163,27 @@ class _JumpChain:
             size, nj = max(k, 2 * (self._tables[0].shape[0] - 1)), self.step.size
             w = min(size, self.first + nj - 1) + 1  # the offsets i = w - 1 .. 0
             n = max(w - self.first, 0)  # those from the first step size on
-            ker = np.zeros((2, w, 1))  # r_i and P{step > i}
-            ker[1, n:] = 1.0  # below the first step size, r_i = 0 and P{step > i} = 1
-            ker[0, :n, 0] = self.step[nj - n:]
-            ker[1, :n, 0] = np.cumsum(np.append(0.0, self.step[:-1]))[nj - n:]
+            ker = np.append(self.step[nj - n:], np.zeros(w - n))[:, None]  # r_i, 0 below r_first
             # row m of buf holds visits[m] behind w - 1 zeros, and
             # win[m, i', j] = visits[m, j - (w - 1 - i')]
             buf = np.zeros((size + 1, w + size))
             win = np.ndarray((size, w, size + 1), buffer=buf, strides=(buf.strides[0], 8, 8))
-            v, e = buf[:, w - 1:], np.zeros((size + 2, size + 1))
+            v, below = buf[:, w - 1:], np.zeros((size + 1, size + 2))
             v[0, 0] = 1.0
             for m in range(size):  # S_m >= m: the columns from m on
-                v[m + 1, m:], e[m + 1:, m] = (ker * win[m, :, m:]).sum(axis=1)
-            self._tables = _read_only(v), _read_only(e[:-1, :-1])
+                v[m + 1, m:] = (ker * win[m, :, m:]).sum(axis=0)
+            np.cumsum(v, axis=1, out=below[:, 1:])  # it can round above 1
+            self._tables = _read_only(v), _read_only(np.minimum(below, 1.0, out=below))
         return self._tables
+
+    def exits(self, k: int) -> np.ndarray:
+        if k not in self._exits:
+            # P{step > i} for i = first - 1 .. J + 1, the steps summed from the small end
+            sf = np.concatenate(([1.0], np.cumsum(np.append(0.0, self.step[:-1]))[::-1], [0.0]))
+            sf = sf[np.clip(np.arange(k - 1, -1, -1) + 1 - self.first, 0, sf.size - 1), None]
+            terms = np.multiply(self.tables(k)[0][:k, :k].T, sf, order="C")  # rows j < k
+            self._exits[k] = _read_only(terms.sum(axis=0))
+        return self._exits[k]
 
 
 # one jump chain per mu, kept for a few dozen mu: a sweep over states or

@@ -445,6 +445,26 @@ class TestLargeLevels:
         for g, w in zip(got.tolist(), want):
             assert rel(g, w) < 1e-13
 
+    def test_constant_survival_far_tail_at_k400(self):
+        # values from 2.2e-19 down to 5.3e-236
+        ts = [700.0, 900.0, 1100.0, 1300.0, 1600.0, 2000.0]
+        law = IteratedLaw(ModelParams(1.0, 1.0))
+        got = survival_nonincreasing(Boundary.constant(400), np.array(ts), law)
+        with mpmath.workdps(40):
+            want = [mo.cdf_below(399, t, 1.0, 1.0) for t in ts]
+        assert max(rel(g, w) for g, w in zip(got.tolist(), want)) < 1e-13
+
+    @pytest.mark.parametrize("mu,ts", [
+        (0.3, np.arange(150.0, 1341.0, 70.0)),  # 1 - 9.8e-10 down to 1.9e-60
+        (1.0, np.arange(50.0, 501.0, 25.0))])  # 1 - 1.0e-5 down to 9.7e-61
+    def test_constant_survival_tail_at_k100(self, mu, ts):
+        # the grids measure 2.2e-14 and 2.1e-14 off
+        law = IteratedLaw(ModelParams(1.0, mu))
+        got = survival_nonincreasing(Boundary.constant(100), ts, law)
+        with mpmath.workdps(40):
+            want = [mo.cdf_below(99, t, 1.0, mu) for t in ts.tolist()]
+        assert max(rel(g, w) for g, w in zip(got.tolist(), want)) < 3e-14
+
     @pytest.mark.parametrize("k", [50, 100])
     def test_densities_at_small_time(self, k):
         # a flux sum over engine weights whose batch sizes were cut at
@@ -464,8 +484,8 @@ class TestLargeLevels:
         # weights; the reference sums the stored coefficients at 40 digits at
         # x = fl(rate t), the point the kernel sees, so that it measures the
         # mixture alone.  exp(m log x - x - log m!) weights were 1.05e-13 off
-        visits, exits = _jump_chain(LAW.params.mu).tables(k)
-        hit_c, cross_c = visits[1:k + 1, k], exits[k, :k]
+        ch = _jump_chain(LAW.params.mu)
+        hit_c, cross_c = ch.tables(k)[0][1:k + 1, k], ch.exits(k)
         for t in (0.05 * k, 0.25 * k, k, 2.0 * k):  # 7e-18 down to 5e-158 at k = 400
             x = LAW.params.rate * t
             with mpmath.workdps(40):
@@ -499,7 +519,7 @@ class TestChainTable:
 
         ch = _jump_chain(0.8)
         assert _jump_chain(0.8) is ch
-        for a in (*ch.tables(12), ch.upto(12)):
+        for a in (*ch.tables(12), ch.exits(12), ch.upto(12)):
             with pytest.raises(ValueError):
                 a[1] = 0.5
         with pytest.raises(ValueError):
@@ -513,25 +533,27 @@ class TestChainTable:
         with pytest.raises(ValueError, match="level must be >= 1"):
             crossing_density_constant(0, 1.0, law)
 
-    def test_exit_table(self):
-        # exits[L + 1, m] = P{S_m <= L < S_{m+1}} = sum_{j<=L} P{S_m = j}
-        # P{step > L - j}, also the visits to j <= L after m jumps less those
-        # after m + 1; row L + 1 sums to 1 over m, and row 0 (L = -1) is zero
+    def test_exit_rows_and_prefix_sums(self):
+        # exits(L + 1)[m] = P{S_m <= L < S_{m+1}} = sum_{j<=L} P{S_m = j}
+        # P{step > L - j}: the chain leaves {0..L} at exactly one jump, so
+        # each row sums to 1 over m; below[m, L + 1] = P{S_m <= L}
         k, mu = 30, 1.3
         ch = _JumpChain(mu)
-        visits, exits = ch.tables(k)
+        visits, below = ch.tables(k)
         step_sf = [float(mo.poisson_upper(i + 1, mu)) / -math.expm1(-mu)
                    for i in range(k)]  # P{step > i}
-        direct = [[math.fsum(visits[m, j] * step_sf[L - j] for j in range(L + 1))
-                   for m in range(k)] for L in range(k)]
-        assert visits.shape == (k + 1, k + 1)
-        assert exits.shape == (k + 1, k) and not exits[0].any()
-        np.testing.assert_allclose(exits[1:], direct, rtol=1e-13, atol=0.0)  # step tails
-        below = np.cumsum(visits[:, :k], axis=1)  # P{S_m <= L}, cancels
-        np.testing.assert_allclose(exits[1:], (below[:-1] - below[1:]).T,
-                                   rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(exits[1:].sum(axis=1), 1.0, rtol=1e-14)
-        assert np.all(exits >= 0.0) and np.all(np.triu(exits) == 0.0)
+        assert visits.shape == (k + 1, k + 1) and below.shape == (k + 1, k + 2)
+        for L in range(k):
+            row = ch.exits(L + 1)
+            direct = [math.fsum(visits[m, j] * step_sf[L - j] for j in range(L + 1))
+                      for m in range(L + 1)]
+            assert row.shape == (L + 1,) and np.all(row >= 0.0)
+            np.testing.assert_allclose(row, direct, rtol=1e-13, atol=0.0)  # step tails
+            assert math.fsum(row) == pytest.approx(1.0, rel=1e-14)
+        # the running sums round up to 2 ulps above 1 here; the table stops at 1
+        assert np.cumsum(visits, axis=1).max() > 1.0
+        assert not below[:, 0].any() and np.all(below <= 1.0)
+        assert below[:, 1:].tobytes() == np.minimum(np.cumsum(visits, axis=1), 1.0).tobytes()
 
     @pytest.mark.parametrize("mu", [1e-10, 0.37, 5.0, 50.0, 1e4])
     def test_grown_tables_start_with_a_fresh_record(self, mu):
@@ -540,12 +562,14 @@ class TestChainTable:
         grown = _JumpChain(mu)
         for k in (3, 40, 300):
             grown.tables(k)
-        visits, exits = grown.tables(300)
+        visits, below = grown.tables(300)
         for k in (1, 2, 12, 41, 257):
-            short, short_exits = _JumpChain(mu).tables(k)
+            fresh = _JumpChain(mu)
+            short, short_below = fresh.tables(k)
             assert short.shape == (k + 1, k + 1)
             assert visits[:k + 1, :k + 1].tobytes() == short.tobytes()
-            assert exits[:k + 1, :k].tobytes() == short_exits.tobytes()
+            assert below[:k + 1, :k + 2].tobytes() == short_below.tobytes()
+            assert grown.exits(k).tobytes() == fresh.exits(k).tobytes()
 
     def test_hitting_probability_reads_one_record_per_mu(self):
         # pi_k for k = 1..32 from the renewal sequence of mu, against the
