@@ -1,19 +1,19 @@
 """Law of the subordinated compound Poisson process Z(t) = Y[N(t)].
 
-The CDF and density are mixtures of the closed-form n-fold convolutions
-``JumpSpec.conv_cdf`` and ``conv_pdf`` of the jump law, weighted by the
-iterated Poisson pmf from ``IteratedLaw.pmf_vector``, so truncation follows
-the same tail-mass rule everywhere.  Each quantity has one path, vectorised
-over its z-grid in the (orders x points) blocks of ``special._in_blocks``.  For
-exponential jumps the CDF is the paper's alternative series: a block of
+The CDF and density are mixtures of the n-fold convolutions of the jump
+law, weighted by the iterated Poisson pmf from ``IteratedLaw.pmf_vector``,
+so truncation follows the same tail-mass rule everywhere.  Each quantity has
+one path, vectorised over its z-grid in the (orders x points) blocks of
+``special._in_blocks``: the orders 1..N as an (N, 1) column by one flat array
+of points.  For normal jumps a block is the closed form, ``_normal_cdf``
+(ndtr only below its saturation) or ``_normal_pdf``.  For exponential jumps
+the CDF is the paper's alternative series: a block of
 ``special.poisson_pmf_stepped`` cells Pois(zeta z; m) over the cumulative
-weights, one ``gammainc`` per point; ``conv_cdf``'s gammainc block and the
-direct series are its oracles in ``verify``.  The density is the same block
-one count lower over the weights, zeta sum_n w_n Pois(zeta z; n - 1);
-``conv_pdf``'s gammaln block is its oracle in the tests.  For unit jumps the
-n-fold CDF is the step [z >= n], so the CDF is one prefix sum of the weights
-read at floor(z); ``conv_cdf``'s step block is its oracle in the tests.
-A NaN point gives NaN for every jump law and every time.
+weights, one ``gammainc`` per point; the density is the same block one count
+lower over the weights.  For unit jumps the CDF is one prefix sum of the
+weights read at floor(z).  The closed forms ``verify.conv_cdf`` and
+``conv_pdf`` are the oracles of all three.  A NaN point gives NaN for every
+jump law and time, and one point gives a float.
 """
 
 from __future__ import annotations
@@ -53,6 +53,63 @@ def _mixture(c: np.ndarray, z: np.ndarray, kernel):
     return _in_blocks(lambda z: (c @ kernel(ns, z.ravel())).reshape(z.shape), c.size, z)
 
 
+# ndtr(u) is exactly 1.0 for every u >= 8.2924 (scipy 1.17; a test pins it
+# from _NDTR_SAT on), so a normal CDF cell whose argument reaches it needs
+# no ndtr: 50-57% of the cells of a mixture at lambda t 100 to 800.  The
+# skip thresholds sit at _NDTR_ONE, clear of _NDTR_SAT by far more than
+# their rounding.
+_NDTR_SAT, _NDTR_ONE = 8.3, 8.5
+# bands of orders per normal CDF block, each with one skip threshold
+_CDF_BANDS = 32
+
+
+def _normal_cdf(ns: np.ndarray, z: np.ndarray, jumps: JumpSpec) -> np.ndarray:
+    """The block ndtr((z - n eta) / (sigma sqrt n)) of the orders ns, an
+    (N, 1) column, by the flat points z, each cell by the same operations as
+    over the whole block but only where its argument can fall below
+    _NDTR_ONE; the other cells hold 1.0.  Each of _CDF_BANDS bands of rows
+    evaluates the one slice that spans the points below its largest
+    threshold n eta + _NDTR_ONE sigma sqrt(n) (NaN too); on a sorted grid it
+    holds nothing else, and a cell above the threshold comes out 1.0 from
+    ndtr itself.  Rounding is monotone, so a row's threshold serves wherever
+    the argument rounded at it reaches _NDTR_SAT; a row where it does not
+    skips nothing.  ``where=`` is no way to skip cells: scipy.special's
+    ufuncs crash on it (numpy 2.4, scipy 1.17)."""
+    out = np.ones((ns.shape[0], z.size))
+    if not out.size:
+        return out
+    mean, scale = ns * jumps.eta, jumps.sigma * np.sqrt(ns)
+    top = mean + _NDTR_ONE * scale
+    top[~((top - mean) / scale >= _NDTR_SAT)] = np.inf
+    size = -(-ns.shape[0] // _CDF_BANDS)
+    starts = np.arange(0, ns.shape[0], size)
+    evaluate = ~(z >= np.maximum.reduceat(top, starts))  # (bands x points)
+    first = evaluate.argmax(axis=1).tolist()
+    stop = (z.size - evaluate[:, ::-1].argmax(axis=1)).tolist()
+    for b, r in enumerate(starts.tolist()):
+        if not evaluate[b, first[b]]:
+            continue
+        band, cols = slice(r, r + size), slice(first[b], stop[b])
+        cells = out[band, cols]
+        np.subtract(z[cols], mean[band], out=cells)
+        cells /= scale[band]
+        sc.ndtr(cells, out=cells)
+    return out
+
+
+def _normal_pdf(ns: np.ndarray, z: np.ndarray, jumps: JumpSpec) -> np.ndarray:
+    """The block of normal n-fold densities, mean n eta and standard
+    deviation sigma sqrt(n), for orders and points as in ``_normal_cdf``."""
+    s = jumps.sigma * np.sqrt(ns)
+    out = np.subtract(z, ns * jumps.eta)
+    out /= s
+    np.square(out, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= s * math.sqrt(2 * math.pi)
+    return out
+
+
 def _step(z: np.ndarray) -> np.ndarray:
     """The CDF of the point mass at 0, [z >= 0], with NaN kept as NaN."""
     return np.where(np.isnan(z), z, z >= 0)
@@ -85,7 +142,7 @@ def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
         pmf = lambda n, x: poisson_pmf_stepped(range(1, w.size), x)
         jump = _mixture(np.cumsum(w[1:]), x, pmf) + w[1:].sum() * sc.gammainc(w.size, x)
     else:
-        jump = _mixture(w[1:], z, jumps.conv_cdf)
+        jump = _mixture(w[1:], z, lambda n, z: _normal_cdf(n, z, jumps))
     return np.minimum(1.0, w[0] * _step(z) + jump)
 
 
@@ -105,18 +162,18 @@ def cpp_cdf_Z_grid(z: np.ndarray, t: float, params: ModelParams, jumps: JumpSpec
                    ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
     """CDF of Z(t) = Y[N(t)] at every point of z: the mixture of n-fold jump
     convolutions over the iterated Poisson weights.  Right-continuous;
-    includes the atom at 0.  A scalar value is the call on one point."""
+    includes the atom at 0.  One point gives a float."""
     z = np.asarray(z, dtype=float)
     check_time(t)
     if t == 0.0:
-        return _step(z)
-    return _cdf_mixture(IteratedLaw(params, ctl).pmf_vector(t), z, jumps)
+        return _float_if_scalar(_step(z))
+    return _float_if_scalar(_cdf_mixture(IteratedLaw(params, ctl).pmf_vector(t), z, jumps))
 
 
 def cpp_density_Z_grid(z: np.ndarray, t: float, params: ModelParams,
                        jumps: JumpSpec, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
     """Density of the absolutely continuous part of Z(t) at every point of
-    z (z != 0, t > 0).
+    z (z != 0, t > 0); one point gives a float.
 
     For exponential(zeta) jumps the n-fold density is zeta Pois(zeta z; n - 1),
     so the density is zeta sum_n w_n Pois(x; n - 1), x = zeta z as in the CDF:
@@ -130,7 +187,8 @@ def cpp_density_Z_grid(z: np.ndarray, t: float, params: ModelParams,
         mix = _mixture(w[1:], _exp_point(z, jumps.zeta),
                        lambda n, x: poisson_pmf_stepped(range(w.size - 1), x))
         return _float_if_scalar(np.where(z < 0, 0.0, jumps.zeta * mix))
-    return np.maximum(0.0, _mixture(w[1:], z, jumps.conv_pdf))
+    mix = _mixture(w[1:], z, lambda n, z: _normal_pdf(n, z, jumps))
+    return _float_if_scalar(np.maximum(0.0, mix))
 
 
 def laplace_exponent(theta: float, params: ModelParams, jumps: JumpSpec) -> float:

@@ -9,11 +9,13 @@ forms limited to degree ``N_MAX``, and the log-space Bell series), the scalar
 Poisson kernels and incomplete gamma function, the Stirling and Bell closed
 forms of the law and of the first-passage quantities, the crossing and
 hitting densities as flux sums over the weight engine's law weights, the
-direct exponential-jump CDF series and density series of Z(t), and the
-exponential-jump CDF summed term by term over ``JumpSpec.conv_cdf``, and
-the per-path samplers (one jump, one first crossing, one hitting) that the
-tests check the batch samplers of ``mc`` against.  The paper's alternative
-CDF series is the production path in ``cpp``.
+direct exponential-jump CDF series of Z(t), the n-fold convolutions of the
+jump law in closed form (``conv_cdf``: the step, gammainc and the full ndtr
+block; ``conv_pdf``: the gammaln and Gaussian densities) with the mixtures
+summed over them term by term, and the per-path samplers (one jump, one
+first crossing, one hitting) that the tests check the batch samplers of
+``mc`` against.  The paper's alternative CDF series is the production path
+in ``cpp``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from scipy import stats
 from . import VERIFY_SUITES as SUITES, cpp, crossing, mc
 from .iterated import IteratedLaw, _jump_chain
 from .params import JumpSpec, ModelParams, check_time
-from .special import SeriesControl
+from .special import SeriesControl, _float_if_scalar
 
 # per-time continuous-part masses 1 - e^{-lam t (1-e^{-mu})} at mu = 1,
 # rounded to 4 decimals, for lam = 1 and lam = 2, t = 1..5
@@ -358,23 +360,65 @@ def _exp_jump_cdf(z: float, t: float, params: ModelParams, zeta: float) -> float
     return min(1.0, max(0.0, 1.0 - s - (1.0 - w.sum())))
 
 
+def _conv_args(n, z):
+    """Orders and points as arrays; an order below 1 is an error."""
+    n = np.asarray(n)
+    if np.any(n < 1):
+        raise ValueError("convolution order must be >= 1")
+    return n, np.asarray(z, dtype=float)
+
+
+def conv_cdf(jumps: JumpSpec, n, z):
+    """n-fold convolution CDF F_X^{(n)}(z) of the jump law in closed form:
+    the step [z >= n], gammainc(n, zeta z), or ndtr((z - n eta) / (sigma
+    sqrt n)) on every cell.  The orders n >= 1 broadcast against the points
+    z; one order at one point gives a float."""
+    n, z = _conv_args(n, z)
+    if jumps.kind == "degenerate_unit":
+        out = np.greater_equal(z, n).astype(float)
+    elif jumps.kind == "exponential":
+        # gammainc(n, 0) = 0, so z < 0 needs no mask
+        out = sc.gammainc(n, jumps.zeta * np.maximum(z, 0.0))
+    else:
+        out = sc.ndtr((z - n * jumps.eta) / (jumps.sigma * np.sqrt(n)))
+    return _float_if_scalar(out)
+
+
+def conv_pdf(jumps: JumpSpec, n, z):
+    """n-fold convolution density f_X^{(n)}(z) of a continuous jump law, at
+    orders and points as in ``conv_cdf``: the Gaussian for normal jumps, and
+    for exponential ones the exp of (n - 1) log(zeta z) + log zeta - zeta z
+    - gammaln(n) on (0, inf), which loses about |log f| ulps."""
+    if not jumps.is_continuous:
+        raise ValueError("degenerate_unit jumps have no density")
+    n, z = _conv_args(n, z)
+    if jumps.kind == "exponential":
+        off = (z <= 0) | (z == math.inf)  # False at NaN, which stays NaN
+        zz = np.where(off, 1.0, jumps.zeta * z)  # log(1) = 0 off the support
+        f = np.exp((n - 1) * np.log(zz) + math.log(jumps.zeta) - zz - sc.gammaln(n))
+        out = np.where((z == 0) & (n == 1), jumps.zeta, np.where(off, 0.0, f))
+    else:
+        s = jumps.sigma * np.sqrt(n)
+        out = np.exp(-0.5 * np.square((z - n * jumps.eta) / s)) / (s * math.sqrt(2 * math.pi))
+    return _float_if_scalar(out)
+
+
 def _conv_cdf_fsum(z: float, w: np.ndarray, jumps: JumpSpec) -> float:
     """The mixture CDF w_0 [z >= 0] + sum_n w_n F_X^{(n)}(z) term by term:
-    one exactly rounded sum over the block of ``JumpSpec.conv_cdf``."""
-    col = jumps.conv_cdf(np.arange(1, len(w))[:, None], [z])[:, 0]
+    one exactly rounded sum over the block of ``conv_cdf``."""
+    col = conv_cdf(jumps, np.arange(1, len(w))[:, None], [z])[:, 0]
     return min(1.0, math.fsum([w[0] * (z >= 0), *(w[1:] * col)]))
 
 
 def _exp_jump_density_grid(z: np.ndarray, t: float, params: ModelParams,
                            zeta: float) -> np.ndarray:
-    """Exponential-jump density series zeta sum_m p_m(t) p(m-1; zeta z), z > 0."""
+    """Exponential-jump density series sum_n p_n(t) f_X^{(n)}(z), z > 0, over
+    the gammaln block of ``conv_pdf``."""
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise ValueError("density is defined for z > 0")
     w = IteratedLaw(params).pmf_vector(t)
-    m = np.arange(len(w) - 1, dtype=float)[:, None]  # poisson counts m-1
-    lp = -zeta * z[None, :] + m * np.log(zeta * z)[None, :] - sc.gammaln(m + 1.0)
-    return zeta * (w[1:] @ np.exp(lp))
+    return w[1:] @ conv_pdf(JumpSpec.exponential(zeta), np.arange(1, w.size)[:, None], z)
 
 
 # -- the per-path samplers ---------------------------------------------------

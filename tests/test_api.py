@@ -47,7 +47,7 @@ def test_mc_holds_only_batch_samplers():
                       "batch_first_crossing", "batch_hitting"}
 
 
-def test_log_factorial_forms_only_in_the_oracles_and_conv_pdf():
+def test_log_factorial_forms_only_in_the_oracles():
     # every production Poisson pmf goes through special's Loader cells; a
     # hand-written exp(m log x - x - gammaln(m + 1)) cancels log m!, and so
     # does one through math.lgamma
@@ -61,7 +61,20 @@ def test_log_factorial_forms_only_in_the_oracles_and_conv_pdf():
             elif isinstance(node, ast.alias):
                 names.add(node.name)
         if names & {"gammaln", "xlogy", "lgamma"}:
-            assert path.name in ("verify.py", "params.py"), path.name
+            assert path.name == "verify.py", path.name
+
+
+def test_params_holds_the_parameters_only():
+    # the n-fold convolutions are computed where they are read: the normal
+    # kernels in cpp, the closed forms as oracles in verify
+    tree = ast.parse((SRC / "params.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "scipy" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "scipy"
+    for name in ("conv_cdf", "conv_pdf"):
+        assert not hasattr(poissonsub.JumpSpec, name)
 
 
 def test_explicit_mpmath_sums_only_in_the_oracle_module():

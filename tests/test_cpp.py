@@ -22,12 +22,14 @@ from poissonsub import (
     laplace_exponent,
     moments_Z,
 )
-from poissonsub import mc, params
+from poissonsub import cpp, mc
 from poissonsub.cpp import _poisson_weights
 from poissonsub.verify import (
     _conv_cdf_fsum,
     _exp_jump_cdf,
     _exp_jump_density_grid,
+    conv_cdf,
+    conv_pdf,
     gauss_panel_mass,
 )
 
@@ -64,15 +66,22 @@ class TestJumpSpec:
             JumpSpec.exponential(1.0).mgf(1.0)  # boundary of convergence
         assert JumpSpec.exponential(1.0).mgf(0.5) == pytest.approx(2.0)
 
+
+class TestConvOracles:
+    """The closed-form n-fold convolutions of verify, over any broadcast
+    shape of orders and points."""
+
     @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_exponential_conv_pdf_quiet_across_zero(self, n):
-        # off the support the (n - 1) log z term must not become 0 * -inf
+    def test_exponential_conv_pdf_quiet_across_zero_and_inf(self, n):
+        # off the support the (n - 1) log z term must not become 0 * -inf,
+        # nor 0 * inf or inf - inf at z = +inf
         zs = np.linspace(-1.0, 2.0, 7)  # holds z = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pdf = JumpSpec.exponential(1.5).conv_pdf(n, zs)
+            pdf = conv_pdf(JumpSpec.exponential(1.5), n, zs)
+            at_inf = conv_pdf(JumpSpec.exponential(1.5), n, math.inf)
             dens = cpp_density_Z_grid(zs[zs != 0.0], 1.0, PARAMS, EXP)
-        assert np.all(pdf[zs < 0] == 0.0)
+        assert np.all(pdf[zs < 0] == 0.0) and at_inf == 0.0
         assert pdf[zs == 0.0][0] == (1.5 if n == 1 else 0.0)
         assert pdf[-1] == pytest.approx(
             1.5**n * 2.0 ** (n - 1) * math.exp(-3.0) / math.factorial(n - 1), rel=1e-14)
@@ -86,70 +95,60 @@ class TestJumpSpec:
         ns = np.arange(1, 41)[:, None]
         zs = np.concatenate([[-3.0, -1e-300, -0.0, 0.0, 1e-300],
                              np.linspace(0.25, 60.0, 30)])
-        kernels = [jumps.conv_cdf] + ([jumps.conv_pdf] if jumps.is_continuous else [])
+        kernels = [conv_cdf] + ([conv_pdf] if jumps.is_continuous else [])
         for conv in kernels:
-            block = conv(ns, zs)
+            block = conv(jumps, ns, zs)
             assert block.shape == (40, zs.size)
             for i, n in enumerate(ns[:, 0]):
-                row = np.array([conv(int(n), z) for z in zs])
+                row = [conv(jumps, int(n), z) for z in zs]
+                assert all(type(v) is float for v in row)
                 assert np.array_equal(block[i], row)
-                assert np.array_equal(block[i], conv(int(n), zs))
+                assert np.array_equal(block[i], conv(jumps, int(n), zs))
         if jumps.kind == "exponential":
-            pdf = jumps.conv_pdf(ns, zs)
+            pdf = conv_pdf(jumps, ns, zs)
             # z = -0.0 and 0.0 both sit on the atom of the n = 1 density
             assert np.all(pdf[:, :2] == 0.0)
-            assert np.all(jumps.conv_cdf(ns, zs)[:, :4] == 0.0)
+            assert np.all(conv_cdf(jumps, ns, zs)[:, :4] == 0.0)
             assert np.all(pdf[0, 2:4] == 1.5) and np.all(pdf[1:, 2:4] == 0.0)
 
     def test_orders_below_one_rejected(self):
-        for conv in (EXP.conv_cdf, EXP.conv_pdf):
+        for conv in (conv_cdf, conv_pdf):
             with pytest.raises(ValueError):
-                conv(0, 1.0)
+                conv(EXP, 0, 1.0)
             with pytest.raises(ValueError):
-                conv(np.arange(0, 3)[:, None], np.ones(2))
-
-
-def _full_block_ndtr(n, z, eta, sigma):
-    """The normal n-fold CDF block with ndtr on every cell."""
-    n, z = np.asarray(n), np.asarray(z, dtype=float)
-    out = np.empty(np.broadcast_shapes(n.shape, z.shape))
-    np.subtract(z, n * eta, out=out)
-    out /= sigma * np.sqrt(n)
-    return sc.ndtr(out, out=out)
+                conv(EXP, np.arange(0, 3)[:, None], np.ones(2))
 
 
 class TestNormalCdfSaturation:
-    """The normal-jump CDF block runs ndtr only below its saturation and
-    gives the bytes of the block with ndtr on every cell."""
+    """The normal-jump CDF kernel of cpp runs ndtr only below its
+    saturation and gives the bytes of the full block ``verify.conv_cdf``."""
 
     def test_ndtr_is_one_from_the_saturation_on(self):
         # a scipy whose ndtr saturates later fails here, not in the bytes
-        u = np.concatenate([np.linspace(params._NDTR_SAT, 40.0, 400_001),
+        u = np.concatenate([np.linspace(cpp._NDTR_SAT, 40.0, 400_001),
                             np.geomspace(40.0, 1e6, 10_001), [1e300, math.inf]])
-        assert params._NDTR_SAT <= min(8.5, params._NDTR_ONE)
+        assert cpp._NDTR_SAT <= min(8.5, cpp._NDTR_ONE)
         assert np.all(sc.ndtr(u) == 1.0)
 
     @pytest.mark.parametrize("eta", [-0.8, 0.0, 0.8])
     @pytest.mark.parametrize("sigma", [0.05, 1.0, 20.0])
     def test_block_is_the_full_block_bit_for_bit(self, eta, sigma):
+        # at the shapes a mixture passes: (N, 1) orders from 1, flat points
         rng = np.random.default_rng(7)
         jumps = JumpSpec.normal(eta, sigma)
         hi = 600 * abs(eta) + 10 * sigma * math.sqrt(600) + 5
         grid = np.sort(np.concatenate([np.linspace(-hi, hi, 41),
                                        np.linspace(-3.0, 12.0, 31)]))
         odd = np.concatenate([grid, [math.nan, math.inf, -math.inf, 0.0, -0.0]])
-        zs = [grid, rng.permutation(odd), grid[::-1], np.array(2.0), np.array(math.nan),
-              np.resize(rng.permutation(odd), (8, 10))]
+        zs = [grid, grid[::-1], rng.permutation(odd), np.array([2.0]),
+              np.array([math.nan]), np.array([])]
         for n in [1, 2, 31, 32, 33, 100, 257, 600]:
             ns = np.arange(1, n + 1)[:, None]
-            cases = [(n, z) for z in zs] + [(ns, z) for z in zs[:5]]
-            cases += [(rng.permutation(ns), zs[1]), (ns, grid[None, :]),
-                      (ns, odd[rng.integers(0, odd.size, (n, 7))])]
-            for order, z in cases:
-                got = jumps.conv_cdf(order, z)
-                want = _full_block_ndtr(order, z, eta, sigma)
-                assert np.asarray(got).tobytes() == want.tobytes(), (n, np.shape(z))
-                assert np.shape(got) == want.shape
+            for z in zs:
+                got = cpp._normal_cdf(ns, z, jumps)
+                want = conv_cdf(jumps, ns, z)
+                assert got.tobytes() == want.tobytes(), (n, z.size)
+                assert got.shape == want.shape == (n, z.size)
 
     def test_threshold_below_rounding_skips_nothing(self):
         # at sigma 1e-15 the threshold n eta + 8.5 sigma sqrt(n) is a few
@@ -159,8 +158,8 @@ class TestNormalCdfSaturation:
         ns = np.arange(1, 601)[:, None]
         z = np.sort(np.concatenate([0.8 * np.arange(1, 601) + d
                                     for d in (0.0, 1e-13, 2.3e-13, 1e-12)]))
-        got = jumps.conv_cdf(ns, z)
-        assert got.tobytes() == _full_block_ndtr(ns, z, 0.8, 1e-15).tobytes()
+        got = cpp._normal_cdf(ns, z, jumps)
+        assert got.tobytes() == conv_cdf(jumps, ns, z).tobytes()
         assert np.any((got > 0.0) & (got < 1.0))
 
 
@@ -243,9 +242,18 @@ class TestCdfZ:
         for jumps in (EXP, NORM, JumpSpec.degenerate_unit()):
             grid = cpp_cdf_Z_grid(zs, 1.2, PARAMS, jumps)
             scalar = [(w[0] if z >= 0 else 0.0) + math.fsum(
-                w[n] * jumps.conv_cdf(n, z) for n in range(1, len(w))) for z in zs]
+                w[n] * conv_cdf(jumps, n, z) for n in range(1, len(w))) for z in zs]
             np.testing.assert_allclose(grid, scalar, atol=1e-14)
             assert cpp_cdf_Z_grid(zs[2], 1.2, PARAMS, jumps) == grid[2]
+
+    @pytest.mark.parametrize("jumps", [JumpSpec.degenerate_unit(), EXP, NORM])
+    @pytest.mark.parametrize("t", [0.0, 1.2])
+    def test_one_point_gives_a_float(self, jumps, t):
+        # as for every other law; at t = 0 the CDF gave a 0-d array
+        for z in (math.nan, -1.0, 0.0, 0.7, np.array(0.7)):
+            assert type(cpp_cdf_Z_grid(z, t, PARAMS, jumps)) is float
+            if jumps.is_continuous and t > 0:
+                assert type(cpp_density_Z_grid(z, t, PARAMS, jumps)) is float
 
 
 class TestDensityZ:
@@ -362,7 +370,7 @@ class TestExponentialCdfKernel:
            zeta=st.floats(0.1, 10.0), q=st.floats(0.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_matches_gammainc_terms(self, lam, mu, t, zeta, q):
-        # against the gammainc block of JumpSpec.conv_cdf, summed exactly
+        # against the gammainc block of verify.conv_cdf, summed exactly
         params, jumps = ModelParams(lam, mu), JumpSpec.exponential(zeta)
         w = IteratedLaw(params).pmf_vector(t)
         z = q * lam * mu * t / zeta  # q times the mean of Z(t)
@@ -450,12 +458,12 @@ class TestExponentialDensityKernel:
 
     @pytest.mark.parametrize("t", [0.5, 3.0, 40.0])
     def test_against_the_conv_pdf_block(self, t):
-        # the closed-form n-fold densities of JumpSpec.conv_pdf, summed exactly
+        # the closed-form n-fold densities of verify.conv_pdf, summed exactly
         jumps = JumpSpec.exponential(1.3)
         w = IteratedLaw(PARAMS).pmf_vector(t)
         zs = np.linspace(0.01, 4.0 * t + 10.0, 41)
         got = cpp_density_Z_grid(zs, t, PARAMS, jumps)
-        block = jumps.conv_pdf(np.arange(1, w.size)[:, None], zs)
+        block = conv_pdf(jumps, np.arange(1, w.size)[:, None], zs)
         want = [math.fsum(w[1:] * col) for col in block.T]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -466,7 +474,7 @@ UNIT = JumpSpec.degenerate_unit()
 def _unit_block_mixture(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The unit-jump CDF as the atom plus the conv_cdf step block over the
     orders 1..N-1, each point's column summed with fsum."""
-    block = UNIT.conv_cdf(np.arange(1, w.size)[:, None], z)
+    block = conv_cdf(UNIT, np.arange(1, w.size)[:, None], z)
     return np.array([min(1.0, math.fsum(np.append(w[0] * (zi >= 0), w[1:] * col)))
                      for zi, col in zip(z, block.T)])
 
@@ -516,8 +524,8 @@ class TestNan:
         # the exponential n-fold density once read NaN as off its support
         got = cpp_density_Z_grid([math.nan, -1.0, 0.0, 1.0], 1.0, PARAMS, jumps)
         assert math.isnan(got[0]) and np.all(np.isfinite(got[1:])) and got[3] > 0.0
-        assert np.all(np.isnan(jumps.conv_pdf(np.arange(1, 5)[:, None], [math.nan])))
-        assert math.isnan(jumps.conv_pdf(1, math.nan))
+        assert np.all(np.isnan(conv_pdf(jumps, np.arange(1, 5)[:, None], [math.nan])))
+        assert math.isnan(conv_pdf(jumps, 1, math.nan))
 
 
 class TestNormalSpecialization:
