@@ -161,12 +161,9 @@ def cpp_cdf_Y(y, t: float, params: ModelParams, jumps: JumpSpec,
 def cpp_cdf_Z_grid(z: np.ndarray, t: float, params: ModelParams, jumps: JumpSpec,
                    ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
     """CDF of Z(t) = Y[N(t)] at every point of z: the mixture of n-fold jump
-    convolutions over the iterated Poisson weights.  Right-continuous;
-    includes the atom at 0.  One point gives a float."""
-    z = np.asarray(z, dtype=float)
+    convolutions over the iterated Poisson weights, which are [1] at t = 0.
+    Right-continuous; includes the atom at 0.  One point gives a float."""
     check_time(t)
-    if t == 0.0:
-        return _float_if_scalar(_step(z))
     return _float_if_scalar(_cdf_mixture(IteratedLaw(params, ctl).pmf_vector(t), z, jumps))
 
 
@@ -187,8 +184,7 @@ def cpp_density_Z_grid(z: np.ndarray, t: float, params: ModelParams,
         mix = _mixture(w[1:], _exp_point(z, jumps.zeta),
                        lambda n, x: poisson_pmf_stepped(range(w.size - 1), x))
         return _float_if_scalar(np.where(z < 0, 0.0, jumps.zeta * mix))
-    mix = _mixture(w[1:], z, lambda n, z: _normal_pdf(n, z, jumps))
-    return _float_if_scalar(np.maximum(0.0, mix))
+    return _mixture(w[1:], z, lambda n, z: _normal_pdf(n, z, jumps))
 
 
 def laplace_exponent(theta: float, params: ModelParams, jumps: JumpSpec) -> float:

@@ -12,10 +12,9 @@ hitting densities as flux sums over the weight engine's law weights, the
 direct exponential-jump CDF series of Z(t), the n-fold convolutions of the
 jump law in closed form (``conv_cdf``: the step, gammainc and the full ndtr
 block; ``conv_pdf``: the gammaln and Gaussian densities) with the mixtures
-summed over them term by term, and the per-path samplers (one jump, one
-first crossing, one hitting) that the tests check the batch samplers of
-``mc`` against.  The paper's alternative CDF series is the production path
-in ``cpp``.
+summed over them term by term.  The paper's alternative CDF series is the
+production path in ``cpp``; the per-path samplers that the batch samplers
+of ``mc`` are checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from scipy import stats
 
 from . import VERIFY_SUITES as SUITES, cpp, crossing, mc
 from .iterated import IteratedLaw, _jump_chain
-from .params import JumpSpec, ModelParams, check_time
+from .params import JumpSpec, ModelParams
 from .special import SeriesControl, _float_if_scalar
 
 # per-time continuous-part masses 1 - e^{-lam t (1-e^{-mu})} at mu = 1,
@@ -371,14 +370,15 @@ def _conv_args(n, z):
 def conv_cdf(jumps: JumpSpec, n, z):
     """n-fold convolution CDF F_X^{(n)}(z) of the jump law in closed form:
     the step [z >= n], gammainc(n, zeta z), or ndtr((z - n eta) / (sigma
-    sqrt n)) on every cell.  The orders n >= 1 broadcast against the points
-    z; one order at one point gives a float."""
+    sqrt n)) on every cell, with zeta z as ``cpp._exp_point`` clips it, so
+    no product overflows.  The orders n >= 1 broadcast against the points z;
+    one order at one point gives a float."""
     n, z = _conv_args(n, z)
     if jumps.kind == "degenerate_unit":
         out = np.greater_equal(z, n).astype(float)
     elif jumps.kind == "exponential":
         # gammainc(n, 0) = 0, so z < 0 needs no mask
-        out = sc.gammainc(n, jumps.zeta * np.maximum(z, 0.0))
+        out = sc.gammainc(n, cpp._exp_point(z, jumps.zeta))
     else:
         out = sc.ndtr((z - n * jumps.eta) / (jumps.sigma * np.sqrt(n)))
     return _float_if_scalar(out)
@@ -393,8 +393,8 @@ def conv_pdf(jumps: JumpSpec, n, z):
         raise ValueError("degenerate_unit jumps have no density")
     n, z = _conv_args(n, z)
     if jumps.kind == "exponential":
-        off = (z <= 0) | (z == math.inf)  # False at NaN, which stays NaN
-        zz = np.where(off, 1.0, jumps.zeta * z)  # log(1) = 0 off the support
+        off = z <= 0  # False at NaN, which stays NaN
+        zz = np.where(off, 1.0, cpp._exp_point(z, jumps.zeta))  # log(1) = 0 off the support
         f = np.exp((n - 1) * np.log(zz) + math.log(jumps.zeta) - zz - sc.gammaln(n))
         out = np.where((z == 0) & (n == 1), jumps.zeta, np.where(off, 0.0, f))
     else:
@@ -419,73 +419,6 @@ def _exp_jump_density_grid(z: np.ndarray, t: float, params: ModelParams,
         raise ValueError("density is defined for z > 0")
     w = IteratedLaw(params).pmf_vector(t)
     return w[1:] @ conv_pdf(JumpSpec.exponential(zeta), np.arange(1, w.size)[:, None], z)
-
-
-# -- the per-path samplers ---------------------------------------------------
-# The unthinned reference for the batch samplers of ``mc``: they step through
-# every jump of N, zero jumps included, each a Poisson(mu) count.
-
-
-def sample_W(jumps: JumpSpec, mu: float, rng: np.random.Generator) -> float:
-    """One jump of the subordinated process: a Poisson(mu) count of X draws."""
-    k = int(rng.poisson(mu))
-    if jumps.kind == "degenerate_unit":
-        return float(k)
-    if k == 0:
-        return 0.0
-    if jumps.kind == "exponential":
-        return float(rng.exponential(1.0 / jumps.zeta, k).sum())
-    return float(rng.normal(jumps.eta, jumps.sigma, k).sum())
-
-
-def first_crossing_sample(boundary: crossing.Boundary, params: ModelParams,
-                          jumps: JumpSpec, horizon: float,
-                          rng: np.random.Generator) -> float | None:
-    """First t with Z(t) >= beta(t), or None if censored at the horizon.
-
-    For nonincreasing boundaries the inter-jump descent of the boundary
-    through the current level is detected as well as jump-epoch crossings:
-    both happen at the level time ``boundary.level_time(z, horizon)``.
-    """
-    check_time(horizon, positive=True)
-    descends = boundary.is_nonincreasing
-    t, z = 0.0, 0.0
-    s = boundary.level_time(z, horizon) if descends else math.inf
-    while True:
-        e = t + rng.exponential(1.0 / params.lam)
-        if s <= min(e, horizon):
-            return s
-        if e > horizon:
-            return None
-        z += sample_W(jumps, params.mu, rng)
-        if descends:
-            s = boundary.level_time(z, horizon)
-            if e >= s:
-                return e
-        elif z >= boundary.value(e):
-            return e
-        t = e
-
-
-def hitting_sample(k: int, params: ModelParams, horizon: float,
-                   rng: np.random.Generator) -> float | None:
-    """First epoch at which the iterated process lands exactly on state k;
-    None if it jumps over k or is censored at the horizon."""
-    if k < 1:
-        raise ValueError(f"state must be >= 1, got {k}")
-    check_time(horizon, positive=True)
-    t, z = 0.0, 0
-    while True:
-        t += rng.exponential(1.0 / params.lam)
-        if t > horizon:
-            return None
-        z += int(rng.poisson(params.mu))
-        if z == k:
-            return t
-        if z > k:
-            return None
-
-
 
 
 # -- suites ------------------------------------------------------------------

@@ -39,12 +39,32 @@ def test_special_holds_only_production_helpers():
 
 
 def test_mc_holds_only_batch_samplers():
-    # the per-path samplers are oracles, in verify
+    # the per-path samplers are oracles, in tests/test_mc.py
     tree = ast.parse((SRC / "mc.py").read_text())
     public = {node.name for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert public == {"make_rng", "substreams", "default_horizon", "sample_Z",
                       "batch_first_crossing", "batch_hitting"}
+
+
+def _names(tree) -> set[str]:
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_verify_defines_only_what_the_package_reads():
+    # every function or class of verify is read by a suite, by the oracles
+    # that a suite runs, or by another module (the CLI runs the suites); one
+    # that only the tests call belongs in the tests
+    tree = ast.parse((SRC / "verify.py").read_text())
+    read = set().union(*(_names(ast.parse(p.read_text())) for p in SRC.glob("*.py")
+                         if p.name != "verify.py"))
+    defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert len(defs) > 30
+    for node in defs:
+        others = set().union(*(_names(d) for d in defs if d is not node),
+                             *(_names(n) for n in tree.body if n not in defs))
+        assert node.name in others | read, node.name
 
 
 def test_log_factorial_forms_only_in_the_oracles():

@@ -611,6 +611,26 @@ class TestByteIdentity:
         _write_table(table, meta, argparse.Namespace(format=fmt, output=None))
         assert capsys.readouterr().out == reference_text(table, meta, fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_text_written_as_it_is_made(self, fmt, tmp_path, monkeypatch):
+        # a table over _FLUSH bytes goes out in chunks as its row blocks are
+        # made, one under it in one write; the text is the same either way
+        rows = 3 * 4096 + 7
+        rng = np.random.default_rng(rows)
+        table = {"t": np.repeat([0.5, 2.0], rows)[:rows], "i": np.arange(rows),
+                 "x": rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 14, rows)}
+        meta = {"command": "test", "lam": 1.0}
+        want = reference_text(table, meta, fmt)
+        for flush, writes in ((5, 4), (cli._FLUSH, 1)):
+            monkeypatch.setattr(cli, "_FLUSH", flush)
+            chunks = []
+            monkeypatch.setattr(sys, "stdout", argparse.Namespace(write=chunks.append))
+            _write_table(table, meta, argparse.Namespace(format=fmt, output=None))
+            assert len(chunks) == writes and "".join(chunks) == want
+            target = tmp_path / f"{flush}.{fmt}"
+            _write_table(table, meta, argparse.Namespace(format=fmt, output=str(target)))
+            assert target.read_bytes() == want.encode()
+
     def test_stdout_swapped_for_a_text_buffer(self, monkeypatch):
         # the table goes to sys.stdout as str, so any text stream takes it
         buf = io.StringIO()

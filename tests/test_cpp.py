@@ -87,6 +87,17 @@ class TestConvOracles:
             1.5**n * 2.0 ** (n - 1) * math.exp(-3.0) / math.factorial(n - 1), rel=1e-14)
         assert np.all(dens[:2] == 0.0) and np.all(dens[2:] > 0.0)
 
+    def test_exponential_conv_quiet_above_the_overflow(self):
+        # zeta z overflows above 1.8e308 / zeta; the oracles clip z at
+        # 1e300 / zeta, where every cell is already 0 or 1
+        jumps = JumpSpec.exponential(1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (1.5e308, math.inf):
+                assert conv_pdf(jumps, 3, z) == 0.0 and conv_cdf(jumps, 3, z) == 1.0
+                assert np.all(conv_pdf(jumps, np.arange(1, 5)[:, None], [z, 1.0])[:, 0] == 0.0)
+                assert np.all(conv_cdf(jumps, np.arange(1, 5)[:, None], [z, 1.0])[:, 0] == 1.0)
+
     @pytest.mark.parametrize("jumps", [
         JumpSpec.degenerate_unit(), JumpSpec.exponential(1.5),
         JumpSpec.normal(0.5, 1.2), JumpSpec.normal(-1.0, 0.3)])
@@ -513,6 +524,17 @@ class TestNan:
     def test_time_zero_grid(self, jumps):
         got = cpp_cdf_Z_grid([-1.0, math.nan, 0.0], 0.0, PARAMS, jumps)
         assert got[0] == 0.0 and math.isnan(got[1]) and got[2] == 1.0
+        # the weights at t = 0 are [1], so the mixture is the step [z >= 0]
+        z = np.array([-math.inf, -1e300, -0.0, 0.0, 5e-324, 1e301, math.inf, math.nan])
+        for grid in (z, z.reshape(2, 4)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = cpp_cdf_Z_grid(grid, 0.0, PARAMS, jumps)
+            want = np.where(np.isnan(grid), grid, grid >= 0)
+            assert got.shape == grid.shape and got.tobytes() == want.tobytes()
+        for point, want in ((-1e-300, 0.0), (0.0, 1.0), (math.nan, math.nan)):
+            one = cpp_cdf_Z_grid(point, 0.0, PARAMS, jumps)
+            assert type(one) is float and np.array(one).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("jumps", [UNIT, EXP, NORM])
     @pytest.mark.parametrize("t", [0.0, 1.0])
@@ -526,6 +548,18 @@ class TestNan:
         assert math.isnan(got[0]) and np.all(np.isfinite(got[1:])) and got[3] > 0.0
         assert np.all(np.isnan(conv_pdf(jumps, np.arange(1, 5)[:, None], [math.nan])))
         assert math.isnan(conv_pdf(jumps, 1, math.nan))
+
+    @pytest.mark.parametrize("jumps", [NORM, JumpSpec.normal(-1.0, 0.3)])
+    def test_normal_density_nonnegative(self, jumps):
+        # a sum of nonnegative weights times Gaussian densities: never below
+        # 0, not even -0.0, with no clamp, and NaN stays NaN
+        z = np.concatenate([[math.nan, -math.inf, math.inf, -1e150, 1e150, -0.0],
+                            np.linspace(-40.0, 80.0, 333)])
+        for t in (1e-9, 1.0, 30.0):
+            got = cpp_density_Z_grid(z, t, PARAMS, jumps)
+            assert math.isnan(got[0]) and not np.isnan(got[1:]).any()
+            assert not np.signbit(got[1:]).any()
+            assert got[1:3].tolist() == [0.0, 0.0] and got[1:].max() > 0.0
 
 
 class TestNormalSpecialization:

@@ -1,6 +1,6 @@
 """Tests for the Monte Carlo simulator: reproducibility, and agreement of
-the vectorized batch samplers with the path-level ones of ``verify`` and
-the analytic laws."""
+the vectorized batch samplers with the path-level ones below and the
+analytic laws."""
 
 import math
 
@@ -18,11 +18,76 @@ from poissonsub import (
 )
 from poissonsub import iterated, mc
 from poissonsub.iterated import _JumpChain, _guide, _jump_chain, _search
-from poissonsub.verify import first_crossing_sample, hitting_sample, sample_W
+from poissonsub.params import check_time
 
 PARAMS = ModelParams(2.0, 1.0)
 UNIT = JumpSpec.degenerate_unit()
 EXP = JumpSpec.exponential(1.0)
+
+
+# -- the per-path samplers ---------------------------------------------------
+# The unthinned reference for the batch samplers of ``mc``: they step through
+# every jump of N, zero jumps included, each a Poisson(mu) count.
+
+
+def sample_W(jumps: JumpSpec, mu: float, rng: np.random.Generator) -> float:
+    """One jump of the subordinated process: a Poisson(mu) count of X draws."""
+    k = int(rng.poisson(mu))
+    if jumps.kind == "degenerate_unit":
+        return float(k)
+    if k == 0:
+        return 0.0
+    if jumps.kind == "exponential":
+        return float(rng.exponential(1.0 / jumps.zeta, k).sum())
+    return float(rng.normal(jumps.eta, jumps.sigma, k).sum())
+
+
+def first_crossing_sample(boundary: Boundary, params: ModelParams,
+                          jumps: JumpSpec, horizon: float,
+                          rng: np.random.Generator) -> float | None:
+    """First t with Z(t) >= beta(t), or None if censored at the horizon.
+
+    For nonincreasing boundaries the inter-jump descent of the boundary
+    through the current level is detected as well as jump-epoch crossings:
+    both happen at the level time ``boundary.level_time(z, horizon)``.
+    """
+    check_time(horizon, positive=True)
+    descends = boundary.is_nonincreasing
+    t, z = 0.0, 0.0
+    s = boundary.level_time(z, horizon) if descends else math.inf
+    while True:
+        e = t + rng.exponential(1.0 / params.lam)
+        if s <= min(e, horizon):
+            return s
+        if e > horizon:
+            return None
+        z += sample_W(jumps, params.mu, rng)
+        if descends:
+            s = boundary.level_time(z, horizon)
+            if e >= s:
+                return e
+        elif z >= boundary.value(e):
+            return e
+        t = e
+
+
+def hitting_sample(k: int, params: ModelParams, horizon: float,
+                   rng: np.random.Generator) -> float | None:
+    """First epoch at which the iterated process lands exactly on state k;
+    None if it jumps over k or is censored at the horizon."""
+    if k < 1:
+        raise ValueError(f"state must be >= 1, got {k}")
+    check_time(horizon, positive=True)
+    t, z = 0.0, 0
+    while True:
+        t += rng.exponential(1.0 / params.lam)
+        if t > horizon:
+            return None
+        z += int(rng.poisson(params.mu))
+        if z == k:
+            return t
+        if z > k:
+            return None
 
 
 class TestConfigAndStreams:
