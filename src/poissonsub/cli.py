@@ -35,16 +35,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def parse_range(spec: str, step: float) -> np.ndarray:
+def parse_range(spec: str, step: float, flag: str = "") -> np.ndarray:
     """Parse 'a..b' (inclusive, given step), 'a..b:step', or a single value.
     The ends, the step and the number of steps of a range must be finite,
-    and a range holds at most _MAX_POINTS points."""
+    and a range holds at most _MAX_POINTS points.  Given the flag it is read
+    for, a range of states or levels: its ends and step must be integers
+    within int64, checked before the cast to int."""
     text = spec
     if ":" in spec:
         spec, s = spec.split(":", 1)
         step = float(s)
-    if ".." in spec:
-        a, b = (float(x) for x in spec.split("..", 1))
+    ends = [float(x) for x in spec.split("..", 1)]
+    if flag and not all(x.is_integer() and -2**63 <= x < 2**63 for x in ends + [step]):
+        raise ValueError(f"{flag} takes integers within int64, got {text!r}")
+    grid = np.array(ends)
+    if len(ends) == 2:
+        a, b = ends
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
         n = (b - a) / step
@@ -54,8 +60,8 @@ def parse_range(spec: str, step: float) -> np.ndarray:
             raise ValueError(f"range {text!r} has {round(n) + 1} points; "
                              f"at most {_MAX_POINTS} are allowed")
         grid = a + step * np.arange(round(n) + 1)
-        return grid[grid <= b + 1e-12 * max(1.0, abs(b))]
-    return np.array([float(spec)])
+        grid = grid[grid <= b + 1e-12 * max(1.0, abs(b))]
+    return grid.astype(int) if flag else grid
 
 
 def _jump_spec(args) -> JumpSpec:
@@ -271,7 +277,7 @@ def _cmd_pmf(args) -> dict[str, np.ndarray]:
         ns = [np.arange(p.size) for p in ps]
     else:
         _refuse(args, ("tolerance",), "pmf --n")
-        n = parse_range(args.n, 1.0).astype(int)
+        n = parse_range(args.n, 1.0, "--n")
         ns = [n] * ts.size
         ps = [law.pmf(n, t) for t in ts.tolist()]
     return {"t": np.repeat(ts, [p.size for p in ps]), "n": _cat(ns), "pmf": _cat(ps)}
@@ -284,7 +290,7 @@ def _cmd_cdf(args) -> dict[str, np.ndarray]:
         if args.z is not None:
             raise ValueError("--z is read by exp and normal jumps; unit jumps take --n")
         _refuse(args, ("tolerance", "step"), "cdf with unit jumps")
-        ns = parse_range(args.n or "0..10", 1.0).astype(int)
+        ns = parse_range(args.n or "0..10", 1.0, "--n")
         vals = [law.cdf(ns, t) for t in ts.tolist()]
         return {"t": np.repeat(ts, ns.size), "n": np.tile(ns, ts.size), "cdf": _cat(vals)}
     if args.n is not None:
@@ -337,7 +343,7 @@ def _cmd_crossing(args) -> dict[str, np.ndarray]:
 
 
 def _cmd_hitting(args) -> dict[str, np.ndarray]:
-    ks = parse_range(args.k, 1.0).astype(int)
+    ks = parse_range(args.k, 1.0, "--k")
     given = vars(args)
     if args.prob:
         _refuse(args, ("t", "t_step"), "hitting --prob")

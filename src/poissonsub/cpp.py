@@ -3,9 +3,9 @@
 The CDF and density are mixtures of the n-fold convolutions of the jump
 law, weighted by the iterated Poisson pmf from ``IteratedLaw.pmf_vector``,
 so truncation follows the same tail-mass rule everywhere.  Each quantity has
-one path, vectorised over its z-grid in the (orders x points) blocks of
-``special._in_blocks``: the orders 1..N as an (N, 1) column by one flat array
-of points.  For normal jumps a block is the closed form, ``_normal_cdf``
+one path, vectorised over its z-grid and summed over the orders 1..N by
+``special._mixture``, one (orders x points) block of a run of the flattened
+points at a time.  For normal jumps a block is the closed form, ``_normal_cdf``
 (ndtr only below its saturation) or ``_normal_pdf``.  For exponential jumps
 the CDF is the paper's alternative series: a block of
 ``special.poisson_pmf_stepped`` cells Pois(zeta z; m) over the cumulative
@@ -25,7 +25,7 @@ from scipy import special as sc
 
 from .iterated import IteratedLaw
 from .params import JumpSpec, ModelParams, MomentSummary, check_time
-from .special import (SeriesControl, _float_if_scalar, _in_blocks, poisson_pmf,
+from .special import (SeriesControl, _float_if_scalar, _mixture, poisson_pmf,
                       poisson_pmf_stepped)
 
 _DEFAULT_CTL = SeriesControl()
@@ -46,13 +46,6 @@ def _poisson_weights(a: float, tol: float) -> np.ndarray:
     return poisson_pmf(range(n_hi + 1), a)
 
 
-def _mixture(c: np.ndarray, z: np.ndarray, kernel):
-    """sum_{n=1..N} c[n-1] kernel(n, z) over the points z: one gemv per
-    (N x points) block of the kernel."""
-    ns = np.arange(1, c.size + 1)[:, None]
-    return _in_blocks(lambda z: (c @ kernel(ns, z.ravel())).reshape(z.shape), c.size, z)
-
-
 # ndtr(u) is exactly 1.0 for every u >= 8.2924 (scipy 1.17; a test pins it
 # from _NDTR_SAT on), so a normal CDF cell whose argument reaches it needs
 # no ndtr: 50-57% of the cells of a mixture at lambda t 100 to 800.  The
@@ -65,7 +58,8 @@ _CDF_BANDS = 32
 
 def _normal_cdf(ns: np.ndarray, z: np.ndarray, jumps: JumpSpec) -> np.ndarray:
     """The block ndtr((z - n eta) / (sigma sqrt n)) of the orders ns, an
-    (N, 1) column, by the flat points z, each cell by the same operations as
+    (N, 1) column, at a point or flat points z, of shape (N,) + z.shape as
+    ``special._mixture`` reads it; each cell by the same operations as
     over the whole block but only where its argument can fall below
     _NDTR_ONE; the other cells hold 1.0.  Each of _CDF_BANDS bands of rows
     evaluates the one slice that spans the points below its largest
@@ -75,9 +69,10 @@ def _normal_cdf(ns: np.ndarray, z: np.ndarray, jumps: JumpSpec) -> np.ndarray:
     the argument rounded at it reaches _NDTR_SAT; a row where it does not
     skips nothing.  ``where=`` is no way to skip cells: scipy.special's
     ufuncs crash on it (numpy 2.4, scipy 1.17)."""
-    out = np.ones((ns.shape[0], z.size))
+    out = np.ones((ns.shape[0],) + z.shape)
     if not out.size:
         return out
+    block, z = out.reshape(ns.shape[0], z.size), z.ravel()  # a view: one column a point
     mean, scale = ns * jumps.eta, jumps.sigma * np.sqrt(ns)
     top = mean + _NDTR_ONE * scale
     top[~((top - mean) / scale >= _NDTR_SAT)] = np.inf
@@ -86,14 +81,15 @@ def _normal_cdf(ns: np.ndarray, z: np.ndarray, jumps: JumpSpec) -> np.ndarray:
     evaluate = ~(z >= np.maximum.reduceat(top, starts))  # (bands x points)
     first = evaluate.argmax(axis=1).tolist()
     stop = (z.size - evaluate[:, ::-1].argmax(axis=1)).tolist()
-    for b, r in enumerate(starts.tolist()):
-        if not evaluate[b, first[b]]:
-            continue
-        band, cols = slice(r, r + size), slice(first[b], stop[b])
-        cells = out[band, cols]
-        np.subtract(z[cols], mean[band], out=cells)
-        cells /= scale[band]
-        sc.ndtr(cells, out=cells)
+    with np.errstate(over="ignore"):  # far below the mean the quotient is -inf: ndtr(-inf) = 0
+        for b, r in enumerate(starts.tolist()):
+            if not evaluate[b, first[b]]:
+                continue
+            band, cols = slice(r, r + size), slice(first[b], stop[b])
+            cells = block[band, cols]
+            np.subtract(z[cols], mean[band], out=cells)
+            cells /= scale[band]
+            sc.ndtr(cells, out=cells)
     return out
 
 
@@ -102,12 +98,13 @@ def _normal_pdf(ns: np.ndarray, z: np.ndarray, jumps: JumpSpec) -> np.ndarray:
     deviation sigma sqrt(n), for orders and points as in ``_normal_cdf``."""
     s = jumps.sigma * np.sqrt(ns)
     out = np.subtract(z, ns * jumps.eta)
-    out /= s
-    np.square(out, out=out)
+    with np.errstate(over="ignore"):  # far from the mean the square is inf: exp(-inf) = 0
+        out /= s
+        np.square(out, out=out)
     out *= -0.5
     np.exp(out, out=out)
     out /= s * math.sqrt(2 * math.pi)
-    return out
+    return out.reshape(ns.shape[0], *z.shape)
 
 
 def _step(z: np.ndarray) -> np.ndarray:
@@ -139,10 +136,10 @@ def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
         return np.minimum(1.0, np.where(np.isnan(z), z, cum[m.astype(np.intp)]))
     if jumps.kind == "exponential":
         x = _exp_point(z, jumps.zeta)
-        pmf = lambda n, x: poisson_pmf_stepped(range(1, w.size), x)
+        pmf = lambda x: poisson_pmf_stepped(range(1, w.size), x)
         jump = _mixture(np.cumsum(w[1:]), x, pmf) + w[1:].sum() * sc.gammainc(w.size, x)
     else:
-        jump = _mixture(w[1:], z, lambda n, z: _normal_cdf(n, z, jumps))
+        jump = _mixture(w[1:], z, lambda z: _normal_cdf(np.arange(1, w.size)[:, None], z, jumps))
     return np.minimum(1.0, w[0] * _step(z) + jump)
 
 
@@ -182,9 +179,9 @@ def cpp_density_Z_grid(z: np.ndarray, t: float, params: ModelParams,
     w = IteratedLaw(params, ctl).pmf_vector(t)
     if jumps.kind == "exponential":
         mix = _mixture(w[1:], _exp_point(z, jumps.zeta),
-                       lambda n, x: poisson_pmf_stepped(range(w.size - 1), x))
+                       lambda x: poisson_pmf_stepped(range(w.size - 1), x))
         return _float_if_scalar(np.where(z < 0, 0.0, jumps.zeta * mix))
-    return _mixture(w[1:], z, lambda n, z: _normal_pdf(n, z, jumps))
+    return _mixture(w[1:], z, lambda z: _normal_pdf(np.arange(1, w.size)[:, None], z, jumps))
 
 
 def laplace_exponent(theta: float, params: ModelParams, jumps: JumpSpec) -> float:

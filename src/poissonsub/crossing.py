@@ -11,8 +11,9 @@ nonzero jump comes at a Gamma(m, rate) time, and the densities mix over
 its sums; the hitting probability and the constant-boundary mean are its
 marginals over m.  All read one record per mu in ``iterated``, grown to the
 largest level asked.  The survivals, the densities and the hitting CDF take
-one time or an array of times; the mixtures run in the blocks of
-``special._in_blocks``, so a grid of any length runs in bounded memory.
+one time or an array of times, past 1e300 / rate counted as that bound; the
+mixtures run in the blocks of ``special._in_blocks``, so a grid of any length
+runs in bounded memory.
 Every quantity is a sum of nonnegative terms; the paper's Stirling and Bell
 forms and the flux sums over the law weights are reference forms in
 ``verify``."""
@@ -28,7 +29,7 @@ from scipy import special as sc
 
 from .iterated import IteratedLaw, _jump_chain
 from .params import check_time
-from .special import _float_if_scalar, _in_blocks, poisson_pmf
+from .special import _float_if_scalar, _in_blocks, _mixture, poisson_pmf
 
 _NONINCREASING = ("constant", "linear_decreasing", "general_nonincreasing")
 
@@ -114,6 +115,13 @@ class Boundary:
         return hi
 
 
+def _times(t, rate: float):
+    """The times t after ``check_time``, bounded at 1e300 / rate so that rate t
+    cannot overflow: past 1e300 every Poisson cell is 0 and gammainc is 1, as
+    at t = inf.  One time costs one comparison, with the largest time."""
+    return t if check_time(t) <= 1e300 / rate else np.minimum(t, 1e300 / rate)
+
+
 def _strict_floor(x: float) -> int:
     """Largest integer strictly smaller than x (so 3 -> 2, 2.7 -> 2)."""
     return math.ceil(x) - 1
@@ -126,11 +134,12 @@ def survival_nonincreasing(boundary: Boundary, t, law: IteratedLaw):
     P{Z(t) <= L} = sum_{j<=L} Pois(rate t; j) P{S_j <= L}, a sum of
     nonnegative terms over the prefix sums of the visit table of one level,
     max(k, ceil(beta(0))), fixed per boundary.  Exactly 1 at t = 0, where
-    the only term is P{S_0 <= L}; 0 once the boundary has reached 0."""
+    the only term is P{S_0 <= L}; 0 once the boundary has reached 0, or
+    once rate t passes 1e300, where a time counts as 1e300 / rate."""
     if not boundary.is_nonincreasing:
         raise ValueError("survival_nonincreasing handles nonincreasing boundaries; "
                          "use survival_linear_increasing for the increasing case")
-    check_time(t)
+    t = _times(t, law.params.rate)
     level = max(boundary.k, math.ceil(boundary.value(0.0)))
     below = _jump_chain(law.params.mu).tables(level)[1]
 
@@ -153,10 +162,9 @@ def crossing_density_constant(k: int, t, law: IteratedLaw):
     p_j(t) = sum_m Pois(rate t; m) h[m, j].  As lam P{Poisson(mu) >= i} =
     rate P{step >= i}, the sum over j is rate P{S_m <= k - 1 < S_{m+1}}, the
     record's exit row of level k.  At t = 0 it is the right limit
-    lam P{Poisson(mu) >= k}.  The transposes put the pmf counts last."""
+    lam P{Poisson(mu) >= k}."""
     c, rate = _jump_chain(law.params.mu).exits(k), law.params.rate
-    check_time(t)
-    return _in_blocks(lambda t: rate * (poisson_pmf(range(k), rate * t).T @ c).T, k, t)
+    return rate * _mixture(c, _times(t, rate), lambda t: poisson_pmf(range(k), rate * t))
 
 
 def mean_crossing_time_constant(k: int, law: IteratedLaw) -> float:
@@ -174,8 +182,7 @@ def hitting_density(k: int, t, law: IteratedLaw):
     comes at rate ``params.rate`` and lands on k with probability h[m + 1, k].
     At t = 0 it is the right limit lam P{Poisson(mu) = k}."""
     h, rate = _jump_chain(law.params.mu).tables(k)[0][1:k + 1, k], law.params.rate
-    check_time(t)
-    return _in_blocks(lambda t: rate * (poisson_pmf(range(k), rate * t).T @ h).T, k, t)
+    return rate * _mixture(h, _times(t, rate), lambda t: poisson_pmf(range(k), rate * t))
 
 
 def hitting_cdf(k: int, t, law: IteratedLaw):
@@ -183,9 +190,9 @@ def hitting_cdf(k: int, t, law: IteratedLaw):
     times; tends to pi_k as t -> inf.  The chain reaches k at its m-th jump
     with probability h[m, k], and m jumps take a Gamma(m, rate) time."""
     h, rate = _jump_chain(law.params.mu).tables(k)[0][1:k + 1, k], law.params.rate
-    check_time(t)
     m = np.arange(1, k + 1)
-    return _in_blocks(lambda t: np.minimum(1.0, sc.gammainc(m, rate * t[..., None]) @ h), k, t)
+    cdf = _mixture(h, _times(t, rate), lambda t: sc.gammainc(m, rate * t[..., None]).T)
+    return min(cdf, 1.0) if isinstance(cdf, float) else np.minimum(cdf, 1.0)  # float at one time
 
 
 def hitting_probability(k, mu: float):

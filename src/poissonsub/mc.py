@@ -10,8 +10,8 @@ read.  This thinning is exact for first passage: a zero jump leaves the
 level unchanged, so it can neither cross a boundary nor land on a state not
 already crossed or hit (a nonincreasing boundary reaches a level between
 jumps at the level's own time).  The unthinned per-path samplers, which
-step through every jump of N, are their reference in ``verify``.  The
-table is searched through its guide table (indexed search), which gives
+step through every jump of N, are their reference in ``tests/test_mc.py``.
+The table is searched through its guide table (indexed search), which gives
 the binary search's index for every uniform.  Both samplers step their
 paths in consecutive blocks of ``_PATH_BLOCK`` paths, each block to the end
 of its rounds before the next starts, all from the one generator.

@@ -106,9 +106,10 @@ class JumpSpec:
         return math.exp(self.eta * s + 0.5 * self.sigma**2 * s**2)
 
 
-def check_time(t, positive: bool = False) -> None:
+def check_time(t, positive: bool = False) -> float:
     """Raise ValueError unless every time in t, one or an array, is finite
-    and nonnegative (positive with ``positive``).  NaN fails too."""
+    and nonnegative (positive with ``positive``).  NaN fails too.  Returns
+    the largest time (0.0 for no times)."""
     if isinstance(t, (int, float)):
         lo = hi = t
     else:
@@ -119,7 +120,7 @@ def check_time(t, positive: bool = False) -> None:
     elif not hi < math.inf:
         bad = hi
     else:
-        return
+        return hi
     kind = "positive" if positive else "nonnegative"
     raise ValueError(f"time must be finite and {kind}, got {bad}")
 

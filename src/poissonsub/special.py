@@ -4,7 +4,7 @@ read by the jump-chain record's batch window (and through it by the law
 weights, the jump chain and the samplers) and the passage-time mixtures;
 ``poisson_pmf_stepped``, its block with ratio steps between the Loader cells
 at multiples of 8, read by the exponential-jump CDF and density; and
-``_in_blocks``, the one block loop of every mixture over a grid of points.
+``_in_blocks`` and ``_mixture``, the one block loop and sum of the mixtures.
 The paper's reference forms (Stirling numbers, Bell polynomials, scalar
 Poisson kernels, incomplete gamma) live in ``verify``.
 """
@@ -169,14 +169,18 @@ def _float_if_scalar(x):
 
 def _in_blocks(law, orders: int, x):
     """law(x) at one point or an array of points x of any shape, for a law
-    that builds an (orders x points) block: on x as given when it fits one
-    block of about _BLOCK_CELLS cells, else on runs of the flattened points
-    that do, so a grid of any length runs in bounded memory.  law returns
-    one value per point, in the shape of its argument; one point gives a
-    float."""
+    that builds an (orders x points) block: law gets the point, 0-d, or runs
+    of the flattened points of about _BLOCK_CELLS cells (one point at least),
+    so any grid runs in bounded memory and gives its flattened grid's bits.
+    law returns a value per point in the run's shape; one gives a float."""
     x = np.asarray(x, dtype=float)
-    if x.size * orders <= max(_BLOCK_CELLS, orders):  # one point is always one block
-        return _float_if_scalar(law(x))
-    flat, width = x.ravel(), max(1, _BLOCK_CELLS // orders)
+    if not x.ndim:
+        return float(law(x))
+    flat, width = x.ravel(), max(1, _BLOCK_CELLS // max(orders, 1))
     return np.concatenate([law(flat[lo:lo + width])
-                           for lo in range(0, flat.size, width)]).reshape(x.shape)
+                           for lo in range(0, max(flat.size, 1), width)]).reshape(x.shape)
+
+
+def _mixture(c: np.ndarray, x, block):
+    """c @ block(run) over the runs of ``_in_blocks``; block(run) is (c.size,) + run.shape."""
+    return _in_blocks(lambda run: c @ block(run), c.size, x)

@@ -380,7 +380,8 @@ def conv_cdf(jumps: JumpSpec, n, z):
         # gammainc(n, 0) = 0, so z < 0 needs no mask
         out = sc.gammainc(n, cpp._exp_point(z, jumps.zeta))
     else:
-        out = sc.ndtr((z - n * jumps.eta) / (jumps.sigma * np.sqrt(n)))
+        with np.errstate(over="ignore"):  # far below the mean the quotient is -inf: ndtr 0
+            out = sc.ndtr((z - n * jumps.eta) / (jumps.sigma * np.sqrt(n)))
     return _float_if_scalar(out)
 
 
@@ -399,7 +400,8 @@ def conv_pdf(jumps: JumpSpec, n, z):
         out = np.where((z == 0) & (n == 1), jumps.zeta, np.where(off, 0.0, f))
     else:
         s = jumps.sigma * np.sqrt(n)
-        out = np.exp(-0.5 * np.square((z - n * jumps.eta) / s)) / (s * math.sqrt(2 * math.pi))
+        with np.errstate(over="ignore"):  # far from the mean the square is inf: exp(-inf) = 0
+            out = np.exp(-0.5 * np.square((z - n * jumps.eta) / s)) / (s * math.sqrt(2 * math.pi))
     return _float_if_scalar(out)
 
 

@@ -34,8 +34,15 @@ def test_special_holds_only_production_helpers():
     defined = {node.name for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined == {"SeriesControl", "poisson_pmf", "poisson_pmf_stepped", "_count_part",
-                       "_reciprocals", "_loader", "_in_blocks", "_float_if_scalar"}
+                       "_reciprocals", "_loader", "_in_blocks", "_mixture", "_float_if_scalar"}
     assert callable(special.poisson_pmf)
+
+
+def test_mixtures_are_summed_in_special_only():
+    # special._mixture is the one matrix-vector sum of the cpp and passage laws
+    for module in ("cpp.py", "crossing.py"):
+        tree = ast.parse((SRC / module).read_text())
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), module
 
 
 def test_mc_holds_only_batch_samplers():

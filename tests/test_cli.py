@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,14 @@ class TestParseRange:
         # refused before any array is allocated; the CLI exits 1 on it
         with pytest.raises(ValueError, match=f"range {re.escape(repr(spec))} has"):
             parse_range(spec, step)
+
+    def test_integer_ranges(self):
+        got = parse_range("1..7:3", 1.0, "--k")
+        assert got.dtype == int and got.tolist() == [1, 4, 7]
+        assert parse_range("-9223372036854775808", 1.0, "--n").tolist() == [-2**63]
+        for spec in ("1.5", "0..2.5", "0..4:0.5", "9223372036854775808", "-1e19", "nan", "0..inf"):
+            with pytest.raises(ValueError, match=f"--n takes integers within int64, got {spec!r}"):
+                parse_range(spec, 1.0, "--n")
 
     def test_largest_allowed_range(self, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_POINTS", 100)
@@ -149,6 +158,22 @@ class TestExitCodes:
         code, out, err = run_cli(line.split(), capsys)
         assert code == 1 and out == ""
         assert err.startswith("poissonsub: validation error:") and "finite" in err
+
+    @pytest.mark.parametrize("line, flag", [
+        ("hitting --k 1.9 --t 1", "--k"),
+        ("hitting --prob --k 1..3:0.5", "--k"),
+        ("pmf --t 1 --n 0.5..2", "--n"),
+        ("cdf --t 1 --n 2.7", "--n"),
+        ("pmf --t 1 --n 1e20", "--n"),
+    ])
+    def test_states_and_levels_are_integers(self, line, flag, capsys):
+        # the first four used to exit 0 with the rows of truncated states,
+        # the last to warn on its cast and report a negative state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(line.split(), capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"poissonsub: validation error: {flag} takes integers")
 
     def test_io_error(self, capsys):
         code, _, err = run_cli(

@@ -87,6 +87,21 @@ class TestConvOracles:
             1.5**n * 2.0 ** (n - 1) * math.exp(-3.0) / math.factorial(n - 1), rel=1e-14)
         assert np.all(dens[:2] == 0.0) and np.all(dens[2:] > 0.0)
 
+    def test_normal_quiet_far_from_the_mean(self):
+        # the square of (z - n eta) / (sigma sqrt n) used to overflow with a
+        # RuntimeWarning; its inf gives exp(-inf) = 0, as does the quotient's
+        # inf, and a normal CDF cell at -inf is ndtr(-inf) = 0
+        normal, narrow = JumpSpec.normal(0.5, 1.0), JumpSpec.normal(0.5, 1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for jumps, z in ((normal, 1e200), (normal, -1e200), (narrow, 1e300)):
+                assert conv_pdf(jumps, 3, z) == 0.0
+                assert cpp_density_Z_grid(z, 1.0, PARAMS, jumps) == 0.0
+                dens = cpp_density_Z_grid(np.array([z, 1.0]), 1.0, PARAMS, jumps)
+                assert dens[0] == 0.0 and dens[1] > 0.0
+            assert cpp_cdf_Z_grid(-1e300, 1.0, PARAMS, narrow) == 0.0
+            assert np.all(conv_cdf(narrow, np.arange(1, 5)[:, None], [-1e300])[:, 0] == 0.0)
+
     def test_exponential_conv_quiet_above_the_overflow(self):
         # zeta z overflows above 1.8e308 / zeta; the oracles clip z at
         # 1e300 / zeta, where every cell is already 0 or 1

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -214,6 +215,29 @@ class TestCrossingDensityConstant:
             crossing_density_constant(0, 1.0, LAW)
         with pytest.raises(ValueError):
             crossing_density_constant(2, -1.0, LAW)
+
+
+class TestTimesPastTheOverflow:
+    # rate t overflows above 1.8e308 / rate, and the laws used to give NaN
+    # there with a RuntimeWarning; past 1e300 / rate every Poisson cell is
+    # 0 and gammainc is 1, so the values are exact
+    LAW2 = IteratedLaw(ModelParams(2.0, 1.0))
+
+    @pytest.mark.parametrize("t", [1e300 / LAW2.params.rate, 1e301, 1.7e308])
+    def test_exact_values(self, t):
+        zero = [lambda t: crossing_density_constant(3, t, self.LAW2),
+                lambda t: hitting_density(3, t, self.LAW2),
+                lambda t: survival_nonincreasing(Boundary.constant(3), t, self.LAW2),
+                lambda t: survival_nonincreasing(Boundary.linear_decreasing(3), t, self.LAW2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for law in zero:
+                assert law(t) == 0.0 and isinstance(law(t), float)
+                got = law(np.array([[0.5, t]]))
+                assert got.shape == (1, 2) and got[0, 0] > 0.0 and got[0, 1] == 0.0
+            cdf = hitting_cdf(3, np.array([t, 1e300]), self.LAW2)
+            assert cdf[0] == cdf[1] == hitting_cdf(3, t, self.LAW2)
+        assert cdf[0] == pytest.approx(hitting_probability(3, 1.0), rel=1e-15)
 
 
 class TestMeanCrossingTime:

@@ -440,6 +440,36 @@ class TestBlocks:
             assert isinstance(single, float) if np.ndim(point) == 0 else single.shape == (1,)
             np.testing.assert_allclose(single, one[3, 4], rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("name, law", _mixtures())
+    @pytest.mark.parametrize("cells", [None, 40, 300])
+    def test_grid_of_any_shape_gives_its_flat_bits(self, name, law, cells, monkeypatch):
+        # every law sums runs of the flattened points, whatever the grid's
+        # shape: the crossing and hitting laws used to take a 2-d grid whole
+        x = np.abs(self.X) if name in ("survival", "crossing density", "hitting density",
+                                       "hitting cdf") else self.X
+        if cells:
+            monkeypatch.setattr(special, "_BLOCK_CELLS", cells)
+        for grid in (x, x.reshape(7, 1, 11), x.T):
+            assert law(grid).ravel().tobytes() == law(grid.ravel()).tobytes()
+
+    def test_law_gets_a_point_or_a_flat_run(self, monkeypatch):
+        shapes = []
+        law = lambda x: (shapes.append(x.shape), x + 1.0)[1]
+        assert special._in_blocks(law, 3, np.float64(2.0)) == 3.0
+        special._in_blocks(law, 3, np.ones((2, 3, 4)))
+        special._in_blocks(law, 0, np.ones((2, 5)))  # no orders: t = 0, weights [1]
+        monkeypatch.setattr(special, "_BLOCK_CELLS", 12)
+        special._in_blocks(law, 0, np.ones((4, 5)))
+        assert shapes == [(), (24,), (10,), (12,), (8,)]
+        assert special._in_blocks(law, 3, np.empty((0, 2))).shape == (0, 2)
+
+    def test_mixture_sums_the_block(self):
+        c = np.array([1.0, 2.0, 4.0])
+        block = lambda x: np.stack([x, x * x, np.ones_like(x)])
+        assert special._mixture(c, 3.0, block) == 3.0 + 18.0 + 4.0
+        x = np.arange(6.0).reshape(2, 3)
+        assert special._mixture(c, x, block).tolist() == (x + 2 * x * x + 4).tolist()
+
     def test_block_width(self, monkeypatch):
         widths = []
         law = lambda x: (widths.append(x.size), x + 1.0)[1]
