@@ -9,11 +9,14 @@ points at a time.  For normal jumps a block is the closed form, ``_normal_cdf``
 (ndtr only below its saturation) or ``_normal_pdf``.  For exponential jumps
 the CDF is the paper's alternative series: a block of
 ``special.poisson_pmf_stepped`` cells Pois(zeta z; m) over the cumulative
-weights, one ``gammainc`` per point; the density is the same block one count
-lower over the weights.  For unit jumps the CDF is one prefix sum of the
-weights read at floor(z).  The closed forms ``verify.conv_cdf`` and
-``conv_pdf`` are the oracles of all three.  A NaN point gives NaN for every
-jump law and time, and one point gives a float.
+weights, and one Poisson upper tail per point from ``special.poisson_tail``,
+the tail's one home, which also stops the weights of ``cpp_cdf_Y``; the
+density is the same block one count lower over the weights.  For unit jumps
+the CDF is one prefix sum of the weights read at floor(z).  The closed
+forms ``verify.conv_cdf`` and ``conv_pdf`` are the oracles of all three.  A
+NaN point gives NaN for every jump law and time, and one point gives a
+float.  scipy.special is imported where it is evaluated (``poisson_tail``,
+``_normal_cdf``), not with the module.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sc
 
-from .iterated import IteratedLaw
+from .iterated import _MAX_STATES, IteratedLaw
 from .params import JumpSpec, ModelParams, MomentSummary, check_time
 from .special import (SeriesControl, _float_if_scalar, _mixture, poisson_pmf,
-                      poisson_pmf_stepped)
+                      poisson_pmf_stepped, poisson_tail)
 
 _DEFAULT_CTL = SeriesControl()
 
@@ -39,9 +41,13 @@ def atom_mass_Z(t: float, params: ModelParams) -> float:
 
 
 def _poisson_weights(a: float, tol: float) -> np.ndarray:
-    """pmf vector of Poisson(a) through the point where tail mass < tol."""
-    n_hi = int(a + 12.0 * math.sqrt(a) + 30.0)
-    while sc.pdtrc(n_hi, a) >= tol:  # P{Poisson(a) > n_hi}
+    """pmf vector of Poisson(a), a = mu t, through the point where tail mass
+    < tol; [1] and zeros at a = 0.  A ValueError if a passes _MAX_STATES."""
+    n_hi = a + 12.0 * math.sqrt(a) + 30.0
+    if not n_hi < _MAX_STATES:
+        raise ValueError(f"mu t = {a:g} needs more than 2^60 orders")
+    n_hi = int(n_hi)
+    while poisson_tail(n_hi + 1, a) >= tol:  # P{Poisson(a) > n_hi}
         n_hi *= 2
     return poisson_pmf(range(n_hi + 1), a)
 
@@ -68,7 +74,10 @@ def _normal_cdf(ns: np.ndarray, z: np.ndarray, jumps: JumpSpec) -> np.ndarray:
     ndtr itself.  Rounding is monotone, so a row's threshold serves wherever
     the argument rounded at it reaches _NDTR_SAT; a row where it does not
     skips nothing.  ``where=`` is no way to skip cells: scipy.special's
-    ufuncs crash on it (numpy 2.4, scipy 1.17)."""
+    ufuncs crash on it (numpy 2.4, scipy 1.17).  ndtr is imported here, once
+    a block, so that no other law loads scipy.special."""
+    from scipy.special import ndtr
+
     out = np.ones((ns.shape[0],) + z.shape)
     if not out.size:
         return out
@@ -89,7 +98,7 @@ def _normal_cdf(ns: np.ndarray, z: np.ndarray, jumps: JumpSpec) -> np.ndarray:
             cells = block[band, cols]
             np.subtract(z[cols], mean[band], out=cells)
             cells /= scale[band]
-            sc.ndtr(cells, out=cells)
+            ndtr(cells, out=cells)
     return out
 
 
@@ -114,7 +123,7 @@ def _step(z: np.ndarray) -> np.ndarray:
 
 def _exp_point(z: np.ndarray, zeta: float) -> np.ndarray:
     """x = zeta z, with z clipped to [0, 1e300 / zeta]: past 1e300 every Poisson
-    pmf cell is 0 and gammainc is 1, as at z = inf."""
+    pmf cell is 0 and the Poisson upper tail is 1, as at z = inf."""
     return zeta * np.clip(z, 0.0, 1e300 / zeta)
 
 
@@ -128,7 +137,7 @@ def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
     For exponential(zeta) jumps P(n, x) = P{Poisson(x) >= n}, x = zeta z,
     so with W_m = w_1 + .. + w_m the jump part is the nonnegative sum
     sum_{m=1..N} Pois(x; m) W_m + W_N P{Poisson(x) > N}: one Poisson pmf
-    per cell and one gammainc per point, not one per cell."""
+    per cell and one ``poisson_tail`` per point, not one per cell."""
     z = np.asarray(z, dtype=float)
     if jumps.kind == "degenerate_unit":
         cum = np.append(np.cumsum(w), 0.0)
@@ -137,7 +146,7 @@ def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
     if jumps.kind == "exponential":
         x = _exp_point(z, jumps.zeta)
         pmf = lambda x: poisson_pmf_stepped(range(1, w.size), x)
-        jump = _mixture(np.cumsum(w[1:]), x, pmf) + w[1:].sum() * sc.gammainc(w.size, x)
+        jump = _mixture(np.cumsum(w[1:]), x, pmf) + w[1:].sum() * poisson_tail(w.size, x)
     else:
         jump = _mixture(w[1:], z, lambda z: _normal_cdf(np.arange(1, w.size)[:, None], z, jumps))
     return np.minimum(1.0, w[0] * _step(z) + jump)
@@ -146,11 +155,9 @@ def _cdf_mixture(w: np.ndarray, z, jumps: JumpSpec) -> np.ndarray:
 def cpp_cdf_Y(y, t: float, params: ModelParams, jumps: JumpSpec,
               ctl: SeriesControl = _DEFAULT_CTL):
     """CDF of the plain compound Poisson process Y(t) driven by M(t) at one
-    point or an array of points y; one point gives a float."""
+    point or an array of points y, the mixture over the Poisson(mu t) weights;
+    one point gives a float."""
     check_time(t)
-    y = np.asarray(y, dtype=float)
-    if t == 0.0:
-        return _float_if_scalar(_step(y))
     w = _poisson_weights(params.mu * t, ctl.tolerance)
     return _float_if_scalar(_cdf_mixture(w, y, jumps))
 

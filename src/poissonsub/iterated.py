@@ -22,8 +22,11 @@ import numpy as np
 from .params import ModelParams, check_time
 from .special import SeriesControl, _float_if_scalar, poisson_pmf
 
-# scaled weights are renormalised once they leave [_TINY, _HUGE]
+# scaled weights are renormalised once they leave [_TINY, _HUGE]; where
+# lam t > 1e100 the top is 1e300 / (lam t), so that no step overflows
 _TINY, _HUGE = 1e-200, 1e200
+# more states than an array can index, with room to double
+_MAX_STATES = 2.0**60
 # tilts s > 0 at which the Chernoff bound on the upper tail is evaluated
 _CHERNOFF_S = np.geomspace(1e-4, 30.0, 512)
 # states of the first renewal build: a sweep over the first few dozen states
@@ -207,6 +210,15 @@ class IteratedLaw:
 
     # -- the weight engine ---------------------------------------------------
 
+    def _lam_t(self, t: float) -> float:
+        """lam t for a time t that passes ``check_time``; a ValueError where
+        it is past the float range."""
+        check_time(t)
+        lt = self.params.lam * t
+        if not lt < math.inf:
+            raise ValueError(f"lam t = {self.params.lam:g} * {t:g} is past the float range")
+        return lt
+
     def _log_weights(self, t: float, n: int) -> np.ndarray:
         """log p_0(t) .. log p_n(t) from the compound-Poisson recursion
         p_i = (lam t / i) sum_j j q_j p_{i-j}, p_0 = exp(-lam t (1 - e^{-mu})).
@@ -218,13 +230,15 @@ class IteratedLaw:
         the ones a rescale at state i touches.  So each state is one dot
         product over a full row, with no slicing.  The view is built with the
         ndarray constructor, which costs a tenth of ``sliding_window_view``'s
-        set-up on the short runs of the passage laws.  The recursion is
+        set-up on the short runs of the passage laws.  A new value is at most
+        lam t times the largest one that feeds it, so the window is held
+        below 1e300 / (lam t) where that is under _HUGE.  The recursion is
         triangular, but a blocked solve through ``scipy.linalg`` is not used:
         importing that module alone adds about 6 MB to the resident size."""
-        check_time(t)
+        lt = self._lam_t(t)
+        huge = _HUGE if lt <= 1e100 else 1e300 / lt
         jq = self._severity
         nj = jq.size
-        lt = self.params.lam * t
         buf = np.zeros(nj + n)
         p = buf[nj - 1:]  # p[i] = buf[nj - 1 + i]
         p[0] = 1.0
@@ -235,13 +249,13 @@ class IteratedLaw:
         with np.errstate(divide="ignore"):
             for i, feed in enumerate(win[:n], 1):
                 p[i] = v = lt / i * float(jq.dot(feed))
-                if _TINY < v < _HUGE:
+                if _TINY < v < huge:
                     continue
                 # only the last nj values feed later states; rescale them to a
-                # maximum of 1 as they rise, and of _HUGE as they fall
+                # maximum of 1 as they rise, and of huge as they fall
                 last = win[i]
                 top = float(last.max())
-                if v <= _TINY and top == _HUGE:
+                if v <= _TINY and top == huge:
                     continue
                 out[done:i + 1] = np.log(p[done:i + 1]) + shift
                 done = i + 1
@@ -250,8 +264,8 @@ class IteratedLaw:
                 last /= top
                 shift += math.log(top)
                 if v <= _TINY:
-                    last *= _HUGE
-                    shift -= math.log(_HUGE)
+                    last *= huge
+                    shift -= math.log(huge)
             out[done:] = np.log(p[done:]) + shift
         return out
 
@@ -270,8 +284,8 @@ class IteratedLaw:
 
     def pmf_vector(self, t: float) -> np.ndarray:
         """p_0(t)..p_N(t) with N the smallest state whose remaining mass is
-        below ctl.tolerance."""
-        check_time(t)
+        below ctl.tolerance; a ValueError if that index is past _MAX_STATES."""
+        lt = self._lam_t(t)
         if t == 0.0:
             return np.array([1.0])
         tol = self.ctl.tolerance
@@ -279,8 +293,11 @@ class IteratedLaw:
         # cumulant generating function K(s) = lam t (exp(mu (e^s - 1)) - 1);
         # the mass past the upper index is held to a thousandth of tol
         with np.errstate(over="ignore"):
-            cgf = self.params.lam * t * np.expm1(self.params.mu * np.expm1(_CHERNOFF_S))
-        top = math.ceil(np.min((cgf - math.log(1e-3 * tol)) / _CHERNOFF_S))
+            cgf = lt * np.expm1(self.params.mu * np.expm1(_CHERNOFF_S))
+        top = np.min((cgf - math.log(1e-3 * tol)) / _CHERNOFF_S)
+        if not top < _MAX_STATES:
+            raise ValueError(f"lam t = {lt:g} needs more than 2^60 states")
+        top = math.ceil(top)
         w = np.exp(self._log_weights(t, top))
         # tails[i] = sum_{j >= i} w_j, summed from the top so no rounding of a
         # running total near 1 decides where to stop; 0.999 tol here plus the

@@ -4,6 +4,11 @@ read by the jump-chain record's batch window (and through it by the law
 weights, the jump chain and the samplers) and the passage-time mixtures;
 ``poisson_pmf_stepped``, its block with ratio steps between the Loader cells
 at multiples of 8, read by the exponential-jump CDF and density; and
+``poisson_tail``, the Poisson upper tail P{N(x) >= k}: the one home of the
+regularized lower incomplete gamma, read by the exponential-jump CDF, the
+hitting CDF and the cut-off of ``cpp_cdf_Y``, and the one production use of
+``scipy.special`` besides the normal kernel of ``cpp``, imported on first use
+so that a command that evaluates no tail does not load it; and
 ``_in_blocks`` and ``_mixture``, the one block loop and sum of the mixtures.
 The paper's reference forms (Stirling numbers, Bell polynomials, scalar
 Poisson kernels, incomplete gamma) live in ``verify``.
@@ -45,6 +50,7 @@ _BLOCK_CELLS = 2**19
 # _STRIDE, and steps up from it to the next
 _STRIDE = 8
 _TINY = np.finfo(float).tiny  # the smallest normal float
+_sc = None  # scipy.special, bound by the first poisson_tail
 
 
 @lru_cache(maxsize=64)
@@ -160,6 +166,19 @@ def poisson_pmf_stepped(counts: range, x) -> np.ndarray:
         cells = _loader(x.ravel()[at], i + float(lo), head[i], np.empty(i.shape))
         block.reshape(len(anchors), _STRIDE, x.size)[k, 1:, at] = cells.T
     return out[counts.start - lo:counts.stop - lo]
+
+
+def poisson_tail(k, x):
+    """P{N(x) >= k} for N(x) ~ Poisson(x), orders k >= 1 and points x >= 0,
+    broadcast: the regularized lower incomplete gamma P(k, x) =
+    ``scipy.special.gammainc(k, x)``, which is also the CDF at x of the
+    Gamma(k, 1) time of the k-th event.  scipy.special, most of a command's
+    start-up, is imported by the first call and bound to _sc, so a later
+    call costs no import."""
+    global _sc
+    if _sc is None:
+        from scipy import special as _sc
+    return _sc.gammainc(k, x)
 
 
 def _float_if_scalar(x):

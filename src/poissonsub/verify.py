@@ -327,14 +327,14 @@ def _hitting_cdf_stirling(k: int, t: float, law: IteratedLaw) -> float:
 def _crossing_density_flux(k: int, t: float, law: IteratedLaw) -> float:
     """Constant-boundary crossing density from the law weights of the
     weight engine: lam sum_{j<k} p_j(t) P{Poisson(mu) >= k - j}."""
-    w = np.exp(law._log_weights(t, k - 1))
+    w = law.pmf(np.arange(k), t)
     return law.params.lam * float(w @ sc.pdtrc(np.arange(k - 1, -1, -1), law.params.mu))
 
 
 def _hitting_density_flux(k: int, t: float, law: IteratedLaw) -> float:
     """Hitting density from the law weights of the weight engine:
     lam sum_{j<k} p_j(t) P{Poisson(mu) = k - j}."""
-    w = np.exp(law._log_weights(t, k - 1))
+    w = law.pmf(np.arange(k), t)
     q = np.array([poisson_pmf(i, law.params.mu) for i in range(k, 0, -1)])
     return law.params.lam * float(w @ q)
 

@@ -33,9 +33,37 @@ def test_special_holds_only_production_helpers():
     tree = ast.parse((SRC / "special.py").read_text())
     defined = {node.name for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert defined == {"SeriesControl", "poisson_pmf", "poisson_pmf_stepped", "_count_part",
-                       "_reciprocals", "_loader", "_in_blocks", "_mixture", "_float_if_scalar"}
+    assert defined == {"SeriesControl", "poisson_pmf", "poisson_pmf_stepped", "poisson_tail",
+                       "_count_part", "_reciprocals", "_loader", "_in_blocks", "_mixture",
+                       "_float_if_scalar"}
     assert callable(special.poisson_pmf)
+
+
+def test_poisson_tail_has_one_home_and_scipy_loads_where_it_is_read():
+    # the incomplete gamma of the production laws is special.poisson_tail;
+    # verify's oracles keep their own.  No module but verify, which only the
+    # CLI's verify command imports, loads scipy with the module
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        if (_names(tree) | imported) & {"gammainc", "pdtrc"}:
+            assert path.name in ("special.py", "verify.py"), path.name
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                top = {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                top = {(node.module or "").split(".")[0]}
+            else:
+                continue
+            assert "scipy" not in top or path.name == "verify.py", path.name
+
+
+def test_weight_engine_read_through_the_law_only():
+    # IteratedLaw's pmf, log_pmf, cdf and pmf_vector are the engine's readers
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_log_weights":
+                assert path.name == "iterated.py", f"{path.name}:{node.lineno}"
 
 
 def test_mixtures_are_summed_in_special_only():
@@ -127,7 +155,8 @@ def test_no_scipy_special_ufunc_gets_where():
     # scipy.special's ufuncs with where= and out= crash the interpreter
     # (segfault, or "double free or corruption") on numpy 2.4, scipy 1.17,
     # where np.exp with the same masks does not; a block that skips cells
-    # must select them by slicing
+    # must select them by slicing.  The imports sit at any depth: a module
+    # alias is read as alias.f(...), a name from scipy.special as f(...)
     calls = 0
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -136,10 +165,14 @@ def test_no_scipy_special_ufunc_gets_where():
                    for a in node.names if a.name == "special"}
         aliases |= {a.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
                     for a in node.names if a.name == "scipy.special" and a.asname}
+        ufuncs = {a.asname or a.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+                  for a in node.names}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in aliases):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in aliases
+                    or isinstance(node.func, ast.Name) and node.func.id in ufuncs):
                 calls += 1
                 assert "where" not in {k.arg for k in node.keywords}, \
                     f"{path.name}:{node.lineno}"

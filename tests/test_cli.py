@@ -159,6 +159,25 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("poissonsub: validation error:") and "finite" in err
 
+    @pytest.mark.parametrize("line", [
+        "pmf --lambda 2 --t 1.7e308",
+        "pmf --lambda 2 --t 1.7e308 --n 3",
+        "cdf --lambda 2 --t 1.7e308 --jumps exp --zeta 1 --z 3",
+    ])
+    def test_lam_t_past_the_float_range(self, line, capsys):
+        # the first and last used to end in an OverflowError, the second to print nan
+        code, out, err = run_cli(line.split(), capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("poissonsub: validation error: lam t = ")
+
+    def test_weights_near_the_top_of_the_float_range(self, capsys):
+        # at lam t = 2e200 the weight engine used to divide by inf and print nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("pmf --lambda 2 --t 1e200 --n 3".split(), capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == "1e+200,3,0"
+
     @pytest.mark.parametrize("line, flag", [
         ("hitting --k 1.9 --t 1", "--k"),
         ("hitting --prob --k 1..3:0.5", "--k"),
@@ -234,6 +253,28 @@ class TestImports:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("line, loads", [
+        ("moments --t 1", False),
+        ("pmf --t 1 --n 0..20", False),
+        ("hitting --prob --k 1..50", False),
+        ("crossing --k 3", False),
+        ("density --t 1 --jumps exp --zeta 1 --z 0..3", False),
+        # the Poisson upper tail of the exponential-jump CDF and the hitting CDF
+        ("cdf --t 1 --jumps exp --zeta 1 --z 0..3", True),
+        ("hitting --k 3 --t 0..2", True),
+    ])
+    def test_scipy_loaded_only_by_commands_that_evaluate_it(self, line, loads):
+        # importing scipy.special takes about 0.4 s, most of a command's start-up
+        code = "\n".join([
+            "import os, sys, poissonsub.cli",
+            "assert 'scipy' not in sys.modules",
+            f"assert poissonsub.cli.main({line.split()!r} + ['--output', os.devnull]) == 0",
+            "print('scipy' in sys.modules)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(loads)
 
     def test_law_paths_do_not_load_scipy_linalg(self):
         # importing scipy.linalg alone adds about 6 MB to the resident size

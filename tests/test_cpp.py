@@ -38,6 +38,7 @@ import mp_oracles as mo
 PARAMS = ModelParams(1.0, 1.0)
 EXP = JumpSpec.exponential(1.0)
 NORM = JumpSpec.normal(0.5, 1.0)
+UNIT = JumpSpec.degenerate_unit()
 
 
 class TestJumpSpec:
@@ -223,6 +224,27 @@ class TestCdfY:
                 np.testing.assert_allclose(grid, points, rtol=2e-15, atol=0.0)
             else:
                 np.testing.assert_array_equal(grid, points)
+
+    @pytest.mark.parametrize("jumps", [UNIT, EXP, NORM])
+    def test_time_zero_is_the_one_mixture(self, jumps):
+        # the Poisson(0) weights are [1, 0, ..], so the mixture is the step
+        # [y >= 0] there, as cpp_cdf_Z_grid's is
+        y = np.array([-math.inf, -1e300, -0.0, 0.0, 5e-324, 1e301, math.inf, math.nan])
+        for grid in (y, y.reshape(2, 4), y[:0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = cpp_cdf_Y(grid, 0.0, PARAMS, jumps)
+            want = np.where(np.isnan(grid), grid, grid >= 0)
+            assert got.shape == grid.shape and got.tobytes() == want.tobytes()
+        for point, want in zip(y.tolist(), np.where(np.isnan(y), y, y >= 0).tolist()):
+            one = cpp_cdf_Y(point, 0.0, PARAMS, jumps)
+            assert type(one) is float and np.array(one).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("t", [1e300, 1.7e308])
+    def test_mu_t_past_the_float_range(self, t):
+        # the count range of the weights used to overflow in an OverflowError
+        with pytest.raises(ValueError, match="mu t"):
+            cpp_cdf_Y(3.0, t, ModelParams(1.0, 2.0), EXP)
 
 
 class TestCdfZ:
@@ -492,9 +514,6 @@ class TestExponentialDensityKernel:
         block = conv_pdf(jumps, np.arange(1, w.size)[:, None], zs)
         want = [math.fsum(w[1:] * col) for col in block.T]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-
-
-UNIT = JumpSpec.degenerate_unit()
 
 
 def _unit_block_mixture(w: np.ndarray, z: np.ndarray) -> np.ndarray:

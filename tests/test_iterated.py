@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -134,6 +135,29 @@ class TestEngine:
         for n in ns:
             with mpmath.workdps(60):
                 assert rel(got[n], mo.weights(lam, mu, lt / lam, n, first=n)[0]) < 1e-12, n
+
+    @pytest.mark.parametrize("lt", [1e100, 1e150, 2e200, 1e250, 1e300, 1.7e308])
+    @pytest.mark.parametrize("mu", [0.01, 1.0, 50.0])
+    def test_no_step_overflows_near_the_top_of_the_float_range(self, lt, mu):
+        # at lam t = 2e200 a window held to 1e200 times lam t / i overflowed,
+        # and the rescale by inf gave NaN; log p_n is -rate t to the last bit
+        # here, as n log(lam t) is below an ulp of it
+        law = IteratedLaw(ModelParams(1.0, mu))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logs = law.log_pmf(np.arange(60), lt)
+            assert law.pmf(3, lt) == 0.0
+        assert np.all(logs == -law.params.rate * lt)
+
+    def test_lam_t_past_the_float_range(self):
+        # lam t = inf used to give NaN weights, and an OverflowError in the
+        # Chernoff index of pmf_vector
+        law = IteratedLaw(ModelParams(2.0, 1.0))
+        for call in (law.pmf_vector, lambda t: law.pmf(3, t), lambda t: law.cdf(3, t)):
+            with pytest.raises(ValueError, match="lam t"):
+                call(1.7e308)
+        with pytest.raises(ValueError, match="lam t"):
+            law.pmf_vector(1e20)  # a weight vector longer than an array can index
 
 
 class TestSmallTime:

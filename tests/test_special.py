@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
+from scipy import special as sc
 
 from poissonsub import special
 from poissonsub.iterated import _jump_chain
@@ -243,6 +244,23 @@ class TestPoissonPmfStepped:
         assert block[:, 1].tolist() == [1.0, 5e-324] + [0.0] * 38
         assert np.all(np.isnan(block[:, 2])) and not block[:, 3].any()
         assert above.tobytes() == block[3:17].tobytes() and empty.shape == (0, 2)
+
+
+class TestPoissonTail:
+    X = np.concatenate([[0.0, 5e-324, 1e-3, 0.7, 9.5, 40.0, 399.5, 400.0, 2e3, 1e300, np.inf,
+                         np.nan], np.geomspace(1e-2, 1e3, 200)])
+
+    def test_is_gammainc_bit_for_bit(self):
+        # the one home of the production incomplete gamma changes no byte
+        k = np.arange(1, 401)[:, None]
+        got = special.poisson_tail(k, self.X)
+        assert got.tobytes() == sc.gammainc(k, self.X).tobytes()
+        assert special.poisson_tail(3, 2.0) == sc.gammainc(3, 2.0)
+
+    def test_is_pdtrc_one_order_up(self):
+        # cpp's cut-off P{Poisson(a) > n} read pdtrc(n, a) before
+        n = np.arange(0, 400)[:, None]
+        assert special.poisson_tail(n + 1, self.X).tobytes() == sc.pdtrc(n, self.X).tobytes()
 
 
 def brute_force_partitions(n, k):
